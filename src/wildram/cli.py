@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import _expected
@@ -37,14 +36,8 @@ from .cover import (
     upper_filtration,
 )
 from .errors import UsageError, WildramError
-from .field import FqPoly, field_from_json, make_field
-from .rayclass import (
-    digit_tensor,
-    find_second_jump,
-    format_table_csv,
-    ray_class_invariants,
-    ray_class_table,
-)
+from .field import FqPoly, _is_prime, field_from_json, make_field
+from .rayclass import find_second_jump, format_table_csv, ray_class_table
 
 FAMILY_KINDS = ("jump2-even", "jump2-odd", "table-full", "exponent-pn")
 
@@ -64,17 +57,6 @@ class Plan:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _field_args(sub):
@@ -118,7 +100,8 @@ def _build_parser():
     sp.add_argument("--order-only", action="store_true",
                     help="skip invariant factors, orders only")
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker threads for the per-conductor runs")
+                    help="accepted for compatibility; the run is one pass "
+                    "whatever the value")
     _out_args(sp, ("csv", "json"))
 
     sp = subs.add_parser("rayclass-m2",
@@ -155,7 +138,8 @@ def _build_parser():
                          help="rebuild the packaged (5,4) table and ratios")
     _field_args(sp)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker threads for the per-conductor runs")
+                    help="accepted for compatibility; the run is one pass "
+                    "whatever the value")
     _out_args(sp, ("text",))
     return top
 
@@ -238,22 +222,6 @@ def _sig6(x):
     return "%.6g" % float(x)
 
 
-def _rows_for(ctx, ms, jobs, resource_cap, order_only=False):
-    # one widest tensor up front so the workers only read shared state
-    digit_tensor(ctx, max(ms))
-    if jobs == 1:
-        return ray_class_table(ctx, ms, resource_cap=resource_cap) \
-            if not order_only else \
-            [ray_class_invariants(ctx, m, resource_cap=resource_cap,
-                                  order_only=True) for m in ms]
-
-    def run(m):
-        return ray_class_invariants(ctx, m, resource_cap=resource_cap,
-                                    order_only=order_only)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, ms))
-
-
 def _splits_text(cover):
     all_split, hits, checked = splits_everywhere(cover)
     q = cover.ctx.p ** cover.ctx.e
@@ -316,8 +284,8 @@ def _exec_adjoint(plan):
 
 def _exec_rayclass_orders(plan):
     ctx = make_field(plan.params["p"], plan.params["e"])
-    rows = _rows_for(ctx, plan.params["ms"], plan.params["jobs"],
-                     _resource_cap(), order_only=plan.params["order_only"])
+    rows = ray_class_table(ctx, plan.params["ms"], resource_cap=_resource_cap(),
+                           order_only=plan.params["order_only"])
     if plan.fmt == "csv":
         _emit(format_table_csv(rows), plan.out)
     else:
@@ -395,7 +363,7 @@ def _exec_reproduce_table(plan):
     checks.append(("m2", m2 == _expected.M2))
 
     ms = [row[0] if row[0] > 0 else row[1] for row in _expected.TABLE_ROWS]
-    rows = _rows_for(ctx, ms, plan.params["jobs"], cap)
+    rows = ray_class_table(ctx, ms, resource_cap=cap)
     lines.append(format_table_csv(rows).rstrip("\n"))
 
     got = [(row["m"], row["order_exp"]) for row in rows]

@@ -9,16 +9,20 @@ on the generators 1 + b_j Z^v for a basis b_j of F_q.
 
 The engine has two halves.  A discrete logarithm pass strips every
 generator of H level by level, recording base-p digits against the
-twisted basis b_j^(p^k) at level w = v p^k; the digits for level w are
-the same for every modulus exceeding w, so one pass at the largest m
-serves all smaller ones.  Grading runs then measure T_k = log_p of
-|U^(p^k) H| by an echelon walk up the levels: levels divisible by p^k
-are full (seeded by U^(p^k), whose generators are exact basis
-multiples), and on the remaining levels the active rows compete for at
-most e pivots each; a retired pivot re-enters multiplied by p.  The
-invariant factor counts fall out of first differences of T_k.  The row
-operations genuinely differ between moduli, so the runs are per (m, k)
-while only the digit tensor is shared.
+twisted basis b_j^(p^k) at level w = v p^k.  Grading walks then measure
+T_k = log_p |U^(p^k) H| up the levels: levels divisible by p^k are full
+(seeded by U^(p^k), whose generators are exact basis multiples), and on
+the remaining levels the active rows compete for at most e pivots each;
+a retired pivot re-enters multiplied by p.  The invariant factor counts
+fall out of first differences of T_k.
+
+Reducing modulo Z^m is a quotient of both halves at any M >= m: digits
+below level m do not depend on the modulus, the pivot choice at level w
+reads only level-w digits, and rows that vanish below m never pivot
+there.  So one pass, and one walk per k recording its pivots per level,
+at the largest modulus serve every smaller conductor:
+
+    T_k(m) = e * floor((m - 1) / p^k) + sum_{w < m} pivots_k(w)
 
 A brute oracle enumerates H and all of U for small cases and reads the
 invariants off order statistics; it shares no code with the engine.
@@ -26,6 +30,8 @@ invariants off order statistics; it shares no code with the engine.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -116,6 +122,7 @@ def _vp(w, p):
 
 
 _TENSOR_CACHE = {}
+_PROFILE_CACHE = {}
 
 
 def digit_tensor(ctx, m):
@@ -139,6 +146,21 @@ def digit_tensor(ctx, m):
         R[i, 1, :] = (-y).coeffs
     S = np.zeros_like(R)
     binv = {}
+
+    @functools.cache
+    def series(k, j, d):
+        # (1 + beta Z^w)^(-d) = sum_t c_t beta^t Z^(wt), beta = b_j^(p^k):
+        # the multipliers of c_t beta^t do not depend on the level w, and
+        # the least level of valuation k, w = p^k, has the longest span
+        beta = (ctx.gen ** j).frobenius(k)
+        bpow, out = ctx.one, []
+        for t in range(1, (m - 1) // p ** k + 1):
+            bpow = bpow * beta
+            c = (-1) ** t * math.comb(d + t - 1, t) % p
+            if c:
+                out.append((t, _mult_matrix(bpow * c, ctx)))
+        return out
+
     for w in range(1, m):
         v, k = _vp(w, p)
         if k not in binv:
@@ -147,21 +169,18 @@ def digit_tensor(ctx, m):
         S[:, w, :] = digits
         span = (m - 1) // w
         for j in range(e):
-            beta = (ctx.gen ** j).frobenius(k)
             for d in range(1, p):
                 rows = np.nonzero(digits[:, j] == d)[0]
                 if not len(rows):
                     continue
-                src = R[rows].copy()
-                bpow = ctx.one
-                for t in range(1, span + 1):
-                    bpow = bpow * beta
-                    c = (-1) ** t * math.comb(d + t - 1, t) % p
-                    if not c:
-                        continue
-                    mat = _mult_matrix(bpow * c, ctx)
-                    R[rows, w * t:, :] = (
-                        R[rows, w * t:, :] + src[:, :m - w * t, :] @ mat) % p
+                src = R[rows]
+                acc = src.copy()
+                for t, mat in series(k, j, d):
+                    if t > span:
+                        break
+                    acc[:, w * t:, :] = (
+                        acc[:, w * t:, :] + src[:, :m - w * t, :] @ mat) % p
+                R[rows] = acc
         assert not R[:, w, :].any(), "level %d not stripped" % w
     assert not R[:, 1:, :].any(), "generators must reduce to 1"
     _TENSOR_CACHE[key] = S
@@ -202,19 +221,55 @@ def _assemble(ctx, m, tensor):
     return X, mods, chains
 
 
-def _t_run(ctx, m, k, tensor):
-    """T_k = log_p |U^(p^k) H| inside U mod Z^m."""
+def _kmax(p, m):
+    """Least k with p^k >= m: U^(p^k) is trivial mod Z^m."""
+    k = 0
+    while p ** k < m:
+        k += 1
+    return k
+
+
+def pivot_profiles(ctx, M, ks):
+    """{k: pivots per level} of the grading walks for U^(p^k) H mod Z^M.
+
+    Entry w < M of a profile counts the pivots the walk takes at level w;
+    seeded levels (p^k dividing w) hold 0.  Every prefix is the profile
+    at the smaller modulus, so the cache keeps the widest per k and only
+    the missing ones walk, all on one digit tensor.
+    """
+    todo = [k for k in ks
+            if len(_PROFILE_CACHE.get((ctx.p, ctx.e, k), ())) < M]
+    if todo:
+        X, mods, chains = _assemble(ctx, M, digit_tensor(ctx, M))
+        for k in todo:
+            _PROFILE_CACHE[ctx.p, ctx.e, k] = _walk(ctx, M, k, X, mods, chains)
+    return {k: _PROFILE_CACHE[ctx.p, ctx.e, k][:M] for k in ks}
+
+
+def _gradings(ctx, M, ks):
+    """{k: T_k} with T_k[m] = log_p |U^(p^k) H| inside U mod Z^m, m <= M.
+
+    Levels divisible by p^k are seeded full, e apiece; the others count
+    the walk's pivots below m.
+    """
     p, e = ctx.p, ctx.e
-    X, mods, chains = _assemble(ctx, m, tensor)
+    return {k: [e * ((m - 1) // p ** k) + s
+                for m, s in enumerate(itertools.accumulate(prof, initial=0))]
+            for k, prof in pivot_profiles(ctx, M, ks).items()}
+
+
+def _walk(ctx, M, k, X, mods, chains):
+    """Pivots per level of the echelon walk for U^(p^k) H mod Z^M."""
+    p, e = ctx.p, ctx.e
     by_v = {v: (ell, off) for v, ell, off in chains}
-    cap = X.shape[0] + e * (m - 1) + 8
+    cap = X.shape[0] + e * (M - 1) + 8
     buf = np.zeros((cap, X.shape[1]), dtype=np.int64)
     buf[:X.shape[0]] = X % mods
     used = X.shape[0]
     active = np.zeros(cap, dtype=bool)
     active[:used] = True
-    total = e * ((m - 1) // p ** k)
-    for w in range(1, m):
+    pivots = [0] * M
+    for w in range(1, M):
         v, kk = _vp(w, p)
         ell, off = by_v[v]
         pk = p ** kk
@@ -240,7 +295,7 @@ def _t_run(ctx, m, k, tensor):
                 rows = idx[rest]
                 buf[rows] = (buf[rows] - mu[:, None] * buf[idx[r]]) % mods
                 digits[rest] = (digits[rest] - mu[:, None] * digits[r]) % p
-            total += 1
+            pivots[w] += 1
             active[idx[r]] = False
             live[r] = False
             re = (p * buf[idx[r]]) % mods
@@ -254,7 +309,7 @@ def _t_run(ctx, m, k, tensor):
             buf[used] = row
             active[used] = True
             used += 1
-    return total
+    return pivots
 
 
 def ray_class_invariants(ctx, m, resource_cap=None, order_only=False):
@@ -266,80 +321,73 @@ def ray_class_invariants(ctx, m, resource_cap=None, order_only=False):
     order_only skips everything except the top grading run, leaving
     invariants and exponent as None.
     """
-    if m < 1:
-        raise BadParameters("modulus exponent must be at least 1")
+    return ray_class_table(ctx, [m], resource_cap=resource_cap,
+                           order_only=order_only)[0]
+
+
+def ray_class_table(ctx, ms, resource_cap=None, order_only=False):
+    """Rows of ray_class_invariants for each modulus in ms.
+
+    One grading walk per k at the largest modulus serves every row;
+    order_only needs only the walk for the top k.  Every modulus is
+    checked against resource_cap before any walk starts.
+    """
+    ms = list(ms)
     p, e = ctx.p, ctx.e
-    if resource_cap is not None and m * e > resource_cap:
-        raise ResourceLimit("modulus %d exceeds the configured cap" % m)
+    for m in ms:
+        if m < 1:
+            raise BadParameters("modulus exponent must be at least 1")
+        if resource_cap is not None and m * e > resource_cap:
+            raise ResourceLimit("modulus %d exceeds the configured cap" % m)
+    top = max(ms, default=1)
+    kmax = _kmax(p, top)
+    ks = [kmax] if order_only else range(1, kmax + 1)
+    T = _gradings(ctx, top, ks) if top > 1 else {}
     q = p ** e
-    if m == 1:
-        return {"m": 1, "order_exp": 0, "invariants": (), "exponent": 1,
-                "n_places": 1 + q}
-    tensor = digit_tensor(ctx, m)
-    kmax = 0
-    while p ** kmax < m:
-        kmax += 1
-    if order_only:
-        h = _t_run(ctx, m, kmax, tensor)
-        order_exp = e * (m - 1) - h
-        return {"m": m, "order_exp": order_exp, "invariants": None,
-                "exponent": None, "n_places": 1 + q * p ** order_exp}
-    ts = [e * (m - 1)]
-    for k in range(1, kmax + 1):
-        ts.append(_t_run(ctx, m, k, tensor))
-    h = ts[-1]
-    order_exp = e * (m - 1) - h
-    ranks = [ts[k] - ts[k + 1] for k in range(kmax)]  # factors of order > p^k
-    invs = []
-    for j in range(kmax, 0, -1):
-        count = ranks[j - 1] - (ranks[j] if j < kmax else 0)
-        invs.extend([p ** j] * count)
-    assert sum(r for r in ranks) == order_exp
-    return {"m": m, "order_exp": order_exp, "invariants": tuple(invs),
-            "exponent": invs[0] if invs else 1,
-            "n_places": 1 + q * p ** order_exp}
-
-
-def _has_square_factor(ctx, m, tensor):
-    t1 = _t_run(ctx, m, 1, tensor)
-    t2 = _t_run(ctx, m, 2, tensor)
-    return t1 - t2 > 0
+    rows = []
+    for m in ms:
+        if order_only and m > 1:
+            # U^(p^kmax) is trivial mod Z^m, so T[kmax][m] = log_p |H|
+            order_exp = e * (m - 1) - T[kmax][m]
+            rows.append({"m": m, "order_exp": order_exp, "invariants": None,
+                         "exponent": None, "n_places": 1 + q * p ** order_exp})
+            continue
+        km = _kmax(p, m)
+        ts = [e * (m - 1)] + [T[k][m] for k in range(1, km + 1)]
+        order_exp = ts[0] - ts[-1]
+        ranks = [ts[k] - ts[k + 1] for k in range(km)]  # factors of order > p^k
+        invs = []
+        for j in range(km, 0, -1):
+            count = ranks[j - 1] - (ranks[j] if j < km else 0)
+            invs.extend([p ** j] * count)
+        assert sum(ranks) == order_exp
+        rows.append({"m": m, "order_exp": order_exp, "invariants": tuple(invs),
+                     "exponent": invs[0] if invs else 1,
+                     "n_places": 1 + q * p ** order_exp})
+    return rows
 
 
 def find_second_jump(ctx, cap=None):
     """Least modulus where the group acquires a factor of order p^2.
 
-    The property is monotone in m: the group mod Z^m surjects onto the
-    group mod Z^m' for m >= m', so an order-p^2 factor downstairs forces
-    one upstairs.  That justifies bracketing by doubling and then
-    bisecting; cap bounds the search (default: twice the
-    square-exponent heuristic for the field).
+    That is the least m with T_1(m) - T_2(m) > 0, read off one k = 1 and
+    one k = 2 walk.  The first walk runs just past the square-exponent
+    law p^(ceil(e/2)+1) + p + 1; only if no jump shows up to there does
+    the bracket double, up to cap (default: twice the law).
     """
     p, e = ctx.p, ctx.e
     if cap is None:
         cap = 2 * (p ** ((e + 1) // 2 + 1) + p + 1)
     hi = min(cap, p ** ((e + 1) // 2 + 1) + p + 2)
     while True:
-        tensor_full = digit_tensor(ctx, hi)
-        if _has_square_factor(ctx, hi, tensor_full):
-            break
+        if hi >= 2:
+            T = _gradings(ctx, hi, (1, 2))
+            for m in range(2, hi + 1):
+                if T[1][m] - T[2][m] > 0:
+                    return m
         if hi == cap:
             raise ResourceLimit("no order-p^2 factor up to modulus %d" % cap)
         hi = min(cap, 2 * hi)
-    lo = 1  # modulus 1 is trivial, never has a square factor
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _has_square_factor(ctx, mid, tensor_full[:, :mid, :]):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def ray_class_table(ctx, ms, resource_cap=None):
-    """Rows of ray_class_invariants for each modulus in ms."""
-    return [ray_class_invariants(ctx, m, resource_cap=resource_cap)
-            for m in ms]
 
 
 def format_table_csv(rows):

@@ -125,6 +125,15 @@ def test_rayclass_orders_jobs_identical(tmp_path, capsys):
     assert seq == par
 
 
+def test_rayclass_orders_modulus_one(capsys):
+    # conductor 1 alone needs no digit tensor and no walk
+    for extra in ([], ["--order-only"]):
+        code, out = _run(["rayclass-orders", "--p", "2", "--e", "1",
+                          "--ms", "1"] + extra, capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "1,0,1,,3"
+
+
 def test_rayclass_m2(capsys):
     code, out = _run(["rayclass-m2", "--p", "2", "--e", "2"], capsys)
     assert code == 0 and out == "7\n"

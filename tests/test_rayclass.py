@@ -2,6 +2,7 @@
 
 import pytest
 
+from wildram import rayclass
 from wildram.errors import ResourceLimit, TooLarge
 from wildram.field import make_field
 from wildram.rayclass import (
@@ -29,9 +30,41 @@ def test_engine_matches_brute_small():
 def test_second_jump_closed_form():
     # m2 = p^(ceil(e/2)+1) + p + 1
     for p, e, want in [(2, 1, 7), (2, 2, 7), (3, 1, 13), (3, 2, 13),
-                       (2, 3, 11)]:
+                       (2, 3, 11), (2, 4, 11), (2, 5, 19), (2, 6, 19),
+                       (3, 3, 31), (5, 2, 31)]:
         ctx = make_field(p, e)
         assert find_second_jump(ctx) == want
+
+
+def test_second_jump_cap_edges():
+    # a cap exactly at the law still finds it; one below gives up
+    for p, e, law in [(2, 2, 7), (3, 1, 13), (2, 5, 19)]:
+        ctx = make_field(p, e)
+        assert find_second_jump(ctx, cap=law) == law
+        with pytest.raises(ResourceLimit, match="up to modulus %d" % (law - 1)):
+            find_second_jump(ctx, cap=law - 1)
+
+
+def _cold():
+    rayclass._TENSOR_CACHE.clear()
+    rayclass._PROFILE_CACHE.clear()
+
+
+def test_table_equals_walks_at_each_modulus():
+    # one walk per k at the widest modulus against a fresh walk at each m
+    for p, e, top in [(2, 1, 40), (2, 2, 30), (3, 1, 40), (3, 2, 30),
+                      (5, 1, 40), (2, 3, 25)]:
+        ctx = make_field(p, e)
+        for order_only in (False, True):
+            _cold()
+            table = ray_class_table(ctx, range(2, top + 1),
+                                    order_only=order_only)
+            single = []
+            for m in range(2, top + 1):
+                _cold()
+                single.append(ray_class_invariants(ctx, m,
+                                                   order_only=order_only))
+            assert table == single, (p, e, order_only)
 
 
 def test_trivial_range():
@@ -99,6 +132,19 @@ def test_resource_cap():
         ray_class_invariants(ctx, 131, resource_cap=100)
     with pytest.raises(TooLarge):
         brute_ray_class(ctx, 131)
+
+
+def test_resource_cap_checked_before_any_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked before the cap check")
+    monkeypatch.setattr(rayclass, "_walk", no_walk)
+    monkeypatch.setattr(rayclass, "digit_tensor", no_walk)
+    _cold()
+    ctx = make_field(3, 2)
+    for order_only in (False, True):
+        with pytest.raises(ResourceLimit, match="modulus 30 exceeds"):
+            ray_class_table(ctx, [5, 30, 9, 40], resource_cap=50,
+                            order_only=order_only)
 
 
 def test_unit_elem_algebra():
