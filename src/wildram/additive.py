@@ -34,67 +34,11 @@ from .field import (
     embed_poly,
     extension_field,
     frobenius_trace,
+    nullspace_mod,
     reduce_pth_powers,
+    solve_mod,
+    _elist_frob,
 )
-
-
-# ---------------------------------------------------------------------------
-# linear algebra mod p (int64 matrices, exact)
-
-def rref_mod(M, p):
-    """Row-reduced echelon form mod p; returns (R, pivot column list)."""
-    R = np.array(M, dtype=np.int64) % p
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if R[i, c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            R[[r, pivot_row]] = R[[pivot_row, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), -1, p)) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        R = (R - np.outer(col, R[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
-
-
-def nullspace_mod(M, p):
-    """Rows spanning {x : M x = 0 mod p}."""
-    M = np.asarray(M, dtype=np.int64)
-    R, pivots = rref_mod(M, p)
-    cols = M.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(R[i, fc])) % p
-    return basis
-
-
-def solve_mod(M, b, p):
-    """One solution of M x = b mod p, or None if inconsistent."""
-    M = np.asarray(M, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    aug = np.concatenate([M, b.reshape(-1, 1)], axis=1) % p
-    R, pivots = rref_mod(aug, p)
-    n = M.shape[1]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, n]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +205,11 @@ def operator_matrix(A, E):
         raise NotASubfieldDegree(
             "operator field F_%d^%d does not embed in degree %d"
             % (A.ctx.p, A.ctx.e, E.e))
-    p, N = E.p, E.e
-    phi = np.array(E.frob_matrix(1), dtype=np.int64)
-    total = np.zeros((N, N), dtype=np.int64)
-    phi_j = np.eye(N, dtype=np.int64)
+    total = np.zeros((E.e, E.e), dtype=np.int64)
     for j, aj in enumerate(A.coeffs):
-        if j:
-            phi_j = (phi_j @ phi) % p
         if aj:
-            total = (total + phi_j @ _mult_matrix(embed_elem(aj, E), E)) % p
+            phi_j = np.array(E.frob_matrix(j), dtype=np.int64)
+            total = (total + phi_j @ _mult_matrix(embed_elem(aj, E), E)) % E.p
     return total
 
 
@@ -307,39 +247,25 @@ def image_membership(A, c, N=None):
 def splitting_degree(A, cap=48):
     """Least N with the full kernel of A inside F_{p^N}, or None past cap.
 
-    Advances R_N = X^(p^N) mod A(X) by one Frobenius per step; A splits
-    over F_{p^N} exactly when R_N = X.  Each reduction step uses the
-    sparse relation X^(p^d) = -(1/a_d) * sum_{j<d} a_j X^(p^j).
+    A separable A has p^d distinct roots, and they all lie in F_{p^N}
+    exactly when X^(p^N) = X modulo the monic m = A(X)/a_d.  So R runs
+    through X^(p^N) mod m, one Frobenius (_elist_frob) per step, until it
+    comes back to X.
     """
     if not A.separable:
         raise InseparableOperator("splitting degree needs a separable operator")
     ctx = A.ctx
-    p = ctx.p
     d = A.f_degree
     if d == 0:
         return 1  # kernel is {0}
-    D = p ** d
-    inv_lead = A.coeffs[d].inverse()
-    lower = [(p ** j, aj) for j, aj in enumerate(A.coeffs[:d]) if aj]
-    zero = ctx.zero
-    x_vec = [zero] * D
-    x_vec[1] = ctx.one
-    R = list(x_vec)
+    monic = [ctx.zero] * (ctx.p ** d + 1)
+    for exp, c in (A.as_poly() * A.coeffs[d].inverse()).terms:
+        monic[exp] = c
+    x = [ctx.zero, ctx.one]
+    R = x
     for N in range(1, cap + 1):
-        new = [zero] * ((D - 1) * p + 1)
-        for i, c in enumerate(R):
-            if c:
-                new[i * p] = c.frobenius()
-        for t in range(len(new) - 1, D - 1, -1):
-            c = new[t]
-            if c:
-                new[t] = zero
-                factor = -(c * inv_lead)
-                shift = t - D
-                for pos, aj in lower:
-                    new[shift + pos] = new[shift + pos] + factor * aj
-        R = new[:D]
-        if R == x_vec:
+        R = _elist_frob(R, monic)
+        if R == x:
             return N
     return None
 

@@ -28,13 +28,11 @@ from .errors import (
     InseparableOperator,
     ZeroCover,
 )
-from .field import FqPoly, field_from_json, reduce_pth_powers
+from .field import FqPoly, field_from_json, reduce_pth_powers, rref_mod
 from .additive import (
     AdditiveOp,
     image_membership,
     linearize_kernel,
-    nullspace_mod,
-    rref_mod,
     splitting_degree,
     wp_operator,
 )
@@ -177,48 +175,6 @@ def _poly_free_part(f):
 # ---------------------------------------------------------------------------
 # character decompositions and conductor ladders
 
-def _solve_fq(rows, rhs, ctx):
-    """Gaussian elimination over F_q; returns a solution list or None."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    n_eq = len(m)
-    n_un = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_un):
-        pr = None
-        for i in range(r, n_eq):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_eq):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n_eq):
-        if m[i][n_un]:
-            return None
-    sol = [ctx.zero] * n_un
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][n_un]
-    return sol
-
-
-def op_on_poly(L, f):
-    """Apply the additive operator L to a polynomial: sum l_i f^(p^i)."""
-    acc = FqPoly.zero(f.ctx)
-    for i, c in enumerate(L.coeffs):
-        if c:
-            acc = acc + f.pth_power(i) * c
-    return acc
-
-
 def split_kernel(cover):
     """Kernel of the additive operator inside its own field, validated full."""
     A = cover.op
@@ -265,19 +221,14 @@ def additive_characters(cover):
         delta = u(kern.basis[pivot])
         assert delta, "pivot element must map onto F_p"
         u = u * delta.inverse()
+        # u has F-degree d - 1, so (F - 1) . u has F-degree d = deg_F A
+        # and the twisted factor l is a scalar
         target = wp_operator(ctx).compose(u)
-        t = max(target.f_degree - A.f_degree, 0)
-        rows = [[A.coeff(k - i).frobenius(i) if 0 <= k - i else ctx.zero
-                 for i in range(t + 1)]
-                for k in range(target.f_degree + 1)]
-        rhs_vec = [target.coeff(k) for k in range(target.f_degree + 1)]
-        sol = _solve_fq(rows, rhs_vec, ctx)
-        if sol is None:
+        ell = target.coeff(0) / A.coeffs[0]
+        if A * ell != target:
             raise DecompositionFailure(
                 "no twisted factor for dual class %r" % (lam,))
-        ell = AdditiveOp(ctx, sol)
-        sub = CoverSpec(ctx, ("additive", wp_operator(ctx)),
-                        [op_on_poly(ell, f)],
+        sub = CoverSpec(ctx, ("additive", wp_operator(ctx)), [f * ell],
                         label="%s chi%r" % (cover.label, list(lam)))
         out.append((lam, sub))
     return out

@@ -50,94 +50,152 @@ def _is_prime(n):
     return True
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# dense F_p[X] helpers for the modulus scan (little-endian int64 arrays)
+# linear algebra mod p (int64 matrices, exact)
+#
+# One toolkit does all the F_p work, Berlekamp-style: F_p[X]/(f) is an
+# F_p-vector space on the power basis, multiplication by X is the
+# companion matrix C of f, and Frobenius is the matrix Q whose row i is
+# X^(ip) mod f.  Products of matrices with entries below p sum e terms
+# below p^2, so int64 stays exact while e * (p - 1)^2 < 2^63; _field
+# refuses larger fields before building anything.
 
-def _fp_reduce(arr, mod_arr, p):
-    """Remainder of arr modulo the monic polynomial mod_arr, length e."""
-    e = len(mod_arr) - 1
-    arr = arr % p
-    for t in range(len(arr) - 1, e - 1, -1):
-        c = arr[t]
-        if c:
-            arr[t - e:t] = (arr[t - e:t] - c * mod_arr[:e]) % p
-            arr[t] = 0
-    out = np.zeros(e, dtype=np.int64)
-    out[: min(e, len(arr))] = arr[: min(e, len(arr))]
-    return out
+_INT64_BOUND = 2 ** 63
 
 
-def _fp_frob_step(arr, mod_arr, p):
-    # (sum c_i X^i)^p = sum c_i X^{ip} because c^p = c in F_p
-    out = np.zeros((len(arr) - 1) * p + 1, dtype=np.int64)
-    out[::p] = arr
-    return _fp_reduce(out, mod_arr, p)
+def rref_mod(M, p):
+    """Row-reduced echelon form mod p; returns (R, pivot column list)."""
+    R = np.array(M, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if R[i, c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            R[[r, pivot_row]] = R[[pivot_row, r]]
+        R[r] = (R[r] * pow(int(R[r, c]), -1, p)) % p
+        col = R[:, c].copy()
+        col[r] = 0
+        R = (R - np.outer(col, R[r])) % p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots
 
 
-def _fp_trim(a):
-    nz = np.nonzero(a)[0]
-    return a[: nz[-1] + 1] if len(nz) else a[:0]
+def nullspace_mod(M, p):
+    """Rows spanning {x : M x = 0 mod p}."""
+    M = np.asarray(M, dtype=np.int64)
+    R, pivots = rref_mod(M, p)
+    cols = M.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-int(R[i, fc])) % p
+    return basis
 
 
-def _fp_gcd(a, b, p):
-    a = _fp_trim(np.asarray(a, dtype=np.int64) % p)
-    b = _fp_trim(np.asarray(b, dtype=np.int64) % p)
-    while len(b):
-        inv = pow(int(b[-1]), -1, p)
-        r = a.copy()
-        db = len(b) - 1
-        for t in range(len(r) - 1, db - 1, -1):
-            c = (r[t] * inv) % p
-            if c:
-                r[t - db: t + 1] = (r[t - db: t + 1] - c * b) % p
-        a, b = b, _fp_trim(r)
-    return a
+def solve_mod(M, b, p):
+    """One solution of M x = b mod p, or None if inconsistent."""
+    M = np.asarray(M, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    aug = np.concatenate([M, b.reshape(-1, 1)], axis=1) % p
+    R, pivots = rref_mod(aug, p)
+    n = M.shape[1]
+    if n in pivots:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i, n]
+    return x
 
 
-def _fp_is_irreducible(cand, p):
-    """Rabin test: X^(p^e) = X mod f, and X^(p^(e/r)) - X coprime to f."""
-    e = len(cand) - 1
+def _frob_q(f, p):
+    """Frobenius matrix Q of F_p[X]/(f) for monic f: row i is X^(ip) mod f.
+
+    C^p multiplies by X^p, so row i is row i - 1 times C^p.
+    """
+    e = len(f) - 1
+    C = np.eye(e, k=1, dtype=np.int64)  # row i is X * X^i mod f
+    C[-1] = [(-c) % p for c in f[:e]]
+    Cp = np.eye(e, dtype=np.int64)
+    k = p
+    while k:
+        if k & 1:
+            Cp = Cp @ C % p
+        k >>= 1
+        if k:
+            C = C @ C % p
+    Q = np.zeros((e, e), dtype=np.int64)
+    Q[0, 0] = 1
+    for i in range(1, e):
+        Q[i] = Q[i - 1] @ Cp % p
+    return Q
+
+
+def _is_irreducible(f, p):
+    """Berlekamp: the nullity of Q - I counts the distinct irreducible
+    factors of f, and X^(p^e) = X mod f makes f squarefree."""
+    e = len(f) - 1
     if e == 1:
         return True
-    mod_arr = np.asarray(cand, dtype=np.int64)
+    Q = _frob_q(f, p)
+    if len(rref_mod(Q - np.eye(e, dtype=np.int64), p)[1]) != e - 1:
+        return False
     x = np.zeros(e, dtype=np.int64)
     x[1] = 1
-    checkpoints = sorted(e // r for r in _prime_divisors(e))
-    t = x.copy()
-    for m in range(1, e + 1):
-        t = _fp_frob_step(t, mod_arr, p)
-        if m in checkpoints:
-            g = _fp_gcd((t - x) % p, mod_arr, p)
-            if len(g) > 1:
-                return False
-    return bool(np.array_equal(t, x))
+    y = x
+    for _ in range(e):
+        y = y @ Q % p
+    return bool(np.array_equal(y, x))
 
 
 def _least_irreducible(p, e):
     if e == 1:
         return (0, 1)
-    # a candidate with c_0 = 0 is divisible by X, so the scan may start
-    # at c_0 = 1 without changing which polynomial is least
-    for head in range(1, p):
-        for tail in itertools.product(range(p), repeat=e - 1):
-            cand = (head,) + tail + (1,)
-            if _fp_is_irreducible(cand, p):
-                return cand
+    # the candidates in order are the base-p digits, c_0 first, of
+    # successive integers, generated one at a time; c_0 = 0 means X
+    # divides the candidate, so the scan starts at c_0 = 1
+    for n in range(p ** (e - 1), p ** e):
+        cand = [1]
+        for _ in range(e):
+            n, c = divmod(n, p)
+            cand.append(c)
+        cand = tuple(reversed(cand))
+        if _is_irreducible(cand, p):
+            return cand
     raise AssertionError("irreducible polynomial exists for every degree")
+
+
+def _reduction_rows(f, r):
+    """Rows X^e, ..., X^(2e-2) modulo monic f, coefficients mod r.
+
+    Products of two length-e coefficient vectors fold their top e - 1
+    terms back through these rows: r is p in F_q and p^n in the lift ring
+    of length-n Witt vectors.
+    """
+    e = len(f) - 1
+    if e < 2:
+        return ()
+    base = tuple((-c) % r for c in f[:e])
+    rows = [base]
+    for _ in range(e - 2):
+        prev = rows[-1]
+        top = prev[e - 1]
+        nxt = [0] + list(prev[: e - 1])
+        if top:
+            nxt = [(a + top * b) % r for a, b in zip(nxt, base)]
+        rows.append(tuple(nxt))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +219,7 @@ class FieldCtx:
         self.e = e
         self.q = p ** e
         self.modulus = tuple(modulus)
-        if e >= 2:
-            base = tuple((-c) % p for c in self.modulus[:e])
-            rows = [base]
-            for _ in range(e - 2):
-                prev = rows[-1]
-                top = prev[e - 1]
-                nxt = [0] + list(prev[: e - 1])
-                if top:
-                    nxt = [(a + top * b) % p for a, b in zip(nxt, base)]
-                rows.append(tuple(nxt))
-            self._red_rows = tuple(rows)
-        else:
-            self._red_rows = ()
+        self._red_rows = _reduction_rows(self.modulus, p)
         self._frob_mats = {}
         self.zero = FqElem(self, (0,) * e)
         self.one = FqElem(self, (1,) + (0,) * (e - 1))
@@ -203,28 +249,20 @@ class FieldCtx:
 
     def frob_matrix(self, k=1):
         """Matrix over F_p of x -> x^(p^k) in the power basis, row i the
-        image of X^i."""
+        image of X^i.  k counts mod e, so frob_matrix(-k) inverts
+        frob_matrix(k)."""
         k %= self.e
         mat = self._frob_mats.get(k)
         if mat is not None:
             return mat
         if k == 0:
-            mat = tuple(tuple(int(i == j) for j in range(self.e))
-                        for i in range(self.e))
+            mat = np.eye(self.e, dtype=np.int64)
         elif k == 1:
-            rows = []
-            for i in range(self.e):
-                img = (self.gen ** (i * self.p)) if self.e > 1 else self.one
-                rows.append(img.coeffs)
-            mat = tuple(rows)
+            mat = _frob_q(self.modulus, self.p)
         else:
-            prev = self.frob_matrix(k - 1)
-            one_step = self.frob_matrix(1)
-            p = self.p
-            mat = tuple(
-                tuple(sum(prev[i][t] * one_step[t][j] for t in range(self.e)) % p
-                      for j in range(self.e))
-                for i in range(self.e))
+            mat = np.array(self.frob_matrix(k - 1)) @ np.array(
+                self.frob_matrix(1)) % self.p
+        mat = tuple(map(tuple, mat.tolist()))
         self._frob_mats[k] = mat
         return mat
 
@@ -252,6 +290,9 @@ def _field(p, e):
         raise ResourceLimit(
             "extension degree %d exceeds the internal cap %d"
             % (e, _INTERNAL_DEGREE_CAP))
+    if e * (p - 1) ** 2 >= _INT64_BOUND:
+        raise ResourceLimit(
+            "F_%d^%d: mod-p matrix products would overflow int64" % (p, e))
     key = (p, e)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
@@ -482,10 +523,6 @@ class FqPoly:
     def x(cls, ctx):
         return cls(ctx, ((1, ctx.one),))
 
-    @classmethod
-    def monomial(cls, ctx, exp, coeff=1):
-        return cls(ctx, ((exp, ctx.elem(coeff)),))
-
     def is_zero(self):
         return not self.terms
 
@@ -495,11 +532,6 @@ class FqPoly:
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
         return self.terms[-1][0] if self.terms else -1
-
-    def leading_coeff(self):
-        if not self.terms:
-            return self.ctx.zero
-        return self.terms[-1][1]
 
     def coeff(self, exp):
         for k, c in self.terms:
@@ -594,9 +626,6 @@ class FqPoly:
         for exp, c in self.terms:
             acc = acc + _char_p_power(g, exp, frob_powers) * c
         return acc
-
-    def map_coeffs(self, fn):
-        return FqPoly(self.ctx, tuple((k, fn(c)) for k, c in self.terms))
 
     def to_json(self):
         return [[exp, c.to_json()] for exp, c in self.terms]
@@ -701,15 +730,26 @@ def _elist_mod(a, b):
     """Remainder of a modulo monic b, both little-endian FqElem lists."""
     r = list(a)
     db = len(b) - 1
+    support = [(i, bi) for i, bi in enumerate(b[:db]) if bi]
     while len(r) - 1 >= db and r:
         c = r[-1]
         if c:
             shift = len(r) - 1 - db
-            for i in range(db):
-                r[shift + i] = r[shift + i] - c * b[i]
+            for i, bi in support:
+                r[shift + i] = r[shift + i] - c * bi
         r.pop()
         _elist_trim(r)
     return r
+
+
+def _elist_frob(a, m):
+    """a^p modulo monic m: sum c_i^p X^(ip), reduced once."""
+    ctx = m[-1].ctx
+    out = [ctx.zero] * ((len(a) - 1) * ctx.p + 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i * ctx.p] = c.frobenius()
+    return _elist_mod(out, m)
 
 
 def _elist_mulmod(a, b, m):
@@ -769,7 +809,7 @@ def _split_roots(g, ctx, rng, out):
             term = _elist_mod([ctx.zero, delta], g)
             acc = list(term)
             for _ in range(ctx.e - 1):
-                term = _elist_mulmod(term, term, g)
+                term = _elist_frob(term, g)
                 acc = _elist_sub(acc, [-c for c in term])
             h = acc
         else:

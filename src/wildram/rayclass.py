@@ -36,82 +36,13 @@ import math
 
 import numpy as np
 
-from .errors import BadParameters, ContextMismatch, ResourceLimit, TooLarge
+from .errors import BadParameters, ResourceLimit, TooLarge
 from .field import FqElem
-from .additive import rref_mod, _mult_matrix
-
-
-class UnitElem:
-    """A one-unit 1 + c_1 Z + ... + c_{m-1} Z^{m-1} of F_q[Z]/Z^m."""
-
-    __slots__ = ("ctx", "m", "coeffs")
-
-    def __init__(self, ctx, m, coeffs):
-        if m < 1:
-            raise BadParameters("modulus exponent must be at least 1")
-        cs = [ctx.elem(c) for c in coeffs]
-        if len(cs) > m:
-            raise BadParameters("series longer than the modulus")
-        cs += [ctx.zero] * (m - len(cs))
-        if cs[0] != ctx.one:
-            raise BadParameters("one-units start with constant term 1")
-        self.ctx = ctx
-        self.m = m
-        self.coeffs = tuple(cs)
-
-    def __mul__(self, other):
-        if not isinstance(other, UnitElem):
-            return NotImplemented
-        if other.ctx is not self.ctx or other.m != self.m:
-            raise ContextMismatch("units from different truncated rings")
-        m = self.m
-        out = [self.ctx.zero] * m
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(m - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return UnitElem(self.ctx, m, out)
-
-    def pth_power(self, k=1):
-        """Freshman power: (sum a_i Z^i)^(p^k) = sum a_i^(p^k) Z^(i p^k)."""
-        m = self.m
-        step = self.ctx.p ** k
-        out = [self.ctx.zero] * m
-        for i, a in enumerate(self.coeffs):
-            if a and i * step < m:
-                out[i * step] = a.frobenius(k)
-        return UnitElem(self.ctx, m, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, UnitElem) and other.ctx is self.ctx
-                and other.m == self.m and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.m, self.coeffs))
-
-    def __repr__(self):
-        return "UnitElem(%r mod Z^%d)" % ([c.coeffs for c in self.coeffs], self.m)
-
-
-def unit_from_place(ctx, m, y):
-    """Image 1 - y Z of the function x - y at infinity."""
-    y = ctx.elem(y)
-    return UnitElem(ctx, m, [ctx.one, -y])
+from .additive import _mult_matrix
 
 
 # ---------------------------------------------------------------------------
 # discrete logarithm pass
-
-def _mat_inv_mod(B, p):
-    n = B.shape[0]
-    aug = np.concatenate([B % p, np.eye(n, dtype=np.int64)], axis=1)
-    red, pivots = rref_mod(aug, p)
-    assert list(pivots) == list(range(n)), "basis change matrix must invert"
-    return red[:, n:] % p
-
 
 def _vp(w, p):
     k = 0
@@ -141,11 +72,10 @@ def digit_tensor(ctx, m):
     q = p ** e
     ys = [y for y in ctx.elements() if y]
     R = np.zeros((q - 1, m, e), dtype=np.int64)
-    for i, y in enumerate(ys):
-        R[i, 0, 0] = 1
-        R[i, 1, :] = (-y).coeffs
+    R[:, 0, 0] = 1
+    if m > 1:
+        R[:, 1, :] = [(-y).coeffs for y in ys]
     S = np.zeros_like(R)
-    binv = {}
 
     @functools.cache
     def series(k, j, d):
@@ -163,9 +93,8 @@ def digit_tensor(ctx, m):
 
     for w in range(1, m):
         v, k = _vp(w, p)
-        if k not in binv:
-            binv[k] = _mat_inv_mod(np.array(ctx.frob_matrix(k)), p)
-        digits = (R[:, w, :] % p) @ binv[k] % p
+        # coordinates against b_j^(p^k): undo the Frobenius power
+        digits = (R[:, w, :] % p) @ np.array(ctx.frob_matrix(-k)) % p
         S[:, w, :] = digits
         span = (m - 1) // w
         for j in range(e):
@@ -416,8 +345,6 @@ def brute_ray_class(ctx, m, cap=2 ** 20):
     if m == 1:
         return {"m": 1, "order_exp": 0, "invariants": (), "exponent": 1,
                 "n_places": 1 + q}
-
-    import itertools
 
     elems = list(ctx.elements())
     mul_cache = {}

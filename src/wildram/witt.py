@@ -23,7 +23,7 @@ length-2 Witt sums of polynomial pairs built from it.
 from __future__ import annotations
 
 from .errors import BadParameters, ContextMismatch, LengthMismatch
-from .field import FqPoly
+from .field import FqPoly, _reduction_rows
 
 
 class WittRing:
@@ -37,21 +37,7 @@ class WittRing:
         self.ctx = ctx
         self.n = n
         self.pn = ctx.p ** n
-        e = ctx.e
-        pn = self.pn
-        if e >= 2:
-            base = tuple((-c) % pn for c in ctx.modulus[:e])
-            rows = [base]
-            for _ in range(e - 2):
-                prev = rows[-1]
-                top = prev[e - 1]
-                nxt = [0] + list(prev[: e - 1])
-                if top:
-                    nxt = [(a + top * b) % pn for a, b in zip(nxt, base)]
-                rows.append(tuple(nxt))
-            self._red_rows = tuple(rows)
-        else:
-            self._red_rows = ()
+        self._red_rows = _reduction_rows(ctx.modulus, self.pn)
 
     # -- lift ring helpers: tuples of ints, length e, mod p^n ---------------
 

@@ -10,11 +10,8 @@ from wildram.additive import (
     frobenius_operator,
     image_membership,
     linearize_kernel,
-    nullspace_mod,
     operator_matrix,
     palindromic_adjoint,
-    rref_mod,
-    solve_mod,
     splits_over,
     splitting_degree,
     translation_defect,
@@ -23,7 +20,15 @@ from wildram.additive import (
     xsx_parts,
 )
 from wildram.errors import InseparableOperator, NotInXSXForm
-from wildram.field import FqPoly, embed_elem, extension_field, make_field
+from wildram.field import (
+    FqPoly,
+    embed_elem,
+    extension_field,
+    make_field,
+    nullspace_mod,
+    rref_mod,
+    solve_mod,
+)
 
 
 def _rand_elem(ctx, rng):
@@ -128,6 +133,9 @@ def test_image_membership_and_splitting():
         d = splitting_degree(A, cap=24)
         assert splits_over(A, d)
         assert linearize_kernel(A, d).dim == A.f_degree
+        # d is the least such degree
+        for N in range(1, d):
+            assert linearize_kernel(A, N).dim < A.f_degree
 
 
 def test_xsx_parts_shapes():

@@ -1,18 +1,24 @@
 """Field tower arithmetic against a sympy oracle and frozen anchors."""
 
+import itertools
 import random
+import time
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.domains import GF
 
 from wildram.errors import (
     DegreeOutOfRange,
     NonPrime,
     NotASubfieldDegree,
+    ResourceLimit,
 )
 from wildram.field import (
     FqPoly,
+    _is_irreducible,
     embed_elem,
     embed_poly,
     extension_field,
@@ -36,6 +42,18 @@ def _to_poly(x, z, p):
     return sympy.Poly(list(reversed(x.coeffs)), z, domain=GF(p))
 
 
+def _sympy_least_irreducible(p, e):
+    # the same candidate order as the modulus scan: (c_0, ..., c_{e-1})
+    # lexicographically, c_0 >= 1
+    z = sympy.Symbol("z")
+    for head in range(1, p):
+        for tail in itertools.product(range(p), repeat=e - 1):
+            coeffs = (head,) + tail + (1,)
+            if sympy.Poly(list(reversed(coeffs)), z,
+                          domain=GF(p)).is_irreducible:
+                return coeffs
+
+
 def test_moduli_irreducible_and_canonical():
     for p, e in CONFIGS:
         ctx = make_field(p, e)
@@ -43,6 +61,27 @@ def test_moduli_irreducible_and_canonical():
         assert sympy.Poly(mod, z).is_irreducible
         assert len(ctx.modulus) == e + 1 and ctx.modulus[e] == 1
     assert make_field(5, 4).modulus == (1, 0, 1, 1, 1)
+    # least irreducible in the scan's order, found by sympy
+    shapes = [(p, e) for p in (2, 3, 5, 7) for e in range(2, 9)]
+    for p, e in shapes + [(2, 36), (3, 24), (5, 26)]:
+        assert extension_field(p, e).modulus == _sympy_least_irreducible(p, e)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+# one distinct irreducible factor passes the nullity test; only
+# X^(p^e) = X mod f rules out these prime powers
+@example((2, [1, 0, 1, 0]))  # (X^2 + X + 1)^2
+@example((3, [1, 0, 2, 0]))  # (X^2 + 1)^2
+@example((5, [0, 0, 0]))     # X^3
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(
+        st.integers(0, p - 1), min_size=1, max_size=9))))
+def test_scan_agrees_with_sympy(case):
+    p, low = case
+    coeffs = tuple(low) + (1,)
+    z = sympy.Symbol("z")
+    want = sympy.Poly(list(reversed(coeffs)), z, domain=GF(p)).is_irreducible
+    assert _is_irreducible(coeffs, p) == want
 
 
 def test_arithmetic_matches_sympy():
@@ -70,6 +109,9 @@ def test_frobenius_is_pth_power():
             assert x.frobenius() == x ** p
             assert x.frobenius(e) == x
             assert x.frobenius().pth_root() == x
+        for k in range(e + 1):
+            prod = np.array(ctx.frob_matrix(k)) @ np.array(ctx.frob_matrix(-k))
+            assert (prod % p == np.eye(e, dtype=np.int64)).all()
     ctx = make_field(3, 2)
     M = ctx.frob_matrix()
     for i in range(ctx.e):
@@ -185,3 +227,13 @@ def test_bad_parameters():
         make_field(6, 1)
     with pytest.raises(DegreeOutOfRange):
         make_field(2, 0)
+    # int64 mod-p matrix products need e * (p - 1)^2 < 2^63, which fails
+    # at e = 2 once p > 2^31 + 1; the refusal comes before any scan
+    p = 2 ** 31 + 11
+    assert sympy.isprime(p)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="int64"):
+        extension_field(p, 2)
+    assert time.perf_counter() - start < 1
+    # just under the bound the scan runs, in bounded memory
+    assert extension_field(2 ** 31 - 1, 2).modulus == (1, 0, 1)

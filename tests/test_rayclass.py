@@ -6,13 +6,11 @@ from wildram import rayclass
 from wildram.errors import ResourceLimit, TooLarge
 from wildram.field import make_field
 from wildram.rayclass import (
-    UnitElem,
     brute_ray_class,
     find_second_jump,
     format_table_csv,
     ray_class_invariants,
     ray_class_table,
-    unit_from_place,
 )
 
 
@@ -147,17 +145,10 @@ def test_resource_cap_checked_before_any_walk(monkeypatch):
                             order_only=order_only)
 
 
-def test_unit_elem_algebra():
-    ctx = make_field(2, 2)
-    m = 5
-    u = unit_from_place(ctx, m, ctx.elem([1, 1]))
-    assert u.coeffs[0] == ctx.one
-    one = UnitElem(ctx, m, [ctx.one])
-    assert u * one == u
-    # multiplication truncates: Z^m kills everything past the modulus
-    v = UnitElem(ctx, m, [1, 0, 0, 0, 1])
-    assert (v * v).coeffs == one.coeffs
-    # the freshman p-th power doubles exponents in characteristic 2
-    w = UnitElem(ctx, m, [ctx.one, ctx.gen])
-    assert w.pth_power().coeffs[2] == ctx.gen * ctx.gen
-    assert w * w == w.pth_power()
+def test_digit_tensor_at_modulus_one():
+    # U mod Z is trivial, so every generator has no digits at all
+    _cold()
+    for p, e in [(2, 1), (3, 2)]:
+        S = rayclass.digit_tensor(make_field(p, e), 1)
+        assert S.shape == (p ** e - 1, 1, e)
+        assert not S.any()
