@@ -153,6 +153,8 @@ def parse_plan(argv):
     fmt = params.pop("format", "json")
 
     if "p" in params:
+        if params["p"] >= 2 ** 64:
+            raise UsageError("--p must be below 2^64, got %d" % params["p"])
         if not _is_prime(params["p"]):
             raise UsageError("--p must be prime, got %d" % params["p"])
         if params["e"] < 1:
@@ -200,9 +202,15 @@ def _emit_json(payload, out):
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
-def _load_json(path):
+def _load(path, build):
+    """build(parsed JSON of the file at path); malformed content is a
+    usage error, an unreadable file an OSError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return build(json.load(fh))
+        except (KeyError, TypeError, ValueError) as err:
+            raise UsageError("malformed input %s: %s: %s"
+                             % (path, type(err).__name__, err))
 
 
 def _resource_cap():
@@ -264,15 +272,17 @@ def _exec_field(plan):
 
 
 def _exec_cover_analyze(plan):
-    cover = CoverSpec.from_json(_load_json(plan.params["cover"]))
+    cover = _load(plan.params["cover"], CoverSpec.from_json)
     _emit_json(_cover_payload(cover), plan.out)
     return 0
 
 
 def _exec_adjoint(plan):
-    obj = _load_json(plan.params["poly"])
-    ctx = field_from_json(obj["field"])
-    f = FqPoly.from_json(ctx, obj["poly"])
+    def build(obj):
+        return FqPoly.from_json(field_from_json(obj["field"]), obj["poly"])
+
+    f = _load(plan.params["poly"], build)
+    ctx = f.ctx
     adj = palindromic_adjoint(f)
     kern = linearize_kernel(adj, ctx.e)
     # separable with unit constant coefficient, so the geometric kernel
@@ -328,7 +338,7 @@ def _exec_family_build(plan):
 
 
 def _exec_basechange(plan):
-    cover = CoverSpec.from_json(_load_json(plan.params["cover"]))
+    cover = _load(plan.params["cover"], CoverSpec.from_json)
     try:
         coeffs = json.loads(plan.params["sub"])
     except json.JSONDecodeError:
@@ -347,7 +357,7 @@ def _exec_basechange(plan):
 
 
 def _exec_bigaction_check(plan):
-    profile = ActionProfile.from_json(_load_json(plan.params["profile"]))
+    profile = _load(plan.params["profile"], ActionProfile.from_json)
     report = ratio_check(profile, strict=plan.params["strict"])
     _emit_json(report.to_json(), plan.out)
     return 0

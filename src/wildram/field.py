@@ -13,11 +13,21 @@ to a FieldCtx, so this module fixes the conventions once:
 
 Those three rules make every serialized object stable across runs and
 machines, which the reproduction commands rely on.
+
+Products take one of two integer paths.  Fields with e >= 2 and
+q <= TABLE_LIMIT (2^12, so no table outgrows about 1 MB) keep log/antilog
+tables, built on first use, and multiply, power, invert and apply
+Frobenius by index arithmetic mod q - 1.  Every other product is one
+Kronecker substitution (_kron_mulmod, also the Witt lift ring's product
+mod r = p^n): a length-e vector becomes one int of b-bit slots with
+2^b > (2e - 1)(r - 1)^2, which bounds the convolution plus the e - 1
+folded reduction rows, so no slot carries.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -32,21 +42,28 @@ from .errors import (
 )
 
 PUBLIC_DEGREE_CAP = 16
+TABLE_LIMIT = 2 ** 12
 _INTERNAL_DEGREE_CAP = 128
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin with the prime bases up to 37: exact for
+    n < 3.18 * 10^23, which covers every p the workbench accepts."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
@@ -177,25 +194,61 @@ def _least_irreducible(p, e):
 
 
 def _reduction_rows(f, r):
-    """Rows X^e, ..., X^(2e-2) modulo monic f, coefficients mod r.
-
-    Products of two length-e coefficient vectors fold their top e - 1
-    terms back through these rows: r is p in F_q and p^n in the lift ring
-    of length-n Witt vectors.
-    """
+    """Slot width b and the rows X^e, ..., X^(2e-2) mod (f, r) packed in
+    b-bit slots for _kron_mulmod; r is p, or p^n in the Witt lift ring."""
     e = len(f) - 1
-    if e < 2:
-        return ()
-    base = tuple((-c) % r for c in f[:e])
-    rows = [base]
+    bits = ((2 * e - 1) * (r - 1) ** 2).bit_length()
+    rows = [tuple((-c) % r for c in f[:e])] if e >= 2 else []
     for _ in range(e - 2):
         prev = rows[-1]
         top = prev[e - 1]
-        nxt = [0] + list(prev[: e - 1])
-        if top:
-            nxt = [(a + top * b) % r for a, b in zip(nxt, base)]
-        rows.append(tuple(nxt))
-    return tuple(rows)
+        rows.append(tuple((a + top * b) % r
+                          for a, b in zip((0,) + prev[:-1], rows[0])))
+    return bits, tuple(_pack(row, bits) for row in rows)
+
+
+def _pack(v, bits):
+    x = 0
+    for c in reversed(v):
+        x = (x << bits) | c
+    return x
+
+
+def _unpack(z, e, bits, r):
+    mask = (1 << bits) - 1
+    return tuple([((z >> s) & mask) % r for s in range(0, e * bits, bits)])
+
+
+def _kron_mulmod(a, b, rows, r):
+    """Product of two length-e coefficient vectors mod (f, r), where rows
+    is _reduction_rows(f, r): one bigint product does the convolution,
+    then each top slot folds back as c_t times its packed row."""
+    bits, packed = rows
+    e = len(a)
+    if e == 1:
+        return ((a[0] * b[0]) % r,)
+    z = _pack(a, bits) * _pack(b, bits)
+    mask = (1 << bits) - 1
+    low = z & ((1 << (e * bits)) - 1)
+    z >>= e * bits
+    for row in packed:
+        c = (z & mask) % r
+        if c:
+            low += c * row
+        z >>= bits
+    return _unpack(low, e, bits, r)
+
+
+def _kron_pow(a, k, rows, r):
+    """a^k for k >= 0 by square-and-multiply on _kron_mulmod."""
+    result = (1,) + (0,) * (len(a) - 1)
+    while k:
+        if k & 1:
+            result = _kron_mulmod(result, a, rows, r)
+        k >>= 1
+        if k:
+            a = _kron_mulmod(a, a, rows, r)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +265,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "e", "q", "modulus", "zero", "one", "gen",
-                 "_red_rows", "_frob_mats")
+                 "_red_rows", "_frob_mats", "_frob_rows", "_tables")
 
     def __init__(self, p, e, modulus):
         self.p = p
@@ -220,7 +273,7 @@ class FieldCtx:
         self.q = p ** e
         self.modulus = tuple(modulus)
         self._red_rows = _reduction_rows(self.modulus, p)
-        self._frob_mats = {}
+        self._frob_mats, self._frob_rows, self._tables = {}, {}, None
         self.zero = FqElem(self, (0,) * e)
         self.one = FqElem(self, (1,) + (0,) * (e - 1))
         if e >= 2:
@@ -266,6 +319,28 @@ class FieldCtx:
         self._frob_mats[k] = mat
         return mat
 
+    def _log_tables(self):
+        """(log dict keyed by coefficient tuple, antilog list of length
+        2(q - 1)) of the least primitive element, found from the prime
+        factors of q - 1; None for fields that keep no tables."""
+        if self.e == 1 or self.q > TABLE_LIMIT:
+            return None
+        if self._tables is None:
+            p, rows, n = self.p, self._red_rows, self.q - 1
+            ells = [ell for ell in range(2, n + 1)
+                    if n % ell == 0 and _is_prime(ell)]
+            for g in itertools.product(range(p), repeat=self.e):
+                if any(g) and all(_kron_pow(g, n // ell, rows, p)
+                                  != self.one.coeffs for ell in ells):
+                    break
+            exp = [self.one]
+            for _ in range(n - 1):
+                exp.append(FqElem(self, _kron_mulmod(exp[-1].coeffs, g,
+                                                     rows, p)))
+            self._tables = ({x.coeffs: i for i, x in enumerate(exp)},
+                            exp + exp)
+        return self._tables
+
     def to_json(self):
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
@@ -282,7 +357,7 @@ class FieldCtx:
 
 
 def _field(p, e):
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise NonPrime("p must be a prime integer, got %r" % (p,))
     if not isinstance(e, int) or e < 1:
         raise DegreeOutOfRange("extension degree must be a positive integer")
@@ -293,6 +368,8 @@ def _field(p, e):
     if e * (p - 1) ** 2 >= _INT64_BOUND:
         raise ResourceLimit(
             "F_%d^%d: mod-p matrix products would overflow int64" % (p, e))
+    if not _is_prime(p):
+        raise NonPrime("p must be a prime integer, got %r" % (p,))
     key = (p, e)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
@@ -382,40 +459,31 @@ class FqElem:
         if other is None:
             return NotImplemented
         ctx = self.ctx
-        p, e = ctx.p, ctx.e
-        if e == 1:
-            return FqElem(ctx, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        a, b = self.coeffs, other.coeffs
-        conv = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = conv[:e]
-        rows = ctx._red_rows
-        for t in range(e, 2 * e - 1):
-            c = conv[t]
-            if c:
-                row = rows[t - e]
-                for j in range(e):
-                    out[j] += c * row[j]
-        return FqElem(ctx, tuple(v % p for v in out))
+        if ctx.e == 1:
+            return FqElem(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
+        tables = ctx._log_tables()
+        if tables is None:
+            return FqElem(ctx, _kron_mulmod(self.coeffs, other.coeffs,
+                                            ctx._red_rows, ctx.p))
+        i = tables[0].get(self.coeffs)
+        j = tables[0].get(other.coeffs)
+        if i is None or j is None:
+            return ctx.zero
+        return tables[1][i + j]
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
+        ctx = self.ctx
+        tables = ctx._log_tables()
+        i = tables and tables[0].get(self.coeffs)
+        if i is not None:
+            return tables[1][i * k % (ctx.q - 1)]
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.ctx.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return FqElem(ctx, _kron_pow(self.coeffs, k, ctx._red_rows, ctx.p))
 
     def inverse(self):
         if not self:
@@ -440,15 +508,18 @@ class FqElem:
         k %= ctx.e
         if k == 0:
             return self
-        mat = ctx.frob_matrix(k)
-        p, e = ctx.p, ctx.e
-        out = [0] * e
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                row = mat[i]
-                for j in range(e):
-                    out[j] += ci * row[j]
-        return FqElem(ctx, tuple(v % p for v in out))
+        tables = ctx._log_tables()
+        i = tables and tables[0].get(self.coeffs)
+        if i is not None:
+            return tables[1][i * pow(ctx.p, k, ctx.q - 1) % (ctx.q - 1)]
+        # frob_matrix(k) rows in the product's b-bit slots: e (p - 1)^2
+        # < 2^b, so the weighted row sum never carries out of a slot
+        bits, rows = ctx._red_rows[0], ctx._frob_rows.get(k)
+        if rows is None:
+            rows = ctx._frob_rows[k] = tuple(
+                _pack(row, bits) for row in ctx.frob_matrix(k))
+        z = sum(map(operator.mul, self.coeffs, rows))
+        return FqElem(ctx, _unpack(z, ctx.e, bits, ctx.p))
 
     def pth_root(self):
         # Frobenius is a bijection, so the root is x^(p^(e-1))

@@ -23,7 +23,7 @@ length-2 Witt sums of polynomial pairs built from it.
 from __future__ import annotations
 
 from .errors import BadParameters, ContextMismatch, LengthMismatch
-from .field import FqPoly, _reduction_rows
+from .field import FqPoly, _kron_mulmod, _kron_pow, _reduction_rows
 
 
 class WittRing:
@@ -39,38 +39,6 @@ class WittRing:
         self.pn = ctx.p ** n
         self._red_rows = _reduction_rows(ctx.modulus, self.pn)
 
-    # -- lift ring helpers: tuples of ints, length e, mod p^n ---------------
-
-    def _lift_mul(self, a, b):
-        e = self.ctx.e
-        pn = self.pn
-        if e == 1:
-            return ((a[0] * b[0]) % pn,)
-        conv = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = conv[:e]
-        for t in range(e, 2 * e - 1):
-            c = conv[t]
-            if c:
-                row = self._red_rows[t - e]
-                for j in range(e):
-                    out[j] += c * row[j]
-        return tuple(v % pn for v in out)
-
-    def _lift_pow(self, a, k):
-        result = (1,) + (0,) * (self.ctx.e - 1)
-        base = a
-        while k:
-            if k & 1:
-                result = self._lift_mul(result, base)
-            k >>= 1
-            if k:
-                base = self._lift_mul(base, base)
-        return result
-
     def _ghost(self, coords):
         p = self.ctx.p
         pn = self.pn
@@ -79,7 +47,7 @@ class WittRing:
         for k in range(self.n):
             acc = [0] * self.ctx.e
             for i in range(k + 1):
-                term = self._lift_pow(lifts[i], p ** (k - i))
+                term = _kron_pow(lifts[i], p ** (k - i), self._red_rows, pn)
                 scale = p ** i
                 for j in range(self.ctx.e):
                     acc[j] += scale * term[j]
@@ -95,7 +63,7 @@ class WittRing:
         for k in range(self.n):
             acc = list(ghosts[k])
             for i, s in enumerate(lifts):
-                term = self._lift_pow(s, p ** (k - i))
+                term = _kron_pow(s, p ** (k - i), self._red_rows, pn)
                 scale = p ** i
                 for j in range(e):
                     acc[j] = (acc[j] - scale * term[j]) % pn
@@ -198,7 +166,8 @@ class WittVec:
         self._check(other)
         ga = self.ring._ghost(self.coords)
         gb = self.ring._ghost(other.coords)
-        prod = [self.ring._lift_mul(a, b) for a, b in zip(ga, gb)]
+        rows, pn = self.ring._red_rows, self.ring.pn
+        prod = [_kron_mulmod(a, b, rows, pn) for a, b in zip(ga, gb)]
         return self.ring._unghost(prod)
 
     def frobenius(self):

@@ -1,6 +1,7 @@
 """Command-line plans, exit codes, and artifact formats."""
 
 import json
+import time
 
 import pytest
 
@@ -39,6 +40,8 @@ def test_parse_plan_validation():
                         "--m-max", "5", "--jobs", "0"])
     with pytest.raises(UsageError):
         cli.parse_plan(["reproduce-table", "--p", "3", "--e", "2"])
+    with pytest.raises(UsageError, match="2\\^64"):
+        cli.parse_plan(["field", "--p", str(2 ** 64 + 13), "--e", "1"])
     with pytest.raises(UsageError):
         cli.parse_plan(["no-such-command"])
     plan = cli.parse_plan(["rayclass-orders", "--p", "2", "--e", "1",
@@ -55,6 +58,34 @@ def test_exit_codes(tmp_path, capsys):
     code, _ = _run(["cover-analyze", str(tmp_path / "absent.json")],
                    capsys)
     assert code == 1
+    # a prime past the int64 bound fails at once; a composite is usage
+    start = time.perf_counter()
+    code, _ = _run(["field", "--p", "10000000000000061", "--e", "1"], capsys)
+    assert code == 1 and time.perf_counter() - start < 1
+    code, _ = _run(["field", "--p", "10000000000000063", "--e", "1"], capsys)
+    assert code == 2
+
+
+_PROFILE = {"p": 3,
+            "filtration": {"numbering": "lower",
+                           "segments": [[1, 1, 27], [4, 1, 3]]},
+            "v": "a"}
+
+
+@pytest.mark.parametrize("command, text", [
+    ("cover-analyze", "{}"),
+    ("cover-analyze", "not json"),
+    ("cover-analyze", json.dumps({"field": {"p": 2, "e": 1},
+                                  "rhs": [[[3, [1]]]]})),
+    ("bigaction-check", json.dumps(_PROFILE)),
+])
+def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: malformed input")
+    assert len(err.splitlines()) == 1
 
 
 def test_field_output(capsys):

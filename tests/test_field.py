@@ -19,6 +19,7 @@ from wildram.errors import (
 from wildram.field import (
     FqPoly,
     _is_irreducible,
+    _is_prime,
     embed_elem,
     embed_poly,
     extension_field,
@@ -30,6 +31,10 @@ from wildram.field import (
 )
 
 CONFIGS = [(2, 1), (2, 3), (3, 2), (5, 4), (7, 2)]
+# across the table limit: (2, 12) is the largest table field; (2, 13),
+# (3, 8) and (5, 6) multiply by Kronecker substitution, and (65537, 3)
+# needs slots wider than 32 bits
+ARITH_CONFIGS = CONFIGS + [(2, 12), (2, 13), (3, 8), (5, 6), (65537, 3)]
 
 
 def _sympy_dom(ctx):
@@ -84,11 +89,22 @@ def test_scan_agrees_with_sympy(case):
     assert _is_irreducible(coeffs, p) == want
 
 
+def _sympy_pow(pa, k, mod):
+    acc = sympy.Poly(1, pa.gen, domain=pa.domain)
+    while k:
+        if k & 1:
+            acc = (acc * pa) % mod
+        pa = (pa * pa) % mod
+        k >>= 1
+    return acc
+
+
 def test_arithmetic_matches_sympy():
     rng = random.Random(11)
-    for p, e in CONFIGS:
+    for p, e in ARITH_CONFIGS:
         ctx = make_field(p, e)
         z, mod = _sympy_dom(ctx)
+        assert ctx.zero ** 0 == ctx.one
         for _ in range(60):
             a = ctx.elem([rng.randrange(p) for _ in range(e)])
             b = ctx.elem([rng.randrange(p) for _ in range(e)])
@@ -96,8 +112,14 @@ def test_arithmetic_matches_sympy():
             assert _to_poly(a * b, z, p) == (pa * pb) % mod
             assert _to_poly(a + b, z, p) == (pa + pb) % mod
             assert _to_poly(a - b, z, p) == (pa - pb) % mod
+            k = rng.randrange(1, 2 * ctx.q)
+            assert _to_poly(a ** k, z, p) == _sympy_pow(pa, k, mod)
+            for j in range(e + 1):
+                assert a.frobenius(j) == a ** (p ** j)
             if not a.is_zero():
                 assert (a.inverse() * a) == ctx.one
+                assert _to_poly(a ** -k, z, p) \
+                    == _sympy_pow(pa.invert(mod), k, mod)
 
 
 def test_frobenius_is_pth_power():
@@ -237,3 +259,15 @@ def test_bad_parameters():
     assert time.perf_counter() - start < 1
     # just under the bound the scan runs, in bounded memory
     assert extension_field(2 ** 31 - 1, 2).modulus == (1, 0, 1)
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(100001) if _is_prime(n)] \
+        == list(sympy.primerange(100001))
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041,
+                  825265, 321197185, 5394826801, 232250619601]
+    # strong pseudoprimes to base 2, the last to every prime base < 37
+    strong = [2047, 3277, 4033, 4681, 8321, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051]
+    for n in carmichael + strong + [10000000000000061, 2 ** 61 - 1]:
+        assert _is_prime(n) == sympy.isprime(n)

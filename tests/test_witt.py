@@ -17,7 +17,8 @@ from wildram.witt import (
     witt_wp,
 )
 
-CONFIGS = [(2, 1, 2), (2, 2, 3), (3, 1, 2), (3, 2, 2), (5, 1, 3), (5, 2, 2)]
+CONFIGS = [(2, 1, 2), (2, 2, 3), (3, 1, 2), (3, 2, 2), (5, 1, 3), (5, 2, 2),
+           (5, 4, 2), (3, 4, 3)]
 
 
 def _rand_vec(ring, ctx, rng):
