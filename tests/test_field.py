@@ -20,6 +20,8 @@ from wildram.field import (
     FqPoly,
     _is_irreducible,
     _is_prime,
+    _kron_mulmod,
+    _reduction_rows,
     embed_elem,
     embed_poly,
     extension_field,
@@ -105,9 +107,12 @@ def test_arithmetic_matches_sympy():
         ctx = make_field(p, e)
         z, mod = _sympy_dom(ctx)
         assert ctx.zero ** 0 == ctx.one
-        for _ in range(60):
-            a = ctx.elem([rng.randrange(p) for _ in range(e)])
-            b = ctx.elem([rng.randrange(p) for _ in range(e)])
+        # all coefficients p - 1 fill the convolution's slots to the top
+        top = ctx.elem([p - 1] * e)
+        pairs = [(top, top)] + [
+            tuple(ctx.elem([rng.randrange(p) for _ in range(e)])
+                  for _ in range(2)) for _ in range(60)]
+        for a, b in pairs:
             pa, pb = _to_poly(a, z, p), _to_poly(b, z, p)
             assert _to_poly(a * b, z, p) == (pa * pb) % mod
             assert _to_poly(a + b, z, p) == (pa + pb) % mod
@@ -120,6 +125,27 @@ def test_arithmetic_matches_sympy():
                 assert (a.inverse() * a) == ctx.one
                 assert _to_poly(a ** -k, z, p) \
                     == _sympy_pow(pa.invert(mod), k, mod)
+
+
+def test_kron_kernel_slot_bound():
+    # every monic cubic mod 3, every pair: X^3 + X^2 with a = b = 2 + 2X
+    # + 2X^2 fills a slot past 2^4, so a width of e(r - 1)^2 would carry
+    r, e = 3, 3
+    vecs = list(itertools.product(range(r), repeat=e))
+    for low in vecs:
+        f = low + (1,)
+        rows = _reduction_rows(f, r)
+        for a in vecs:
+            for b in vecs:
+                conv = [0] * (2 * e - 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        conv[i + j] += x * y
+                for t in range(2 * e - 2, e - 1, -1):
+                    for i in range(e):
+                        conv[t - e + i] -= conv[t] * f[i]
+                assert _kron_mulmod(a, b, rows, r) \
+                    == tuple(v % r for v in conv[:e])
 
 
 def test_frobenius_is_pth_power():
