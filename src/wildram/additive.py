@@ -37,7 +37,6 @@ from .field import (
     nullspace_mod,
     reduce_pth_powers,
     solve_mod,
-    _elist_frob,
 )
 
 
@@ -189,16 +188,6 @@ class KernelBasis:
         return "KernelBasis(dim=%d over %r)" % (self.dim, self.field)
 
 
-def _mult_matrix(alpha, E):
-    # row i holds the coordinates of alpha * X^i
-    rows = []
-    cur = alpha
-    for _ in range(E.e):
-        rows.append(cur.coeffs)
-        cur = cur * E.gen
-    return np.array(rows, dtype=np.int64)
-
-
 def operator_matrix(A, E):
     """Matrix of A on E over F_p, acting on coordinate row vectors."""
     if E.p != A.ctx.p or E.e % A.ctx.e:
@@ -209,7 +198,7 @@ def operator_matrix(A, E):
     for j, aj in enumerate(A.coeffs):
         if aj:
             phi_j = np.array(E.frob_matrix(j), dtype=np.int64)
-            total = (total + phi_j @ _mult_matrix(embed_elem(aj, E), E)) % E.p
+            total = (total + phi_j @ E.mult_matrix(embed_elem(aj, E))) % E.p
     return total
 
 
@@ -248,30 +237,32 @@ def splitting_degree(A, cap=48):
     """Least N with the full kernel of A inside F_{p^N}, or None past cap.
 
     A separable A has p^d distinct roots, and they all lie in F_{p^N}
-    exactly when X^(p^N) = X modulo the monic m = A(X)/a_d.  So R runs
-    through X^(p^N) mod m, one Frobenius (_elist_frob) per step, until it
+    exactly when X^(p^N) = X modulo the monic m = A(X)/a_d.  Additive
+    polynomials divide like the twisted ring, F^N = Q m + R, so R is the
+    remainder X^(p^N) mod m, of F-degree < d.  Each step is F R, whose
+    F^d coefficient c folds back as c (F^d - m); the walk ends when R
     comes back to X.
     """
     if not A.separable:
         raise InseparableOperator("splitting degree needs a separable operator")
-    ctx = A.ctx
     d = A.f_degree
     if d == 0:
         return 1  # kernel is {0}
-    monic = [ctx.zero] * (ctx.p ** d + 1)
-    for exp, c in (A.as_poly() * A.coeffs[d].inverse()).terms:
-        monic[exp] = c
-    x = [ctx.zero, ctx.one]
-    R = x
+    inv = A.coeffs[d].inverse()
+    low = [c * inv for c in A.coeffs[:d]]  # m = F^d + sum low_j F^j
+    frob = frobenius_operator(A.ctx)
+    x = R = AdditiveOp(A.ctx, [1])
     for N in range(1, cap + 1):
-        R = _elist_frob(R, monic)
+        R = frob.compose(R)
+        c = R.coeff(d)
+        R = AdditiveOp(A.ctx, [R.coeff(j) - c * low[j] for j in range(d)])
         if R == x:
             return N
     return None
 
 
-def splits_over(A, N, cap=48):
-    deg = splitting_degree(A, cap=cap)
+def splits_over(A, N):
+    deg = splitting_degree(A, cap=N)
     return deg is not None and N % deg == 0
 
 

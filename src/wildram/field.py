@@ -22,6 +22,10 @@ Kronecker substitution (_kron_mulmod, also the Witt lift ring's product
 mod r = p^n): a length-e vector becomes one int of b-bit slots with
 2^b > (2e - 1)(r - 1)^2, which bounds the convolution plus the e - 1
 folded reduction rows, so no slot carries.
+
+Polynomials are the sparse FqPoly, whose division and modular powers run
+the root finding behind subfield embeddings; additive polynomials are
+additive.AdditiveOp, in the twisted ring.
 """
 
 from __future__ import annotations
@@ -318,6 +322,14 @@ class FieldCtx:
         mat = tuple(map(tuple, mat.tolist()))
         self._frob_mats[k] = mat
         return mat
+
+    def mult_matrix(self, alpha):
+        """int64 matrix over F_p of x -> alpha x, row i the image of X^i."""
+        rows = []
+        for _ in range(self.e):
+            rows.append(alpha.coeffs)
+            alpha = alpha * self.gen
+        return np.array(rows, dtype=np.int64)
 
     def _log_tables(self):
         """(log dict keyed by coefficient tuple, antilog list of length
@@ -655,23 +667,54 @@ class FqPoly:
                       tuple((exp * step, c.frobenius(k) if self.ctx.e > 1 else c)
                             for exp, c in self.terms))
 
-    def __pow__(self, k):
+    def __pow__(self, k, modulo=None):
+        """self**k, or pow(self, k, modulo) reduced after every product."""
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = FqPoly(self.ctx, ((0, self.ctx.one),))
-        if k == 0:
-            return result
-        # base-p digits keep sparse polynomials sparse in characteristic p
-        p = self.ctx.p
-        level = self
+        if modulo is None:
+            return _char_p_power(self, k, [self])
+        # square-and-multiply: base-p digits would cost e(p - 1)/2
+        # products at the Cantor-Zassenhaus exponent (q - 1)/2
+        result, base = FqPoly(self.ctx, ((0, 1),)) % modulo, self % modulo
         while k:
-            d = k % p
-            for _ in range(d):
-                result = result * level
-            k //= p
+            if k & 1:
+                result = result * base % modulo
+            k >>= 1
             if k:
-                level = level.pth_power()
+                base = base * base % modulo
         return result
+
+    def __divmod__(self, other):
+        """(quotient, remainder) with deg remainder < deg other."""
+        if not isinstance(other, FqPoly):
+            return NotImplemented
+        self._check(other)
+        if not other.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        db, lead = other.terms[-1]
+        # a monic divisor needs no inverse, which costs a (q - 2)-th
+        # power in Kronecker fields
+        inv = None if lead.coeffs == self.ctx.one.coeffs else lead.inverse()
+        rem = dict(self.terms)
+        quot = []
+        for shift in range(self.degree() - db, -1, -1):
+            c = rem.pop(shift + db, None)
+            if c is None:
+                continue
+            if inv is not None:
+                c = c * inv
+            quot.append((shift, c))
+            for exp, b in other.terms[:-1]:
+                k = shift + exp
+                cur = rem.get(k, self.ctx.zero) - c * b
+                if cur:
+                    rem[k] = cur
+                else:
+                    del rem[k]
+        return FqPoly(self.ctx, quot), FqPoly(self.ctx, rem.items())
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
 
     def evaluate(self, x):
         """Value at a field element; coefficients embed upward if x lives
@@ -786,131 +829,32 @@ def reduce_pth_powers(f):
 _EMBED_ROOTS = {}
 
 
-def _elist_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _elist_monic(a):
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
-
-
-def _elist_mod(a, b):
-    """Remainder of a modulo monic b, both little-endian FqElem lists."""
-    r = list(a)
-    db = len(b) - 1
-    support = [(i, bi) for i, bi in enumerate(b[:db]) if bi]
-    while len(r) - 1 >= db and r:
-        c = r[-1]
-        if c:
-            shift = len(r) - 1 - db
-            for i, bi in support:
-                r[shift + i] = r[shift + i] - c * bi
-        r.pop()
-        _elist_trim(r)
-    return r
-
-
-def _elist_frob(a, m):
-    """a^p modulo monic m: sum c_i^p X^(ip), reduced once."""
-    ctx = m[-1].ctx
-    out = [ctx.zero] * ((len(a) - 1) * ctx.p + 1)
-    for i, c in enumerate(a):
-        if c:
-            out[i * ctx.p] = c.frobenius()
-    return _elist_mod(out, m)
-
-
-def _elist_mulmod(a, b, m):
-    ctx = m[-1].ctx
-    out = [ctx.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return _elist_mod(out, m)
-
-
-def _elist_powmod(a, k, m):
-    ctx = m[-1].ctx
-    result = [ctx.one]
-    base = _elist_mod(list(a), m)
-    while k:
-        if k & 1:
-            result = _elist_mulmod(result, base, m)
-        k >>= 1
-        if k:
-            base = _elist_mulmod(base, base, m)
-    return result
-
-
-def _elist_gcd(a, b):
-    a, b = _elist_trim(list(a)), _elist_trim(list(b))
-    while b:
-        b = _elist_monic(b)
-        a, b = b, _elist_mod(a, b)
-        _elist_trim(b)
-    return a
-
-
-def _elist_sub(a, b):
-    ctx = (a[0] if a else b[0]).ctx
-    n = max(len(a), len(b))
-    out = [ctx.zero] * n
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
-    return _elist_trim(out)
-
-
-def _split_roots(g, ctx, rng, out):
-    """All roots of monic g, assuming g splits into distinct linears."""
-    if len(g) == 2:
-        out.append(-g[0])
+def _split_roots(g, rng, out):
+    """All roots of monic g, assuming g splits into distinct linears
+    (Cantor-Zassenhaus: a random gcd splits g, then each part in turn)."""
+    ctx = g.ctx
+    if g.degree() == 1:
+        out.append(-g.coeff(0))
         return
-    q = ctx.q
-    x_poly = [ctx.zero, ctx.one]
     while True:
         delta = ctx.elem([rng.randrange(ctx.p) for _ in range(ctx.e)])
         if ctx.p == 2:
             # additive splitting: gcd with the trace polynomial of delta*X
-            term = _elist_mod([ctx.zero, delta], g)
-            acc = list(term)
+            term = h = FqPoly(ctx, ((1, delta),)) % g
             for _ in range(ctx.e - 1):
-                term = _elist_frob(term, g)
-                acc = _elist_sub(acc, [-c for c in term])
-            h = acc
+                term = term.pth_power() % g
+                h = h + term
         else:
-            shifted = _elist_sub(x_poly, [-delta])
-            h = _elist_powmod(shifted, (q - 1) // 2, g)
-            h = _elist_sub(h, [ctx.one])
-        d1 = _elist_gcd(h, g)
-        if 0 < len(d1) - 1 < len(g) - 1:
-            d1 = _elist_monic(d1)
-            d2 = _elist_monic(_elist_quotient(g, d1))
-            _split_roots(d1, ctx, rng, out)
-            _split_roots(d2, ctx, rng, out)
+            shifted = FqPoly(ctx, ((1, ctx.one), (0, delta)))
+            h = pow(shifted, (ctx.q - 1) // 2, g) - FqPoly(ctx, ((0, 1),))
+        a, b = g, h
+        while b:
+            a, b = b, a % b
+        if 0 < a.degree() < g.degree():
+            d1 = a * a.terms[-1][1].inverse()
+            _split_roots(d1, rng, out)
+            _split_roots(divmod(g, d1)[0], rng, out)
             return
-
-
-def _elist_quotient(a, b):
-    """Quotient of a by monic b, exact division."""
-    r = list(a)
-    db = len(b) - 1
-    qcoeffs = [r[0].ctx.zero] * (len(a) - db)
-    while len(r) - 1 >= db and r:
-        c = r[-1]
-        shift = len(r) - 1 - db
-        qcoeffs[shift] = c
-        if c:
-            for i in range(db + 1):
-                r[shift + i] = r[shift + i] - c * b[i]
-        r.pop()
-        _elist_trim(r)
-    return qcoeffs
 
 
 def subfield_root(small, big):
@@ -925,11 +869,11 @@ def subfield_root(small, big):
         if small.e == 1:
             root = big.zero  # modulus X, root 0; constants embed directly
         else:
-            g = [big.elem(c) for c in small.modulus]
+            g = FqPoly(big, enumerate(small.modulus))
             roots = []
             # the seed only affects how fast the split lands, never the
             # answer: we always return the least root
-            _split_roots(g, big, random.Random(11), roots)
+            _split_roots(g, random.Random(11), roots)
             if len(roots) != small.e:
                 raise AssertionError("modulus must split in the big field")
             root = min(roots, key=lambda r: r.coeffs)

@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import BadParameters, ResourceLimit, TooLarge
 from .field import FqElem
-from .additive import _mult_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +51,8 @@ def _vp(w, p):
     return w, k
 
 
+# an int64 digit tensor bigger than this is refused before it is built
+TENSOR_BYTE_LIMIT = 2 ** 30
 _TENSOR_CACHE = {}
 _PROFILE_CACHE = {}
 
@@ -70,6 +71,11 @@ def digit_tensor(ctx, m):
         return cached[:, :m, :]
     p, e = ctx.p, ctx.e
     q = p ** e
+    size = (q - 1) * m * e * 8
+    if size > TENSOR_BYTE_LIMIT:
+        raise ResourceLimit("digit tensor for F_%d^%d at modulus %d needs "
+                            "%d bytes, over the limit of %d"
+                            % (p, e, m, size, TENSOR_BYTE_LIMIT))
     ys = [y for y in ctx.elements() if y]
     R = np.zeros((q - 1, m, e), dtype=np.int64)
     R[:, 0, 0] = 1
@@ -88,7 +94,7 @@ def digit_tensor(ctx, m):
             bpow = bpow * beta
             c = (-1) ** t * math.comb(d + t - 1, t) % p
             if c:
-                out.append((t, _mult_matrix(bpow * c, ctx)))
+                out.append((t, ctx.mult_matrix(bpow * c)))
         return out
 
     for w in range(1, m):

@@ -136,6 +136,15 @@ def test_image_membership_and_splitting():
         # d is the least such degree
         for N in range(1, d):
             assert linearize_kernel(A, N).dim < A.f_degree
+    # splitting degree 52, above splits_over's former fixed cap of 48
+    A = AdditiveOp(make_field(5, 2), [[1, 0], [1, 4], [2, 4], [4, 1], [1, 0]])
+    assert splitting_degree(A, cap=60) == 52
+    assert splits_over(A, 52) and splits_over(A, 104)
+    assert not splits_over(A, 26)
+    assert linearize_kernel(A, 52).dim == 4
+    # the kernel lies in F_{5^N} only when 52 | N, so the even proper
+    # divisors of 52 cover minimality
+    assert all(linearize_kernel(A, N).dim < 4 for N in (2, 4, 26))
 
 
 def test_xsx_parts_shapes():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from wildram import cli
+from wildram import cli, field
 from wildram.errors import UsageError
 
 
@@ -163,6 +163,22 @@ def test_rayclass_orders_modulus_one(capsys):
                           "--ms", "1"] + extra, capsys)
         assert code == 0
         assert out.splitlines()[1] == "1,0,1,,3"
+
+
+def test_rayclass_orders_refuses_huge_tensor(monkeypatch, capsys):
+    # the digit tensor at F_{65537^2} would take 137 GB; the refusal must
+    # come before the field's elements are walked
+    def no_walk(ctx):
+        raise AssertionError("elements walked before the size check")
+
+    monkeypatch.setattr(field.FieldCtx, "elements", no_walk)
+    start = time.perf_counter()
+    code = cli.main(["rayclass-orders", "--p", "65537", "--e", "2",
+                     "--m-max", "2"])
+    assert code == 1 and time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "needs 137443147776 bytes" in err
 
 
 def test_rayclass_m2(capsys):

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.polys.domains import GF
 
+from wildram.additive import AdditiveOp, linearize_kernel
 from wildram.errors import (
     DegreeOutOfRange,
     NonPrime,
@@ -261,6 +262,57 @@ def test_subfield_embedding():
         == embed_elem(f.evaluate(x), big)
     with pytest.raises(NotASubfieldDegree):
         subfield_root(make_field(3, 3), big)
+
+
+def test_subfield_root_is_least_root():
+    # every field with at most 4096 elements by brute force; the larger
+    # ones enumerate the fixed field as the kernel of F^d - 1
+    small_cases = [(p, d, e) for p in (2, 3, 5, 7) for e in range(3, 13)
+                   for d in range(2, e) if e % d == 0 and p ** e <= 4096]
+    large_cases = [(2, 2, 36), (3, 2, 24), (5, 2, 26), (2, 8, 16)]
+    for p, d, e in small_cases + large_cases:
+        small, big = make_field(p, d), extension_field(p, e)
+        if big.q <= 4096:
+            fixed = [x for x in big.elements() if x.frobenius(d) == x]
+        else:
+            op = AdditiveOp(make_field(p, 1), [-1] + [0] * (d - 1) + [1])
+            fixed = list(linearize_kernel(op, e).elements())
+        assert len(fixed) == p ** d
+        g = FqPoly(big, enumerate(small.modulus))
+        roots = [x for x in fixed if not g.evaluate(x)]
+        assert subfield_root(small, big) == min(roots, key=lambda x: x.coeffs)
+
+
+# e = 1, table fields and Kronecker fields
+DIV_CONFIGS = [(2, 1), (5, 1), (3, 2), (2, 4), (2, 13), (3, 8)]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.data())
+def test_poly_division(data):
+    p, e = data.draw(st.sampled_from(DIV_CONFIGS))
+    ctx = make_field(p, e)
+
+    def poly(max_deg):
+        coeff = st.lists(st.integers(0, p - 1), min_size=e, max_size=e)
+        terms = data.draw(st.lists(st.tuples(st.integers(0, max_deg), coeff),
+                                   max_size=6))
+        return FqPoly(ctx, [(k, ctx.elem(c)) for k, c in terms])
+
+    a, b = poly(14), poly(6)
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+        return
+    quot, rem = divmod(a, b)
+    assert quot * b + rem == a and rem.degree() < b.degree()
+    assert a % b == rem
+    k = data.draw(st.integers(0, 3 * p))
+    want = FqPoly(ctx, ((0, 1),))
+    for _ in range(k):
+        want = want * a
+    assert a ** k == want
+    assert pow(a, k, b) == want % b
 
 
 def test_json_round_trip():
