@@ -171,7 +171,7 @@ def parse_plan(argv):
         elif params.get("m_max"):
             if params["m_max"] < 2:
                 raise UsageError("--m-max must be at least 2")
-            params["ms"] = list(range(2, params["m_max"] + 1))
+            params["ms"] = range(2, params["m_max"] + 1)
         else:
             raise UsageError("one of --m-max or --ms is required")
     if command in ("rayclass-orders", "reproduce-table"):

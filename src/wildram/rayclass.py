@@ -3,26 +3,40 @@ rational place, with conductor m at the place at infinity.
 
 In the uniformizer Z = 1/x the group is U/H where U = 1 + Z F_q[Z]/Z^m
 is the truncated one-unit group and H is generated by the q - 1 images
-1 - y*Z of the functions x - y.  U is the direct sum over chains
-v < m, p not dividing v, of (Z/p^l_v)^e with l_v = #{k : v p^k < m},
-on the generators 1 + b_j Z^v for a basis b_j of F_q.
+1 - y*Z of the functions x - y.  A chain is an integer v < m with p not
+dividing v, of length l_v = #{i : v p^i < m}; its coset is
+{v p^s mod (q - 1)}, of size f_v dividing e, and its leader is the least
+chain in the coset, which has the longest chain.  The counts
+T_k = log_p |U^(p^k) H| have a closed form, from which the invariant
+factor counts fall out as first differences:
 
-The engine has two halves.  A discrete logarithm pass strips every
-generator of H level by level, recording base-p digits against the
-twisted basis b_j^(p^k) at level w = v p^k.  Grading walks then measure
-T_k = log_p |U^(p^k) H| up the levels: levels divisible by p^k are full
-(seeded by U^(p^k), whose generators are exact basis multiples), and on
-the remaining levels the active rows compete for at most e pivots each;
-a retired pivot re-enters multiplied by p.  The invariant factor counts
-fall out of first differences of T_k.
+    T_k(m) = sum over chains v of e * max(l_v - k, 0)
+           + sum over leaders v of f_v * min(k, l_v)
 
-Reducing modulo Z^m is a quotient of both halves at any M >= m: digits
-below level m do not depend on the modulus, the pivot choice at level w
-reads only level-w digits, and rows that vanish below m never pivot
-there.  So one pass, and one walk per k recording its pivots per level,
-at the largest modulus serve every smaller conductor:
+These are the explicit computations of Lauter (ANTS-II, 1996) and Auer
+(Acta Arith., 2000).  With the Artin-Hasse exponential E and the
+Teichmueller lift [y] (Serre, Local Fields), the proof has three steps.
+
+1. (a_v) -> prod_v E(a_v Z^v) identifies the direct sum over chains of
+   W_{l_v}(F_q) with U.  It respects the level filtration, and p^k U
+   corresponds to U^(p^k).
+2. 1 - t = prod_v E(t^v)^(-1/v), so 1 - yZ has coordinates
+   (-[y]^v / v)_v.  Rescaling chain v by the unit -v is an automorphism
+   of U that fixes U^(p^k), so H may be taken as the Z_p-span of the
+   vectors ([y]^v)_v, y in F_q^*.
+3. q - 1 is a unit in W(F_q), so the discrete Fourier transform over
+   F_q^* is invertible there; with Frobenius descent it splits H into
+   one summand per coset C, a copy of W(F_(p^f))/p^L (f the coset size,
+   L its leader's length) embedded in the chains of C through Frobenius
+   twists.  Frobenius preserves valuation, so the summand meets p^k U
+   in p^min(k, L) times itself: it adds f * min(k, L) to T_k.
+
+Leader status does not depend on m, so the first sum counts levels
+divisible by p^k and the second the levels w = v p^i, i < k, of leaders:
 
     T_k(m) = e * floor((m - 1) / p^k) + sum_{w < m} pivots_k(w)
+
+and every prefix of a profile pivots_k serves every smaller conductor.
 
 A brute oracle enumerates H and all of U for small cases and reads the
 invariants off order statistics; it shares no code with the engine.
@@ -30,130 +44,16 @@ invariants off order statistics; it shares no code with the engine.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-
-import numpy as np
 
 from .errors import BadParameters, ResourceLimit, TooLarge
 from .field import FqElem
 
 
-# ---------------------------------------------------------------------------
-# discrete logarithm pass
-
-def _vp(w, p):
-    k = 0
-    while w % p == 0:
-        w //= p
-        k += 1
-    return w, k
-
-
-# an int64 digit tensor bigger than this is refused before it is built
-TENSOR_BYTE_LIMIT = 2 ** 30
-_TENSOR_CACHE = {}
-_PROFILE_CACHE = {}
-
-
-def digit_tensor(ctx, m):
-    """Digits S[y, w, j] of the generators 1 - y Z, level by level.
-
-    Row order is the nonzero field elements in coefficient order.  Entry
-    (y, w, j) is the exponent digit of (1 + b_j^(p^k) Z^w) at level
-    w = v p^k.  Levels below m never depend on the modulus, so the cache
-    keeps the widest run per field.
-    """
-    key = (ctx.p, ctx.e)
-    cached = _TENSOR_CACHE.get(key)
-    if cached is not None and cached.shape[1] >= m:
-        return cached[:, :m, :]
-    p, e = ctx.p, ctx.e
-    q = p ** e
-    size = (q - 1) * m * e * 8
-    if size > TENSOR_BYTE_LIMIT:
-        raise ResourceLimit("digit tensor for F_%d^%d at modulus %d needs "
-                            "%d bytes, over the limit of %d"
-                            % (p, e, m, size, TENSOR_BYTE_LIMIT))
-    ys = [y for y in ctx.elements() if y]
-    R = np.zeros((q - 1, m, e), dtype=np.int64)
-    R[:, 0, 0] = 1
-    if m > 1:
-        R[:, 1, :] = [(-y).coeffs for y in ys]
-    S = np.zeros_like(R)
-
-    @functools.cache
-    def series(k, j, d):
-        # (1 + beta Z^w)^(-d) = sum_t c_t beta^t Z^(wt), beta = b_j^(p^k):
-        # the multipliers of c_t beta^t do not depend on the level w, and
-        # the least level of valuation k, w = p^k, has the longest span
-        beta = (ctx.gen ** j).frobenius(k)
-        bpow, out = ctx.one, []
-        for t in range(1, (m - 1) // p ** k + 1):
-            bpow = bpow * beta
-            c = (-1) ** t * math.comb(d + t - 1, t) % p
-            if c:
-                out.append((t, ctx.mult_matrix(bpow * c)))
-        return out
-
-    for w in range(1, m):
-        v, k = _vp(w, p)
-        # coordinates against b_j^(p^k): undo the Frobenius power
-        digits = (R[:, w, :] % p) @ np.array(ctx.frob_matrix(-k)) % p
-        S[:, w, :] = digits
-        span = (m - 1) // w
-        for j in range(e):
-            for d in range(1, p):
-                rows = np.nonzero(digits[:, j] == d)[0]
-                if not len(rows):
-                    continue
-                src = R[rows]
-                acc = src.copy()
-                for t, mat in series(k, j, d):
-                    if t > span:
-                        break
-                    acc[:, w * t:, :] = (
-                        acc[:, w * t:, :] + src[:, :m - w * t, :] @ mat) % p
-                R[rows] = acc
-        assert not R[:, w, :].any(), "level %d not stripped" % w
-    assert not R[:, 1:, :].any(), "generators must reduce to 1"
-    _TENSOR_CACHE[key] = S
-    return S
-
-
-def _chains(p, e, m):
-    """[(v, l_v, column offset)] for the cyclic chains of U mod Z^m."""
-    out = []
-    off = 0
-    for v in range(1, m):
-        if v % p == 0:
-            continue
-        ell = 0
-        w = v
-        while w < m:
-            ell += 1
-            w *= p
-        out.append((v, ell, off))
-        off += e
-    return out
-
-
-def _assemble(ctx, m, tensor):
-    """Generator rows of H in chain coordinates, with per-column moduli."""
-    p, e = ctx.p, ctx.e
-    chains = _chains(p, e, m)
-    width = e * len(chains)
-    X = np.zeros((tensor.shape[0], width), dtype=np.int64)
-    mods = np.zeros(width, dtype=np.int64)
-    for v, ell, off in chains:
-        mods[off:off + e] = p ** ell
-        w, pk = v, 1
-        for _ in range(ell):
-            X[:, off:off + e] += tensor[:, w, :] * pk
-            w *= p
-            pk *= p
-    return X, mods, chains
+# profiles and tables stop at this modulus; the largest any workload or
+# test asks for is a few thousand
+MODULUS_LIMIT = 2 ** 16
 
 
 def _kmax(p, m):
@@ -165,86 +65,44 @@ def _kmax(p, m):
 
 
 def pivot_profiles(ctx, M, ks):
-    """{k: pivots per level} of the grading walks for U^(p^k) H mod Z^M.
+    """{k: pivots per level} of U^(p^k) H mod Z^M, levels 0 <= w < M.
 
-    Entry w < M of a profile counts the pivots the walk takes at level w;
-    seeded levels (p^k dividing w) hold 0.  Every prefix is the profile
-    at the smaller modulus, so the cache keeps the widest per k and only
-    the missing ones walk, all on one digit tensor.
+    Level w = v p^i holds f_v when the chain v is its coset's leader and
+    i < k, and 0 otherwise; every prefix is the profile at the smaller
+    modulus.
     """
-    todo = [k for k in ks
-            if len(_PROFILE_CACHE.get((ctx.p, ctx.e, k), ())) < M]
-    if todo:
-        X, mods, chains = _assemble(ctx, M, digit_tensor(ctx, M))
-        for k in todo:
-            _PROFILE_CACHE[ctx.p, ctx.e, k] = _walk(ctx, M, k, X, mods, chains)
-    return {k: _PROFILE_CACHE[ctx.p, ctx.e, k][:M] for k in ks}
+    p, n = ctx.p, ctx.p ** ctx.e - 1
+    profiles = {k: [0] * M for k in ks}
+    seen = set()
+    for v in range(1, M):
+        r = v % n
+        if v % p == 0 or r in seen:
+            continue
+        coset = {r}
+        r = r * p % n
+        while r not in coset:
+            coset.add(r)
+            r = r * p % n
+        seen |= coset
+        w, i = v, 0
+        while w < M:
+            for k in ks:
+                if i < k:
+                    profiles[k][w] = len(coset)
+            w, i = w * p, i + 1
+    return profiles
 
 
 def _gradings(ctx, M, ks):
     """{k: T_k} with T_k[m] = log_p |U^(p^k) H| inside U mod Z^m, m <= M.
 
-    Levels divisible by p^k are seeded full, e apiece; the others count
-    the walk's pivots below m.
+    Levels divisible by p^k are full, e apiece; the others count the
+    profile's pivots below m.
     """
     p, e = ctx.p, ctx.e
     return {k: [e * ((m - 1) // p ** k) + s
                 for m, s in enumerate(itertools.accumulate(prof, initial=0))]
             for k, prof in pivot_profiles(ctx, M, ks).items()}
-
-
-def _walk(ctx, M, k, X, mods, chains):
-    """Pivots per level of the echelon walk for U^(p^k) H mod Z^M."""
-    p, e = ctx.p, ctx.e
-    by_v = {v: (ell, off) for v, ell, off in chains}
-    cap = X.shape[0] + e * (M - 1) + 8
-    buf = np.zeros((cap, X.shape[1]), dtype=np.int64)
-    buf[:X.shape[0]] = X % mods
-    used = X.shape[0]
-    active = np.zeros(cap, dtype=bool)
-    active[:used] = True
-    pivots = [0] * M
-    for w in range(1, M):
-        v, kk = _vp(w, p)
-        ell, off = by_v[v]
-        pk = p ** kk
-        idx = np.nonzero(active[:used])[0]
-        if not len(idx):
-            continue
-        digits = (buf[idx, off:off + e] // pk) % p
-        if kk >= k:
-            # seeded level: U^(p^k) covers it, clear exactly by coordinates
-            buf[idx, off:off + e] -= digits * pk
-            continue
-        pending = []
-        live = np.ones(len(idx), dtype=bool)
-        for j in range(e):
-            nz = np.nonzero(live & (digits[:, j] != 0))[0]
-            if not len(nz):
-                continue
-            r = nz[0]
-            inv = pow(int(digits[r, j]), -1, p)
-            rest = nz[1:]
-            if len(rest):
-                mu = (digits[rest, j] * inv) % p
-                rows = idx[rest]
-                buf[rows] = (buf[rows] - mu[:, None] * buf[idx[r]]) % mods
-                digits[rest] = (digits[rest] - mu[:, None] * digits[r]) % p
-            pivots[w] += 1
-            active[idx[r]] = False
-            live[r] = False
-            re = (p * buf[idx[r]]) % mods
-            if re.any():
-                pending.append(re)
-        for row in pending:
-            if used == cap:
-                buf = np.concatenate([buf, np.zeros_like(buf)])
-                active = np.concatenate([active, np.zeros(cap, dtype=bool)])
-                cap *= 2
-            buf[used] = row
-            active[used] = True
-            used += 1
-    return pivots
 
 
 def ray_class_invariants(ctx, m, resource_cap=None, order_only=False):
@@ -263,18 +121,24 @@ def ray_class_invariants(ctx, m, resource_cap=None, order_only=False):
 def ray_class_table(ctx, ms, resource_cap=None, order_only=False):
     """Rows of ray_class_invariants for each modulus in ms.
 
-    One grading walk per k at the largest modulus serves every row;
-    order_only needs only the walk for the top k.  Every modulus is
-    checked against resource_cap before any walk starts.
+    One profile per k at the largest modulus serves every row;
+    order_only needs only the profile for the top k.  The largest modulus
+    is checked against MODULUS_LIMIT, and every modulus against
+    resource_cap, before any work starts.
     """
-    ms = list(ms)
+    ms = ms if isinstance(ms, range) else list(ms)
+    # a range's extremes are its ends, so a huge one is refused unlisted
+    ends = (ms[0], ms[-1]) if isinstance(ms, range) and ms else ms
+    if min(ends, default=1) < 1:
+        raise BadParameters("modulus exponent must be at least 1")
+    top = max(ends, default=1)
+    if top > MODULUS_LIMIT:
+        raise ResourceLimit("modulus %d is over the limit of %d"
+                            % (top, MODULUS_LIMIT))
     p, e = ctx.p, ctx.e
     for m in ms:
-        if m < 1:
-            raise BadParameters("modulus exponent must be at least 1")
         if resource_cap is not None and m * e > resource_cap:
             raise ResourceLimit("modulus %d exceeds the configured cap" % m)
-    top = max(ms, default=1)
     kmax = _kmax(p, top)
     ks = [kmax] if order_only else range(1, kmax + 1)
     T = _gradings(ctx, top, ks) if top > 1 else {}
@@ -305,24 +169,20 @@ def ray_class_table(ctx, ms, resource_cap=None, order_only=False):
 def find_second_jump(ctx, cap=None):
     """Least modulus where the group acquires a factor of order p^2.
 
-    That is the least m with T_1(m) - T_2(m) > 0, read off one k = 1 and
-    one k = 2 walk.  The first walk runs just past the square-exponent
-    law p^(ceil(e/2)+1) + p + 1; only if no jump shows up to there does
-    the bracket double, up to cap (default: twice the law).
+    That is the least m with T_1(m) - T_2(m) > 0, scanned on the k = 1
+    and k = 2 profiles up to cap (default: twice the square-exponent law
+    p^(ceil(e/2)+1) + p + 1) or MODULUS_LIMIT, whichever is smaller.
     """
     p, e = ctx.p, ctx.e
     if cap is None:
         cap = 2 * (p ** ((e + 1) // 2 + 1) + p + 1)
-    hi = min(cap, p ** ((e + 1) // 2 + 1) + p + 2)
-    while True:
-        if hi >= 2:
-            T = _gradings(ctx, hi, (1, 2))
-            for m in range(2, hi + 1):
-                if T[1][m] - T[2][m] > 0:
-                    return m
-        if hi == cap:
-            raise ResourceLimit("no order-p^2 factor up to modulus %d" % cap)
-        hi = min(cap, 2 * hi)
+    stop = min(cap, MODULUS_LIMIT)
+    T = _gradings(ctx, stop, (1, 2))
+    for m in range(2, stop + 1):
+        if T[1][m] - T[2][m] > 0:
+            return m
+    raise ResourceLimit("no order-p^2 factor up to modulus %d%s" % (
+        stop, "" if stop == cap else ", the modulus limit"))
 
 
 def format_table_csv(rows):

@@ -127,15 +127,26 @@ def _brute_second_jump(ctx):
         m += 1
 
 
+def _law(p, e):
+    return p ** (math.ceil(e / 2) + 1) + p + 1
+
+
 def test_criterion_04_second_jump_law():
-    for p, e in [(2, 1), (2, 2), (3, 1)]:
+    # every p in {2, 3, 5, 7} and e <= 8 with a law value of at most 3000,
+    # and a few wider fields
+    pairs = [(p, e) for p in (2, 3, 5, 7) for e in range(1, 9)
+             if _law(p, e) <= 3000]
+    pairs += [(2, 9), (2, 10), (2, 11), (2, 12), (3, 9), (3, 10), (11, 2),
+              (13, 3)]
+    assert len(pairs) == 36
+    for p, e in pairs:
         ctx = make_field(p, e)
-        want = p ** (math.ceil(e / 2) + 1) + p + 1
+        want = _law(p, e)
         assert find_second_jump(ctx) == want, (p, e)
         if (p, e) in [(2, 1), (2, 2)]:
             assert _brute_second_jump(ctx) == want
-    print("PASS criterion 4: m2 = p^(ceil(e/2)+1)+p+1 at (2,1),(2,2),(3,1),"
-          " brute-matched at (2,1),(2,2)")
+    print("PASS criterion 4: m2 = p^(ceil(e/2)+1)+p+1 at %d (p, e) pairs,"
+          " brute-matched at (2,1),(2,2)" % len(pairs))
 
 
 def test_criterion_05_trivial_range():

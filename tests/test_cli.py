@@ -165,20 +165,31 @@ def test_rayclass_orders_modulus_one(capsys):
         assert out.splitlines()[1] == "1,0,1,,3"
 
 
-def test_rayclass_orders_refuses_huge_tensor(monkeypatch, capsys):
-    # the digit tensor at F_{65537^2} would take 137 GB; the refusal must
-    # come before the field's elements are walked
+def test_rayclass_orders_huge_field(monkeypatch, capsys):
+    # the counts never enumerate the field: F_{65537^2} at conductor 2
+    # answers at once, without walking the field's elements
     def no_walk(ctx):
-        raise AssertionError("elements walked before the size check")
+        raise AssertionError("elements walked")
 
     monkeypatch.setattr(field.FieldCtx, "elements", no_walk)
     start = time.perf_counter()
-    code = cli.main(["rayclass-orders", "--p", "65537", "--e", "2",
-                     "--m-max", "2"])
-    assert code == 1 and time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "needs 137443147776 bytes" in err
+    code, out = _run(["rayclass-orders", "--p", "65537", "--e", "2",
+                      "--m-max", "2"], capsys)
+    assert code == 0 and time.perf_counter() - start < 1
+    assert out.splitlines()[1] == "2,0,1,,4295098370"
+
+
+def test_modulus_limit_refusals(capsys):
+    # --m-max stays a range, so the refusal comes before any list is built
+    argv = ["rayclass-orders", "--p", "2", "--e", "1",
+            "--m-max", "100000000", "--order-only"]
+    assert isinstance(cli.parse_plan(argv).params["ms"], range)
+    for argv in (argv, ["rayclass-m2", "--p", "65537", "--e", "1"]):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        assert code == 1 and time.perf_counter() - start < 1, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "65536" in err, err
 
 
 def test_rayclass_m2(capsys):
@@ -188,6 +199,8 @@ def test_rayclass_m2(capsys):
                       "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out) == {"p": 3, "e": 1, "m2": 13}
+    code, out = _run(["rayclass-m2", "--p", "3", "--e", "9"], capsys)
+    assert code == 0 and out == "733\n"
 
 
 def test_resource_cap_env(tmp_path, capsys, monkeypatch):

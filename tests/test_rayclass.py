@@ -1,6 +1,7 @@
 """Ray class group engine against the brute-force oracle and closed forms."""
 
 import pytest
+from _walk_reference import digit_tensor, walk_profile
 
 from wildram import rayclass
 from wildram.errors import ResourceLimit, TooLarge
@@ -41,27 +42,32 @@ def test_second_jump_cap_edges():
         assert find_second_jump(ctx, cap=law) == law
         with pytest.raises(ResourceLimit, match="up to modulus %d" % (law - 1)):
             find_second_jump(ctx, cap=law - 1)
-
-
-def _cold():
-    rayclass._TENSOR_CACHE.clear()
-    rayclass._PROFILE_CACHE.clear()
+    # the law at F_65537 is far past the modulus limit: give up there
+    with pytest.raises(ResourceLimit,
+                       match="up to modulus 65536, the modulus limit$"):
+        find_second_jump(make_field(65537, 1))
 
 
 def test_table_equals_walks_at_each_modulus():
-    # one walk per k at the widest modulus against a fresh walk at each m
+    # the closed-form profiles against the reference echelon walk
+    for p, e, top in [(2, 1, 40), (2, 2, 30), (3, 1, 40), (3, 2, 30),
+                      (5, 1, 40), (2, 3, 25), (5, 2, 40), (2, 4, 40),
+                      (7, 1, 60), (7, 2, 60), (11, 1, 150), (13, 2, 40),
+                      (3, 3, 40), (2, 5, 40), (5, 3, 60), (3, 4, 60),
+                      (2, 6, 70), (3, 5, 50)]:
+        ctx = make_field(p, e)
+        ks = range(1, rayclass._kmax(p, top) + 1)
+        assert rayclass.pivot_profiles(ctx, top, ks) == \
+            {k: walk_profile(ctx, top, k) for k in ks}, (p, e, top)
+    # one profile per k at the widest modulus against a call at each m
     for p, e, top in [(2, 1, 40), (2, 2, 30), (3, 1, 40), (3, 2, 30),
                       (5, 1, 40), (2, 3, 25)]:
         ctx = make_field(p, e)
         for order_only in (False, True):
-            _cold()
             table = ray_class_table(ctx, range(2, top + 1),
                                     order_only=order_only)
-            single = []
-            for m in range(2, top + 1):
-                _cold()
-                single.append(ray_class_invariants(ctx, m,
-                                                   order_only=order_only))
+            single = [ray_class_invariants(ctx, m, order_only=order_only)
+                      for m in range(2, top + 1)]
             assert table == single, (p, e, order_only)
 
 
@@ -130,25 +136,31 @@ def test_resource_cap():
         ray_class_invariants(ctx, 131, resource_cap=100)
     with pytest.raises(TooLarge):
         brute_ray_class(ctx, 131)
+    # the largest modulus under the limit still runs, at the worst shape
+    top = rayclass.MODULUS_LIMIT
+    rows = ray_class_table(make_field(2, 1), [top], order_only=True)
+    assert rows[0]["m"] == top
 
 
 def test_resource_cap_checked_before_any_walk(monkeypatch):
     def no_walk(*args):
-        raise AssertionError("walked before the cap check")
-    monkeypatch.setattr(rayclass, "_walk", no_walk)
-    monkeypatch.setattr(rayclass, "digit_tensor", no_walk)
-    _cold()
+        raise AssertionError("profiled before the cap check")
+    monkeypatch.setattr(rayclass, "pivot_profiles", no_walk)
     ctx = make_field(3, 2)
     for order_only in (False, True):
         with pytest.raises(ResourceLimit, match="modulus 30 exceeds"):
             ray_class_table(ctx, [5, 30, 9, 40], resource_cap=50,
                             order_only=order_only)
+        with pytest.raises(ResourceLimit,
+                           match="modulus 65537 is over the limit of 65536"):
+            ray_class_table(ctx, [5, 2 ** 16 + 1, 9], order_only=order_only)
+        with pytest.raises(ResourceLimit, match="modulus 99999999 is over"):
+            ray_class_table(ctx, range(2, 10 ** 8), order_only=order_only)
 
 
 def test_digit_tensor_at_modulus_one():
     # U mod Z is trivial, so every generator has no digits at all
-    _cold()
     for p, e in [(2, 1), (3, 2)]:
-        S = rayclass.digit_tensor(make_field(p, e), 1)
+        S = digit_tensor(make_field(p, e), 1)
         assert S.shape == (p ** e - 1, 1, e)
         assert not S.any()
