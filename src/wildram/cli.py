@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -35,11 +36,16 @@ from .cover import (
     tower_compose,
     upper_filtration,
 )
-from .errors import UsageError, WildramError
+from .errors import ResourceLimit, UsageError, WildramError
 from .field import FqPoly, _is_prime, field_from_json, make_field
-from .rayclass import find_second_jump, format_table_csv, ray_class_table
+from .rayclass import (MODULUS_LIMIT, find_second_jump, format_table_csv,
+                       ray_class_table)
 
 FAMILY_KINDS = ("jump2-even", "jump2-odd", "table-full", "exponent-pn")
+
+# rows with invariants hold up to e (m - 1) entries each: a sweep to
+# m = 48 at (2, 8) needs 9024, one to m = 1448 at (2, 1) just fits
+TABLE_ENTRY_LIMIT = 2 ** 20
 
 
 class Plan:
@@ -99,9 +105,6 @@ def _build_parser():
     sp.add_argument("--ms", help="comma-separated explicit conductor list")
     sp.add_argument("--order-only", action="store_true",
                     help="skip invariant factors, orders only")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; the run is one pass "
-                    "whatever the value")
     _out_args(sp, ("csv", "json"))
 
     sp = subs.add_parser("rayclass-m2",
@@ -137,9 +140,6 @@ def _build_parser():
     sp = subs.add_parser("reproduce-table",
                          help="rebuild the packaged (5,4) table and ratios")
     _field_args(sp)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; the run is one pass "
-                    "whatever the value")
     _out_args(sp, ("text",))
     return top
 
@@ -174,9 +174,6 @@ def parse_plan(argv):
             params["ms"] = range(2, params["m_max"] + 1)
         else:
             raise UsageError("one of --m-max or --ms is required")
-    if command in ("rayclass-orders", "reproduce-table"):
-        if params.get("jobs", 1) < 1:
-            raise UsageError("--jobs must be at least 1")
     if command == "reproduce-table":
         if (params["p"], params["e"]) != (_expected.P, _expected.E):
             raise UsageError(
@@ -292,8 +289,28 @@ def _exec_adjoint(plan):
     return 0
 
 
+def _check_table_size(ctx, ms, order_only):
+    """Refuse, before any work, a table that could not be held or printed:
+    row m has at most e (m - 1) invariant entries, and its N_m <= 2 p^(e m)
+    at most 1 + e m log10(p) + log10(2) digits, which must stay within the
+    interpreter's limit on printing ints (0 or absent: no limit)."""
+    if ms[-1] > MODULUS_LIMIT:
+        return  # ray_class_table refuses these with the modulus limit
+    p, e, top = ctx.p, ctx.e, ms[-1]
+    entries = e * (sum(ms) - len(ms))
+    if not order_only and entries > TABLE_ENTRY_LIMIT:
+        raise ResourceLimit("the invariants need up to %d entries, over the "
+                            "limit of %d" % (entries, TABLE_ENTRY_LIMIT))
+    digits = 1 + int(e * top * math.log10(p) + math.log10(2))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ResourceLimit("N_%d may have %d digits, over the limit of %d "
+                            "on printed integers" % (top, digits, limit))
+
+
 def _exec_rayclass_orders(plan):
     ctx = make_field(plan.params["p"], plan.params["e"])
+    _check_table_size(ctx, plan.params["ms"], plan.params["order_only"])
     rows = ray_class_table(ctx, plan.params["ms"], resource_cap=_resource_cap(),
                            order_only=plan.params["order_only"])
     if plan.fmt == "csv":

@@ -1,19 +1,20 @@
-"""Witt vectors of finite length over F_q, with exact ghost arithmetic.
+"""Witt vectors of finite length over F_q, stored as Galois-ring elements.
 
-A length-n Witt vector (x_0, ..., x_{n-1}) is combined through its ghost
-components
+W_n(F_q) is the Galois ring GR(p^n, e) = (Z/p^n)[X] / (M~), where M~
+lifts the field modulus coefficient by coefficient (Serre, Local Fields,
+II 4-6; Wan, Lectures on Finite Fields and Galois Rings): the vector
+(a_0, ..., a_{n-1}) is the ring element x = sum_i p^i [a_i^(p^-i)], with
+the Teichmueller lift [b] = lift(b)^(q^(n-1)) mod p^n, the root of
+T^q = T over b.  So a WittVec holds one length-e tuple of ints mod p^n:
+sums are componentwise, a product is one Kronecker product mod
+(M~, p^n), and the Witt Frobenius is the ring automorphism sigma with
+sigma([b]) = [b^p], a Z/p^n-linear map fixed by the images sigma(X^i).
 
-    w_k = sum_{i <= k} p^i * x_i^(p^(k-i)),
-
-computed in the lift ring (Z/p^n)[X] / (M~), where M~ lifts the field
-modulus coefficient by coefficient.  Ghost components add and multiply
-componentwise; pulling back is the triangular division
-
-    s_k = (w_k - sum_{i<k} p^i * s_i^(p^(k-i))) / p^k,
-
-and the division is exact because the ghost map is a ring homomorphism
-over the characteristic-zero lift.  Working mod p^n throughout is enough
-precision: a lift changed by p changes its p^b-th power by p^(b+1).
+The coordinates are read back by peeling Teichmueller digits: b = x mod p
+is a_i^(p^-i), and x - [b] is exactly divisible by p because [b] reduces
+to b.  After i peels x is only known mod p^(n-i), and so is [b] when it
+is computed with the exponent q^(n-1-i): a lift changed by p^j changes
+its p-th power by p^(j+1).
 
 The module also carries the closed forms used on polynomials: the carry
 polynomial psi(a, b) = (a^p + b^p - (a+b)^p)/p reduced mod p, and exact
@@ -22,14 +23,18 @@ length-2 Witt sums of polynomial pairs built from it.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import BadParameters, ContextMismatch, LengthMismatch
-from .field import FqPoly, _kron_mulmod, _kron_pow, _reduction_rows
+from .field import (FqPoly, _kron_mulmod, _kron_pow, _pack, _reduction_rows,
+                    _unpack)
 
 
 class WittRing:
-    """Arithmetic context for W_n(F_q); caches the lift ring tables."""
+    """Arithmetic context for W_n(F_q) = GR(p^n, e); caches the reduction
+    rows mod (M~, p^n) and the packed Frobenius images sigma(X^i)."""
 
-    __slots__ = ("ctx", "n", "pn", "_red_rows")
+    __slots__ = ("ctx", "n", "pn", "_red_rows", "_frob_rows")
 
     def __init__(self, ctx, n):
         if n < 1:
@@ -38,41 +43,19 @@ class WittRing:
         self.n = n
         self.pn = ctx.p ** n
         self._red_rows = _reduction_rows(ctx.modulus, self.pn)
+        images = [self.one.x]
+        if ctx.e >= 2:
+            gen = WittVec(self, (0, 1) + (0,) * (ctx.e - 2)).coords
+            sigma_x = self.vec([c.frobenius() for c in gen]).x
+            for _ in range(ctx.e - 1):
+                images.append(_kron_mulmod(images[-1], sigma_x,
+                                           self._red_rows, self.pn))
+        self._frob_rows = tuple(_pack(v, self._red_rows[0]) for v in images)
 
-    def _ghost(self, coords):
-        p = self.ctx.p
-        pn = self.pn
-        lifts = [tuple(c.coeffs) for c in coords]
-        ghosts = []
-        for k in range(self.n):
-            acc = [0] * self.ctx.e
-            for i in range(k + 1):
-                term = _kron_pow(lifts[i], p ** (k - i), self._red_rows, pn)
-                scale = p ** i
-                for j in range(self.ctx.e):
-                    acc[j] += scale * term[j]
-            ghosts.append(tuple(v % pn for v in acc))
-        return ghosts
-
-    def _unghost(self, ghosts):
-        p = self.ctx.p
-        pn = self.pn
-        e = self.ctx.e
-        lifts = []
-        coords = []
-        for k in range(self.n):
-            acc = list(ghosts[k])
-            for i, s in enumerate(lifts):
-                term = _kron_pow(s, p ** (k - i), self._red_rows, pn)
-                scale = p ** i
-                for j in range(e):
-                    acc[j] = (acc[j] - scale * term[j]) % pn
-            pk = p ** k
-            assert all(v % pk == 0 for v in acc), "ghost image not divisible"
-            lift = tuple((v // pk) % pn for v in acc)
-            lifts.append(lift)
-            coords.append(self.ctx.elem([v % p for v in lift]))
-        return WittVec(self, tuple(coords))
+    def _teich(self, b, i=0):
+        """[b] mod p^(n-i), as lift(b)^(q^(n-1-i)) mod p^n."""
+        return _kron_pow(b.coeffs, self.ctx.q ** (self.n - 1 - i),
+                         self._red_rows, self.pn)
 
     # -- public construction -------------------------------------------------
 
@@ -81,23 +64,26 @@ class WittRing:
         if len(cs) != self.n:
             raise LengthMismatch(
                 "expected %d coordinates, got %d" % (self.n, len(cs)))
-        return WittVec(self, tuple(cs))
+        p, pn = self.ctx.p, self.pn
+        x = (0,) * self.ctx.e
+        for i, a in enumerate(cs):
+            t = self._teich(a.frobenius(-i), i)
+            x = tuple([(u + p ** i * v) % pn for u, v in zip(x, t)])
+        return WittVec(self, x)
 
     @property
     def zero(self):
-        return WittVec(self, (self.ctx.zero,) * self.n)
+        return WittVec(self, (0,) * self.ctx.e)
 
     @property
     def one(self):
-        return WittVec(self,
-                       (self.ctx.one,) + (self.ctx.zero,) * (self.n - 1))
+        return WittVec(self, (1,) + (0,) * (self.ctx.e - 1))
 
     def teichmueller(self, x):
-        return WittVec(self, (self.ctx.elem(x),)
-                       + (self.ctx.zero,) * (self.n - 1))
+        return WittVec(self, self._teich(self.ctx.elem(x)))
 
     def from_json(self, obj):
-        return self.vec([self.ctx.elem(c) for c in obj])
+        return self.vec(obj)
 
     def __eq__(self, other):
         return (isinstance(other, WittRing)
@@ -123,13 +109,29 @@ def witt_ring(ctx, n):
 
 
 class WittVec:
-    """Element of W_n(F_q): immutable coordinate tuple plus its ring."""
+    """Element of W_n(F_q): the Galois-ring element x, a length-e tuple of
+    ints mod p^n, plus its ring."""
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ("ring", "x")
 
-    def __init__(self, ring, coords):
+    def __init__(self, ring, x):
         self.ring = ring
-        self.coords = coords
+        self.x = x
+
+    @property
+    def coords(self):
+        """The Witt coordinates (a_0, ..., a_{n-1}), peeled digit by digit."""
+        ring = self.ring
+        ctx, p, pn = ring.ctx, ring.ctx.p, ring.pn
+        x = self.x
+        out = []
+        for i in range(ring.n):
+            b = ctx.elem(x)
+            out.append(b.frobenius(i))
+            diff = [u - v for u, v in zip(x, ring._teich(b, i))]
+            assert all(d % p == 0 for d in diff), "Teichmueller digit not exact"
+            x = [(d // p) % pn for d in diff]
+        return tuple(out)
 
     def _check(self, other):
         if not isinstance(other, WittVec):
@@ -141,52 +143,46 @@ class WittVec:
 
     def __add__(self, other):
         self._check(other)
-        ga = self.ring._ghost(self.coords)
-        gb = self.ring._ghost(other.coords)
         pn = self.ring.pn
-        summed = [tuple((x + y) % pn for x, y in zip(a, b))
-                  for a, b in zip(ga, gb)]
-        return self.ring._unghost(summed)
+        return WittVec(self.ring, tuple([(a + b) % pn
+                                         for a, b in zip(self.x, other.x)]))
 
     def __sub__(self, other):
         self._check(other)
-        ga = self.ring._ghost(self.coords)
-        gb = self.ring._ghost(other.coords)
         pn = self.ring.pn
-        diff = [tuple((x - y) % pn for x, y in zip(a, b))
-                for a, b in zip(ga, gb)]
-        return self.ring._unghost(diff)
+        return WittVec(self.ring, tuple([(a - b) % pn
+                                         for a, b in zip(self.x, other.x)]))
 
     def __neg__(self):
-        gh = self.ring._ghost(self.coords)
         pn = self.ring.pn
-        return self.ring._unghost([tuple((-x) % pn for x in g) for g in gh])
+        return WittVec(self.ring, tuple([(-a) % pn for a in self.x]))
 
     def __mul__(self, other):
         self._check(other)
-        ga = self.ring._ghost(self.coords)
-        gb = self.ring._ghost(other.coords)
-        rows, pn = self.ring._red_rows, self.ring.pn
-        prod = [_kron_mulmod(a, b, rows, pn) for a, b in zip(ga, gb)]
-        return self.ring._unghost(prod)
+        ring = self.ring
+        return WittVec(ring, _kron_mulmod(self.x, other.x,
+                                          ring._red_rows, ring.pn))
 
     def frobenius(self):
-        p = self.ring.ctx.p
-        return WittVec(self.ring, tuple(c ** p for c in self.coords))
+        # the rows' slots are below p^n, so the sum of e products stays
+        # under the (2e - 1)(p^n - 1)^2 the slot width allows
+        ring = self.ring
+        z = sum(map(operator.mul, self.x, ring._frob_rows))
+        return WittVec(ring, _unpack(z, ring.ctx.e, ring._red_rows[0],
+                                     ring.pn))
 
     def is_zero(self):
-        return all(not c for c in self.coords)
+        return not any(self.x)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.x)
 
     def __eq__(self, other):
         return (isinstance(other, WittVec)
-                and self.ring == other.ring and self.coords == other.coords)
+                and self.ring == other.ring and self.x == other.x)
 
     def __hash__(self):
-        return hash((self.ring.ctx.p, self.ring.ctx.e, self.ring.n,
-                     tuple(c.coeffs for c in self.coords)))
+        return hash((self.ring.ctx.p, self.ring.ctx.e, self.ring.n, self.x))
 
     def to_json(self):
         return [c.to_json() for c in self.coords]
@@ -202,9 +198,9 @@ def witt_wp(u):
 
 
 def witt_trace(u):
-    """Sum of F^i(u) for 0 <= i < e, landing in W_n(F_p) coordinates."""
-    acc = u
-    cur = u
+    """Sum of F^i(u) for 0 <= i < e: the trace of GR(p^n, e) down to
+    Z/p^n, so the result has W_n(F_p) coordinates."""
+    acc = cur = u
     for _ in range(u.ring.ctx.e - 1):
         cur = cur.frobenius()
         acc = acc + cur

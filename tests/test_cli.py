@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from wildram import cli, field
+from wildram import cli, field, rayclass
 from wildram.errors import UsageError
 
 
@@ -149,13 +149,6 @@ def test_rayclass_orders_csv(tmp_path, capsys):
                                  "7,3,4,4;2,17"]
 
 
-def test_rayclass_orders_jobs_identical(tmp_path, capsys):
-    argv = ["rayclass-orders", "--p", "3", "--e", "1", "--m-max", "8"]
-    _, seq = _run(argv, capsys)
-    _, par = _run(argv + ["--jobs", "4"], capsys)
-    assert seq == par
-
-
 def test_rayclass_orders_modulus_one(capsys):
     # conductor 1 alone needs no digit tensor and no walk
     for extra in ([], ["--order-only"]):
@@ -179,7 +172,7 @@ def test_rayclass_orders_huge_field(monkeypatch, capsys):
     assert out.splitlines()[1] == "2,0,1,,4295098370"
 
 
-def test_modulus_limit_refusals(capsys):
+def test_modulus_limit_refusals(monkeypatch, capsys):
     # --m-max stays a range, so the refusal comes before any list is built
     argv = ["rayclass-orders", "--p", "2", "--e", "1",
             "--m-max", "100000000", "--order-only"]
@@ -190,6 +183,20 @@ def test_modulus_limit_refusals(capsys):
         assert code == 1 and time.perf_counter() - start < 1, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "65536" in err, err
+
+    # under the modulus limit, a table too large to print or hold is
+    # refused before any profile is built
+    def no_walk(*args):
+        raise AssertionError("profiled before the size check")
+
+    monkeypatch.setattr(rayclass, "pivot_profiles", no_walk)
+    for extra, want in ((["--ms", "20000", "--order-only"], "6021 digits"),
+                        (["--m-max", "65536"], "2147450880 entries")):
+        start = time.perf_counter()
+        code = cli.main(["rayclass-orders", "--p", "2", "--e", "1"] + extra)
+        assert code == 1 and time.perf_counter() - start < 1, extra
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and want in err, err
 
 
 def test_rayclass_m2(capsys):

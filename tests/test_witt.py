@@ -44,27 +44,57 @@ def test_ring_axioms():
             assert (a * b) * c == a * (b * c)
             assert a * one == a
             assert a * (b + c) == a * b + a * c
+            # coordinates round-trip, and equal vectors hash alike
+            back = ring.vec(a.coords)
+            assert back == a and hash(back) == hash(a)
+            assert hash(a + b) == hash(b + a)
 
 
-def test_ghost_homomorphism_prime_fields():
-    # over F_p a length-n vector lifts to Z/p^n through ghost coordinates
+def _lift_mul(a, b, modulus, r):
+    """Schoolbook product in (Z/r)[X] / (modulus), modulus monic."""
+    e = len(modulus) - 1
+    prod = [0] * (2 * e - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    for d in range(2 * e - 2, e - 1, -1):
+        top = prod[d]
+        for j, c in enumerate(modulus):
+            prod[d - e + j] -= top * c
+    return tuple(c % r for c in prod[:e])
+
+
+def _ghost(v, k):
+    """w_k = sum_{i <= k} p^i lift(x_i)^(p^(k-i)) in (Z/p^(k+1))[X] / (M~),
+    which does not depend on the lifts chosen."""
+    ctx = v.ring.ctx
+    p, r = ctx.p, ctx.p ** (k + 1)
+    acc = [0] * ctx.e
+    for i, x in enumerate(v.coords[:k + 1]):
+        term = (1,) + (0,) * (ctx.e - 1)
+        for _ in range(p ** (k - i)):
+            term = _lift_mul(term, x.coeffs, ctx.modulus, r)
+        acc = [a + p ** i * t for a, t in zip(acc, term)]
+    return tuple(a % r for a in acc)
+
+
+def test_ghost_homomorphism():
+    # each ghost component is a ring homomorphism to (Z/p^(k+1))[X]/(M~);
+    # over F_p^e with e >= 2 this pins the Frobenius twist of the digits
     rng = random.Random(32)
-    for p in (2, 3, 5):
-        ctx = make_field(p, 1)
-        ring = witt_ring(ctx, 3)
-
-        def ghost(v, i):
-            coords = [x.coeffs[0] for x in v.coords]
-            return sum(p ** j * pow(coords[j], p ** (i - j), p ** (i + 1))
-                       for j in range(i + 1)) % p ** (i + 1)
-
-        for _ in range(200):
+    for p, e, n in [(2, 1, 3), (3, 1, 3), (5, 1, 3), (2, 2, 3), (3, 2, 2),
+                    (5, 4, 2), (3, 4, 3)]:
+        ctx = make_field(p, e)
+        ring = witt_ring(ctx, n)
+        for _ in range(100):
             a = _rand_vec(ring, ctx, rng)
             b = _rand_vec(ring, ctx, rng)
-            for i in range(3):
-                m = p ** (i + 1)
-                assert ghost(a + b, i) == (ghost(a, i) + ghost(b, i)) % m
-                assert ghost(a * b, i) == (ghost(a, i) * ghost(b, i)) % m
+            for k in range(n):
+                ga, gb = _ghost(a, k), _ghost(b, k)
+                r = p ** (k + 1)
+                assert _ghost(a + b, k) == tuple(
+                    (x + y) % r for x, y in zip(ga, gb))
+                assert _ghost(a * b, k) == _lift_mul(ga, gb, ctx.modulus, r)
 
 
 def test_teichmueller_is_multiplicative():
@@ -78,17 +108,18 @@ def test_teichmueller_is_multiplicative():
 
 def test_frobenius_and_wp():
     rng = random.Random(33)
-    ctx = make_field(2, 2)
-    ring = witt_ring(ctx, 2)
-    for _ in range(100):
-        a = _rand_vec(ring, ctx, rng)
-        b = _rand_vec(ring, ctx, rng)
-        assert a.frobenius() == ring.vec([x.frobenius() for x in a.coords])
-        # wp = F - 1 is additive
-        assert witt_wp(a + b) == witt_wp(a) + witt_wp(b)
-        t = witt_trace(a)
-        # trace lands in the F-fixed subring
-        assert t.frobenius() == t
+    for p, e, n in CONFIGS:
+        ctx = make_field(p, e)
+        ring = witt_ring(ctx, n)
+        for _ in range(100):
+            a = _rand_vec(ring, ctx, rng)
+            b = _rand_vec(ring, ctx, rng)
+            assert a.frobenius() == ring.vec([x.frobenius() for x in a.coords])
+            # wp = F - 1 is additive
+            assert witt_wp(a + b) == witt_wp(a) + witt_wp(b)
+            t = witt_trace(a)
+            # trace lands in the F-fixed subring
+            assert t.frobenius() == t
 
 
 def test_psi_carry_p2_is_product():
