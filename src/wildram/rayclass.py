@@ -38,8 +38,12 @@ divisible by p^k and the second the levels w = v p^i, i < k, of leaders:
 
 and every prefix of a profile pivots_k serves every smaller conductor.
 
-A brute oracle enumerates H and all of U for small cases and reads the
-invariants off order statistics; it shares no code with the engine.
+A brute oracle closes H in a bitmap over U for small cases, never
+enumerating U itself, and reads the invariants off the counts
+#{u : u^(p^k) in H} = |H n im phi_k| * q^((m-1) - floor((m-1)/p^k)),
+phi_k being u -> u^(p^k), whose kernel has that size and whose image is
+the units supported on exponents divisible by p^k.  The brute cap
+bounds the bitmap's bytes.  It shares no code with the engine.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from .errors import BadParameters, ResourceLimit, TooLarge
-from .field import FqElem
 
 
 # profiles and tables stop at this modulus; the largest any workload or
@@ -202,7 +207,17 @@ def format_table_csv(rows):
 # brute oracle, no shared code with the engine past the field itself
 
 def brute_ray_class(ctx, m, cap=2 ** 20):
-    """Ray class invariants by full enumeration of U and closure of H."""
+    """Ray class invariants by closing H inside U, never enumerating U.
+
+    H is closed under the generators 1 - yZ in a bitmap with one byte per
+    unit of U, so cap bounds that bitmap's bytes; a larger U raises
+    TooLarge.  With phi_k the map u -> u^(p^k), whose image is the units
+    supported on exponents divisible by p^k and whose kernel has order
+    q^((m-1) - floor((m-1)/p^k)), #{u : u^(p^k) in H} is
+    |H n im phi_k| * |ker phi_k|.
+    """
+    if m < 1:
+        raise BadParameters("modulus exponent must be at least 1")
     p, e = ctx.p, ctx.e
     q = p ** e
     size_u = q ** (m - 1)
@@ -212,67 +227,44 @@ def brute_ray_class(ctx, m, cap=2 ** 20):
         return {"m": 1, "order_exp": 0, "invariants": (), "exponent": 1,
                 "n_places": 1 + q}
 
+    # a unit 1 + a_1 Z + ... is a row of indices of a_i in elems, and its
+    # code in the bitmap is the row read base q
     elems = list(ctx.elements())
-    mul_cache = {}
-
-    def fmul(a, b):
-        r = mul_cache.get((a, b))
-        if r is None:
-            r = (FqElem(ctx, a) * FqElem(ctx, b)).coeffs
-            mul_cache[(a, b)] = r
-        return r
-
-    zero = ctx.zero.coeffs
-    one = ctx.one.coeffs
-
-    def umul(u, w):
-        out = [zero] * m
-        for i, a in enumerate(u):
-            if a == zero:
-                continue
-            for j in range(m - i):
-                b = w[j]
-                if b != zero:
-                    prod = fmul(a, b)
-                    cur = out[i + j]
-                    out[i + j] = tuple((x + y) % p for x, y in zip(cur, prod))
-        return tuple(out)
-
-    gens = []
-    for y in elems:
-        if y:
-            gens.append(tuple([one, (-y).coeffs] + [zero] * (m - 2)))
-    ident = tuple([one] + [zero] * (m - 1))
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for h in frontier:
-            for g in gens:
-                x = umul(h, g)
-                if x not in group:
-                    group.add(x)
-                    new.append(x)
-        frontier = new
-    h_size = len(group)
-
-    def upow_p(u, k):
-        step = p ** k
-        out = [zero] * m
-        for i, a in enumerate(u):
-            if a != zero and i * step < m:
-                out[i * step] = FqElem(ctx, a).frobenius(k).coeffs
-        return tuple(out)
+    assert not elems[0]
+    index = {x: i for i, x in enumerate(elems)}
+    mul = np.array([[index[x * y] for y in elems] for x in elems])
+    sub = np.array([[index[x - y] for y in elems] for x in elems])
+    one = index[ctx.one]
+    weights = q ** np.arange(m - 1, dtype=np.int64)
+    seen = np.zeros(size_u, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros((1, m - 1), dtype=np.int64)
+    while len(frontier):
+        # times 1 - yZ, digit i becomes a_i - y a_(i-1), with a_0 = 1
+        prev = np.hstack([np.full((len(frontier), 1), one),
+                          frontier[:, :-1]])
+        batches = []
+        for y in range(1, q):
+            rows = sub[frontier, mul[y][prev]]
+            codes = rows @ weights
+            fresh = ~seen[codes]
+            codes, first = np.unique(codes[fresh], return_index=True)
+            seen[codes] = True
+            batches.append(rows[fresh][first])
+        frontier = np.concatenate(batches)
+    h_size = int(np.count_nonzero(seen))
 
     kmax = 0
     while p ** kmax < m:
         kmax += 1
-    counts = [0] * (kmax + 1)
-    for tail in itertools.product(elems, repeat=m - 1):
-        u = tuple([one] + [t.coeffs for t in tail])
-        for k in range(kmax + 1):
-            if (u if k == 0 else upow_p(u, k)) in group:
-                counts[k] += 1
+    counts = [h_size]
+    for k in range(1, kmax + 1):
+        step = p ** k
+        image = np.zeros(1, dtype=np.int64)
+        for i in range(step, m, step):
+            image = (image[:, None] + np.arange(q) * weights[i - 1]).ravel()
+        counts.append(int(np.count_nonzero(seen[image]))
+                      * q ** ((m - 1) - (m - 1) // step))
     # counts[k]/|H| = #elements of the quotient killed by p^k
     s = [round(math.log(c // h_size, p)) for c in counts]
     assert all(p ** sk * h_size == c for sk, c in zip(s, counts))

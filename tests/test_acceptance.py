@@ -1,8 +1,7 @@
 """Acceptance gate: one test per headline claim, at the stated tolerance.
 
 Each test prints a single PASS line on success; run with -v for the
-per-criterion pass/fail summary.  The heavy criteria (1 and 6) dominate
-the runtime of the whole suite.
+per-criterion pass/fail summary.  Criterion 8 is the heaviest.
 """
 
 import math
@@ -143,10 +142,10 @@ def test_criterion_04_second_jump_law():
         ctx = make_field(p, e)
         want = _law(p, e)
         assert find_second_jump(ctx) == want, (p, e)
-        if (p, e) in [(2, 1), (2, 2)]:
+        if (p, e) in [(2, 1), (2, 2), (3, 1)]:
             assert _brute_second_jump(ctx) == want
     print("PASS criterion 4: m2 = p^(ceil(e/2)+1)+p+1 at %d (p, e) pairs,"
-          " brute-matched at (2,1),(2,2)" % len(pairs))
+          " brute-matched at (2,1),(2,2),(3,1)" % len(pairs))
 
 
 def test_criterion_05_trivial_range():
@@ -161,7 +160,7 @@ def test_criterion_05_trivial_range():
 
 
 def test_criterion_06_oracle_equivalence():
-    # the declared universe: every m >= 2 with q^(m-1) <= 2^20 over the
+    # the declared universe: every m >= 2 with q^(m-1) <= 2^22 over the
     # six smallest field contexts used across the suite
     pairs = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
     instances = 0
@@ -169,14 +168,14 @@ def test_criterion_06_oracle_equivalence():
         ctx = make_field(p, e)
         q = p ** e
         m = 2
-        while q ** (m - 1) <= 2 ** 20:
+        while q ** (m - 1) <= 2 ** 22:
             engine = ray_class_invariants(ctx, m)
-            brute = brute_ray_class(ctx, m)
+            brute = brute_ray_class(ctx, m, cap=2 ** 22)
             assert engine["invariants"] == brute["invariants"], (p, e, m)
             assert engine["order_exp"] == brute["order_exp"], (p, e, m)
             instances += 1
             m += 1
-    assert instances >= 30
+    assert instances == 68
     print("PASS criterion 6: engine == brute oracle on %d instances"
           % instances)
 

@@ -1,11 +1,12 @@
 """Ray class group engine against the brute-force oracle and closed forms."""
 
 import pytest
+from _brute_reference import brute_ray_class as reference_brute
 from _walk_reference import digit_tensor, walk_profile
 
 from wildram import rayclass
-from wildram.errors import ResourceLimit, TooLarge
-from wildram.field import make_field
+from wildram.errors import BadParameters, ResourceLimit, TooLarge
+from wildram.field import FieldCtx, make_field
 from wildram.rayclass import (
     brute_ray_class,
     find_second_jump,
@@ -24,6 +25,34 @@ def test_engine_matches_brute_small():
             want = brute_ray_class(ctx, m)
             assert got["invariants"] == want["invariants"], (p, e, m)
             assert got["order_exp"] == want["order_exp"]
+
+
+def test_brute_matches_reference():
+    # the H-closure oracle against the enumerate-U reference, full result
+    # dicts, on criterion 6's fields wherever q^(m-1) <= 2^12
+    instances = 0
+    for p, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
+        ctx = make_field(p, e)
+        m = 2
+        while (p ** e) ** (m - 1) <= 2 ** 12:
+            assert brute_ray_class(ctx, m) == reference_brute(ctx, m), \
+                (p, e, m)
+            instances += 1
+            m += 1
+    assert instances == 37
+
+
+def test_modulus_below_one_refused(monkeypatch):
+    # the oracle refuses what the engine refuses, before touching F_q
+    def no_work(*args):
+        raise AssertionError("enumerated the field before the check")
+    monkeypatch.setattr(FieldCtx, "elements", no_work)
+    ctx = make_field(3, 2)
+    for m in (0, -1):
+        for solve in (brute_ray_class, ray_class_invariants):
+            with pytest.raises(BadParameters,
+                               match="^modulus exponent must be at least 1$"):
+                solve(ctx, m)
 
 
 def test_second_jump_closed_form():
