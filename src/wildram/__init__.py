@@ -10,6 +10,7 @@ The `wr` command exposes the same machinery from the shell.
 from .additive import (
     AdditiveOp,
     KernelBasis,
+    adjoint,
     frobenius_operator,
     image_membership,
     linearize_kernel,
@@ -46,7 +47,6 @@ from .cover import (
     reduce_mod_wp,
     splits_at,
     splits_everywhere,
-    split_kernel,
     tower_compose,
     upper_filtration,
 )

@@ -9,10 +9,12 @@ twists scalars past Frobenius, kernels are F_p-subspaces computable by
 plain linear algebra over F_p, and separable operators (a_0 != 0) of
 F-degree d have kernels of dimension exactly d over a splitting field.
 
-The module also hosts the palindromic adjoint: for a polynomial of the
-shape f = X*S(X) + c*X with S additive, the geometric translations of
-the cover y^p - y = f(x) are the kernel of an explicit self-reciprocal
-operator built from the coefficients of S.
+The adjoint of an operator (`adjoint`) is its transpose under the trace
+form; its kernel names the rank-one characters of the cover A(y) = f(x).
+The palindromic adjoint is built from it: for a polynomial of the shape
+f = X*S(X) + c*X with S additive, the geometric translations of the
+cover y^p - y = f(x) are the kernel of F^s S + adjoint(S), a
+self-reciprocal operator.
 """
 
 from __future__ import annotations
@@ -156,6 +158,29 @@ def frobenius_operator(ctx, k=1):
 def wp_operator(ctx):
     """The Artin-Schreier operator F - 1, x -> x^p - x."""
     return AdditiveOp(ctx, [-1, 1])
+
+
+def adjoint(A):
+    """The adjoint F^d . A* = sum_i a_(d-i)^(p^i) F^i of A = sum a_j F^j.
+
+    A*(x) = sum_j (a_j x)^(p^-j); F^d, a bijection of every finite field,
+    clears its roots and keeps its kernel.
+
+    * Characters.  c F^j = (F - 1) c^(1/p) F^(j-1) + c^(1/p) F^(j-1), so
+      an operator P is P*(1) modulo (F - 1) F_q{F}: l . A = (F - 1) . u
+      for some u exactly when A*(l) = 0, and then z = u(y) maps the cover
+      A(y) = f(x) onto z^p - z = l f(x).
+    * Trace duality.  Tr is Frobenius invariant, so Tr(A(x) y) =
+      Tr(x A*(y)) on F_q and dim(ker A* n F_q) = dim(ker A n F_q): a
+      separable A of F-degree d splits over F_q exactly when that is d.
+    * No repeats.  For l != 0 there, u != 0 has F-degree d - 1, so it
+      cannot vanish on the p^d roots V of A, and u|V: V -> F_p is not 0.
+      l -> u|V is F_p-linear and injective between d-dimensional spaces:
+      the classes of l up to F_p^* are the rank-one characters, each once.
+    """
+    d = A.f_degree
+    return AdditiveOp(A.ctx,
+                      [A.coeffs[d - i].frobenius(i) for i in range(d + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -308,30 +333,16 @@ def palindromic_adjoint(f):
     """Adjoint operator whose kernel is the geometric translation group
     of the cover y^p - y = f(x), for f = X*S(X) + c*X.
 
-    Writing S = sum_{j<=s} a_j F^j with a_s != 0, the linear-in-X part of
-    f(X + y) - f(X) after stripping p-th power monomials is
-
-        T(y) = 2 a_0 y + sum_{j>=1} (a_j y^(p^j) + (a_j y)^(1/p^j));
-
-    the c*X term of f only moves the constant, so it never enters.  The
-    adjoint is T^(p^s) scaled by 1/a_s, separable of F-degree 2s with
-    constant coefficient 1.
+    The linear-in-X part of f(X + y) - f(X) after stripping p-th power
+    monomials is T(y) = S(y) + S*(y), with S* as in `adjoint`; the c*X
+    term of f only moves the constant, so it never enters.  With a_s the
+    top coefficient of S, the adjoint is T^(p^s) = F^s S + adjoint(S)
+    scaled by 1/a_s, separable of F-degree 2s with constant coefficient 1.
     """
     s_op, _ = xsx_parts(f)
-    ctx = f.ctx
     s = s_op.f_degree
-    a_s = s_op.coeffs[s]
-    inv = a_s.inverse()
-    out = [ctx.zero] * (2 * s + 1)
-    for j in range(1, s + 1):
-        a_j = s_op.coeff(j)
-        if a_j:
-            out[s + j] = out[s + j] + a_j.frobenius(s)
-            out[s - j] = out[s - j] + a_j.frobenius(s - j)
-    mid = 2 * s_op.coeff(0)
-    if mid:
-        out[s] = out[s] + mid.frobenius(s)
-    return AdditiveOp(ctx, [v * inv for v in out])
+    T = frobenius_operator(f.ctx, s).compose(s_op) + adjoint(s_op)
+    return T * s_op.coeffs[s].inverse()
 
 
 def translation_defect(f, y):

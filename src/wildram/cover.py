@@ -14,12 +14,20 @@ degrees prime to p, and for Witt vectors the coordinate rewrites are
 carried exactly (length 2 uses the closed carry polynomial; longer
 vectors must arrive with their leading coordinates already reduced).
 Genera come from the conductor-discriminant ladder of the character
-decomposition, which for additive covers is computed honestly: each dual
-hyperplane yields a subspace polynomial u, a twisted factor l with
-l . A = (F - 1) . u, and a rank-one piece y^p - y = l(f).
+decomposition.  The rank-one characters of an additive cover are the
+scalars l with l . A = (F - 1) . u for some operator u, each giving the
+piece y^p - y = l f through z = u(y).  They are the roots in F_q of the
+adjoint of A (`additive.adjoint`, which holds the proof), a space of
+dimension deg_F A exactly when A splits over F_q, so one kernel yields
+them all.  Reduction modulo p-th powers is F_p-linear in l, so the
+characters of conductor at most c, with the unramified ones, fill a
+subspace whose rank follows from the number of its classes.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 from .errors import (
     BadParameters,
@@ -28,18 +36,16 @@ from .errors import (
     InseparableOperator,
     ZeroCover,
 )
-from .field import FqPoly, field_from_json, reduce_pth_powers, rref_mod
+from .field import FqPoly, field_from_json, reduce_pth_powers
 from .additive import (
     AdditiveOp,
+    adjoint,
     image_membership,
     linearize_kernel,
-    splitting_degree,
     wp_operator,
 )
 from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt_trace, witt2_sub
-
-import numpy as np
 
 
 class CoverSpec:
@@ -142,9 +148,6 @@ def normalized_witt_rhs(cover):
         raise BadParameters("normalization applies to Witt covers")
     n = cover.op
     ctx = cover.ctx
-    if n == 1:
-        red, const, _ = reduce_pth_powers(cover.rhs[0])
-        return [red + FqPoly(ctx, ((0, const),))]
     if n == 2:
         f0, f1 = cover.rhs
         red0, c0, wit = reduce_pth_powers(f0)
@@ -175,79 +178,32 @@ def _poly_free_part(f):
 # ---------------------------------------------------------------------------
 # character decompositions and conductor ladders
 
-def split_kernel(cover):
-    """Kernel of the additive operator inside its own field, validated full."""
-    A = cover.op
-    ctx = cover.ctx
-    deg = splitting_degree(A, cap=ctx.e)
-    if deg is None or ctx.e % deg:
-        raise DecompositionFailure(
-            "operator does not split over F_%d^%d" % (ctx.p, ctx.e))
-    kern = linearize_kernel(A, ctx.e)
-    if kern.dim != A.f_degree:
-        raise DecompositionFailure("kernel dimension mismatch")
-    return kern
-
-
 def additive_characters(cover):
     """Rank-one pieces of an additive cover.
 
-    Yields (dual_vector, subcover) per projective class of the dual of
-    the kernel: dual_vector is a tuple over F_p in the kernel basis, and
-    subcover is the degree-p cover y^p - y = l(f) with l . A = (F-1) . u
-    for the subspace polynomial u of the class's hyperplane.
+    Returns (dual_vector, subcover) per projective class of the roots
+    l_1, ..., l_d of `adjoint(A)` in F_q: dual_vector is a tuple over F_p
+    in that adjoint-kernel basis with first nonzero entry 1, and subcover
+    is the degree-p cover y^p - y = l f for l = sum dual_vector_i l_i,
+    labelled by its dual_vector.
     """
     if cover.kind != "additive":
         raise BadParameters("character decomposition is for additive covers")
     ctx = cover.ctx
-    p = ctx.p
-    A = cover.op
-    kern = split_kernel(cover)
-    d = kern.dim
+    kern = linearize_kernel(adjoint(cover.op), ctx.e)
+    if kern.dim != cover.op.f_degree:
+        raise DecompositionFailure(
+            "operator does not split over F_%d^%d" % (ctx.p, ctx.e))
     f = cover.rhs[0]
     out = []
-    for lam in _projective_duals(p, d):
-        pivot = next(i for i, v in enumerate(lam) if v)
-        hyper = []
-        for j, v in enumerate(lam):
-            if j == pivot:
-                continue
-            hyper.append(kern.basis[j] - kern.basis[pivot] * v)
-        u = AdditiveOp(ctx, [1])
-        for w in hyper:
-            beta = u(w)
-            assert beta, "hyperplane basis must stay outside ker u"
-            u = AdditiveOp(ctx, [-(beta ** (p - 1)), 1]).compose(u)
-        delta = u(kern.basis[pivot])
-        assert delta, "pivot element must map onto F_p"
-        u = u * delta.inverse()
-        # u has F-degree d - 1, so (F - 1) . u has F-degree d = deg_F A
-        # and the twisted factor l is a scalar
-        target = wp_operator(ctx).compose(u)
-        ell = target.coeff(0) / A.coeffs[0]
-        if A * ell != target:
-            raise DecompositionFailure(
-                "no twisted factor for dual class %r" % (lam,))
+    for lam in itertools.product(range(ctx.p), repeat=kern.dim):
+        if next((v for v in lam if v), 0) != 1:
+            continue
+        ell = sum((b * v for v, b in zip(lam, kern.basis) if v), ctx.zero)
         sub = CoverSpec(ctx, ("additive", wp_operator(ctx)), [f * ell],
                         label="%s chi%r" % (cover.label, list(lam)))
         out.append((lam, sub))
     return out
-
-
-def _projective_duals(p, d):
-    """Dual vectors of F_p^d up to scaling: first nonzero entry is 1."""
-    def rec(prefix, started):
-        if len(prefix) == d:
-            if started:
-                yield tuple(prefix)
-            return
-        if not started:
-            yield from rec(prefix + [0], False)
-            yield from rec(prefix + [1], True)
-        else:
-            for v in range(p):
-                yield from rec(prefix + [v], True)
-    return rec([], False)
 
 
 def character_levels(cover):
@@ -255,8 +211,9 @@ def character_levels(cover):
 
     Witt covers are cyclic: level j is the length-j truncation, with
     conductor 1 + max_{i<j} p^(j-1-i) M_i over the reduced coordinate
-    degrees M_i.  Additive covers accumulate dual classes by rank, one
-    degree-p level per independent ramified character class.
+    degrees M_i.  Additive covers get, at each ramified conductor c, one
+    degree-p level per unit of rank gained by the characters of
+    conductor <= c, the unramified ones included.
     """
     ctx = cover.ctx
     p = ctx.p
@@ -274,27 +231,22 @@ def character_levels(cover):
                         for i, g in enumerate(frees[:j]) if not g.is_zero())
             levels.append((m, p))
         return levels
-    chars = []
-    for lam, sub in additive_characters(cover):
+    conds = []  # 0 marks an unramified character
+    for _, sub in additive_characters(cover):
         red, _, _ = reduce_pth_powers(sub.rhs[0])
         free = _poly_free_part(red)
-        if free.is_zero():
-            continue
-        chars.append((1 + free.degree(), lam))
-    if not chars:
+        conds.append(1 + free.degree() if free else 0)
+    if not any(conds):
         raise ZeroCover("every character of the cover is unramified")
-    chars.sort(key=lambda t: t[0])
     levels = []
-    rows = []
     rank = 0
-    for cond, lam in chars:
-        rows.append(lam)
-        _, pivots = rref_mod(np.array(rows, dtype=np.int64), p)
-        if len(pivots) > rank:
-            rank = len(pivots)
-            levels.append((cond, p))
-        else:
-            rows.pop()
+    for c in sorted(set(conds) - {0}):
+        # N classes of a rank-r subspace: p^r = 1 + (p - 1) N
+        points = 1 + (p - 1) * sum(1 for m in conds if m <= c)
+        r = round(math.log(points, p))
+        assert p ** r == points, "classes of conductor <= %d" % c
+        levels.extend([(c, p)] * (r - rank))
+        rank = r
     return levels
 
 

@@ -210,11 +210,12 @@ def brute_ray_class(ctx, m, cap=2 ** 20):
     """Ray class invariants by closing H inside U, never enumerating U.
 
     H is closed under the generators 1 - yZ in a bitmap with one byte per
-    unit of U, so cap bounds that bitmap's bytes; a larger U raises
-    TooLarge.  With phi_k the map u -> u^(p^k), whose image is the units
-    supported on exponents divisible by p^k and whose kernel has order
-    q^((m-1) - floor((m-1)/p^k)), #{u : u^(p^k) in H} is
-    |H n im phi_k| * |ker phi_k|.
+    unit of U, using q x q product and difference tables.  cap bounds the
+    bitmap's bytes and, for m >= 2, the tables' q^2 entries; a larger U
+    or field raises TooLarge before either is built.  With phi_k the map
+    u -> u^(p^k), whose image is the units supported on exponents
+    divisible by p^k and whose kernel has order q^((m-1) - floor((m-1)/p^k)),
+    #{u : u^(p^k) in H} is |H n im phi_k| * |ker phi_k|.
     """
     if m < 1:
         raise BadParameters("modulus exponent must be at least 1")
@@ -226,6 +227,8 @@ def brute_ray_class(ctx, m, cap=2 ** 20):
     if m == 1:
         return {"m": 1, "order_exp": 0, "invariants": (), "exponent": 1,
                 "n_places": 1 + q}
+    if q * q > cap:
+        raise TooLarge("tables of %d entries exceed the brute cap" % q ** 2)
 
     # a unit 1 + a_1 Z + ... is a row of indices of a_i in elems, and its
     # code in the bitmap is the row read base q

@@ -7,6 +7,7 @@ import pytest
 
 from wildram.additive import (
     AdditiveOp,
+    adjoint,
     frobenius_operator,
     image_membership,
     linearize_kernel,
@@ -24,6 +25,7 @@ from wildram.field import (
     FqPoly,
     embed_elem,
     extension_field,
+    frobenius_trace,
     make_field,
     nullspace_mod,
     rref_mod,
@@ -159,6 +161,29 @@ def test_xsx_parts_shapes():
     with pytest.raises(NotInXSXForm):
         # support {1} alone means S = 0
         xsx_parts(FqPoly(ctx, ((1, ctx.one),)))
+
+
+def test_operator_adjoint_is_trace_transpose():
+    # Tr(A(x) y) = Tr(x A*(y)) with A* = F^(-d) . adjoint(A), so the two
+    # kernels in F_q have one dimension, and A splits exactly when it is d
+    rng = random.Random(24)
+    for p, e in [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]:
+        ctx = make_field(p, e)
+        for _ in range(10):
+            d = rng.randint(0, 3)
+            A = _rand_op(ctx, rng, d)
+            adj = adjoint(A)
+            low = next(j for j, c in enumerate(A.coeffs) if c)
+            assert adj.f_degree == d - low and adj.coeff(0) == A.coeffs[d]
+            for _ in range(4):
+                x, y = _rand_elem(ctx, rng), _rand_elem(ctx, rng)
+                star = adj(y).frobenius(-d)
+                assert frobenius_trace(A(x) * y) == frobenius_trace(x * star)
+            if not A.separable:
+                continue
+            dim = linearize_kernel(adj, e).dim
+            assert dim == linearize_kernel(A, e).dim
+            assert (dim == d) == splits_over(A, e)
 
 
 def test_adjoint_degree_and_normalization():

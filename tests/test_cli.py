@@ -1,5 +1,6 @@
 """Command-line plans, exit codes, and artifact formats."""
 
+import hashlib
 import json
 import time
 
@@ -108,6 +109,19 @@ def test_cover_analyze(tmp_path, capsys):
     assert payload["levels"] == [[4, 2]]
     assert payload["upper_breaks"] == [[3, 1, 2]]
     assert payload["splits"] == "1 of 2 places"
+
+
+def test_cover_analyze_degree_zero_operator(tmp_path, capsys):
+    # A = 1 has F-degree 0: the cover is the line itself, no character
+    obj = {"field": {"p": 3, "e": 1}, "operator": {"additive": [[1]]},
+           "rhs": [[[4, [1]]]]}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["cover-analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: every character of the cover is unramified\n"
 
 
 def test_adjoint(tmp_path, capsys):
@@ -234,6 +248,43 @@ def test_family_build_output(capsys):
                                           [12, 9, 243], [13, 3, 729]]
     assert len(payload["items"]) == len(
         {item["label"] for item in payload["items"]})
+
+
+# sha256 of the stdout bytes, frozen before the characters of additive
+# covers came from the adjoint kernel: towers and genera must not move
+_FROZEN_FAMILIES = {
+    ("jump2-even", 3, 2, 2):
+        "d8f3a3510a4a51d3d3397f7b1fbe0a6dfec114f6ad52bd0bcec8950fbb2c344d",
+    ("table-full", 5, 4, 2):
+        "4a230d96ed5c57f8acafda6662301a8ceb38572174c7a5efcf16246af64acd6a",
+    ("jump2-odd", 3, 3, 2):
+        "579328593c3eaabefa4f76094e80fbac45e2a1c7b44ac7595ef7aba7e688121a",
+    ("exponent-pn", 3, 2, 3):
+        "31a1b157184ee8168c8809f1f52b01acdda29050e397f63e9973ea955f13c48e",
+}
+
+
+@pytest.mark.parametrize("kind, p, e, witt_len", sorted(_FROZEN_FAMILIES))
+def test_family_build_bytes_frozen(capsys, kind, p, e, witt_len):
+    code, out = _run(["family-build", "--p", str(p), "--e", str(e),
+                      "--kind", kind, "--witt-len", str(witt_len)], capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _FROZEN_FAMILIES[kind, p, e, witt_len]
+
+
+def test_adjoint_bytes_frozen(tmp_path, capsys):
+    # f = X*S(X) - X over F_625 with S of F-degree 2 and every a_j nonzero
+    obj = {"field": {"p": 5, "e": 4, "modulus": [1, 0, 1, 1, 1]},
+           "poly": [[2, [1, 2, 0, 0]], [6, [0, 1, 0, 3]],
+                    [26, [1, 0, 0, 0]], [1, [4, 0, 0, 0]]]}
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(obj))
+    code, out = _run(["adjoint", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["kernel_dim_rational"] == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0ef66390dd4fdca65c91ed4918f09cc8a9442f894b82fe54488fd7500b71dbe4"
 
 
 def test_bigaction_check(tmp_path, capsys):

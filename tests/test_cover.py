@@ -2,9 +2,10 @@
 
 import random
 
+import _character_reference as reference
 import pytest
 
-from wildram.additive import AdditiveOp
+from wildram.additive import AdditiveOp, adjoint, linearize_kernel
 from wildram.cover import (
     CoverSpec,
     FamilyItem,
@@ -22,7 +23,7 @@ from wildram.cover import (
     tower_compose,
     upper_filtration,
 )
-from wildram.errors import BadParameters, ZeroCover
+from wildram.errors import BadParameters, DecompositionFailure, ZeroCover
 from wildram.field import FqPoly, make_field, reduce_pth_powers
 from wildram.rayclass import ray_class_invariants
 from wildram.witt import witt2_sub
@@ -273,3 +274,100 @@ def test_cover_json_round_trip():
     again = CoverSpec.from_json(pair.to_json())
     assert again.kind == "witt" and again.op == 2
     assert again.rhs == pair.rhs
+
+
+def _subspace_op(ctx, basis):
+    """The subspace polynomial of span(basis), or None if dependent."""
+    p = ctx.p
+    u = AdditiveOp(ctx, [1])
+    for w in basis:
+        beta = u(w)
+        if not beta:
+            return None
+        u = AdditiveOp(ctx, [-(beta ** (p - 1)), 1]).compose(u)
+    return u
+
+
+def _rhs_classes(chars):
+    """Right hand sides of the subcovers, each up to F_p^* scaling."""
+    out = set()
+    for _, sub in chars:
+        g = sub.rhs[0]
+        p = g.ctx.p
+        out.add(frozenset(repr((g * k).to_json()) for k in range(1, p)))
+    return out
+
+
+def test_characters_match_reference():
+    # the adjoint-kernel characters against the per-class subspace
+    # polynomials on random split covers.  Two thirds of them have a
+    # character l0 built in whose conductor drops: a term a X^k paired
+    # with b X^(pk), b = -l0^(p-1) a^p, reduces to zero under l0.  With
+    # only pairs l0 is unramified; a lower plain term gives two conductors
+    rng = random.Random(54)
+    ladders = partial = 0
+    shapes = [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)]
+    for trial in range(72):
+        p, e = shapes[trial % len(shapes)]
+        ctx = make_field(p, e)
+        d = rng.randint(1 if trial % 3 == 2 else 2, min(3, e))
+
+        def rand():
+            return ctx.elem([rng.randrange(p) for _ in range(e)])
+
+        A = _subspace_op(ctx, [rand() for _ in range(d)])
+        scale = rand()
+        if A is None or not scale:
+            continue
+        A = A * scale
+        ks = sorted(rng.sample([k for k in range(1, 4 * p) if k % p], 2))
+        if trial % 3 == 2:
+            terms = {k: rand() for k in ks}
+            terms[0] = rand()
+        else:
+            l0 = linearize_kernel(adjoint(A), e).basis[0]
+            paired = ks if trial % 3 == 0 else ks[1:]
+            terms = {k: rand() for k in ks if k not in paired}
+            for k in paired:
+                a = rand()
+                terms[k] = a
+                terms[p * k] = -(l0 ** (p - 1)) * a ** p
+        f = FqPoly(ctx, tuple((k, c) for k, c in terms.items() if c))
+        cov = CoverSpec(ctx, ("additive", A), [f])
+        want = reference.additive_characters(cov)
+        got = additive_characters(cov)
+        assert _rhs_classes(got) == _rhs_classes(want), (p, e, A, f)
+        try:
+            levels = reference.character_levels(cov)
+        except ZeroCover:
+            with pytest.raises(ZeroCover):
+                character_levels(cov)
+            continue
+        assert character_levels(cov) == levels, (p, e, A, f)
+        ladders += len(set(levels)) > 1
+        unramified = [lam for lam, sub in got
+                      if not reduce_mod_wp(sub.rhs[0]).poly]
+        partial += bool(unramified) and len(unramified) < len(got)
+    assert partial >= 12 and ladders >= 8
+
+    # operators that do not split: both constructions refuse them
+    refused = 0
+    for trial in range(40):
+        p, e = shapes[trial % len(shapes)]
+        ctx = make_field(p, e)
+        coeffs = [ctx.elem([rng.randrange(p) for _ in range(e)])
+                  for _ in range(rng.randint(2, 4))]
+        A = AdditiveOp(ctx, coeffs)
+        if not A.separable:
+            continue
+        cov = CoverSpec(ctx, ("additive", A), [_mono(ctx, [(p + 1, 1)])])
+        try:
+            want = reference.additive_characters(cov)
+        except DecompositionFailure:
+            with pytest.raises(DecompositionFailure,
+                               match="^operator does not split over F_"):
+                additive_characters(cov)
+            refused += 1
+            continue
+        assert _rhs_classes(additive_characters(cov)) == _rhs_classes(want)
+    assert refused >= 10

@@ -1,5 +1,7 @@
 """Ray class group engine against the brute-force oracle and closed forms."""
 
+import time
+
 import pytest
 from _brute_reference import brute_ray_class as reference_brute
 from _walk_reference import digit_tensor, walk_profile
@@ -53,6 +55,20 @@ def test_modulus_below_one_refused(monkeypatch):
             with pytest.raises(BadParameters,
                                match="^modulus exponent must be at least 1$"):
                 solve(ctx, m)
+
+
+def test_brute_tables_bounded_by_cap(monkeypatch):
+    # F_1031 at m = 2 has a bitmap of 1031 bytes under the cap, but its
+    # product and difference tables would hold 1031^2 > 2^20 entries
+    def no_work(*args):
+        raise AssertionError("enumerated the field before the check")
+    monkeypatch.setattr(FieldCtx, "elements", no_work)
+    ctx = make_field(1031, 1)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="tables of 1062961 entries"):
+        brute_ray_class(ctx, 2)
+    assert time.perf_counter() - start < 1
+    assert brute_ray_class(ctx, 1)["n_places"] == 1032
 
 
 def test_second_jump_closed_form():
