@@ -12,7 +12,6 @@ from .additive import (
     KernelBasis,
     adjoint,
     frobenius_operator,
-    image_membership,
     linearize_kernel,
     operator_matrix,
     palindromic_adjoint,

@@ -38,7 +38,6 @@ from .field import (
     frobenius_trace,
     nullspace_mod,
     reduce_pth_powers,
-    solve_mod,
 )
 
 
@@ -240,19 +239,6 @@ def linearize_kernel(A, N):
     mat = operator_matrix(A, E)
     rows = nullspace_mod(mat.T, E.p)
     return KernelBasis(E, [E.elem([int(v) for v in row]) for row in rows])
-
-
-def image_membership(A, c, N=None):
-    """A preimage w in F_{p^N} with A(w) = c, or None if c is not hit."""
-    if N is None:
-        N = c.ctx.e
-    E = extension_field(A.ctx.p, N)
-    target = embed_elem(c, E) if c.ctx is not E else c
-    mat = operator_matrix(A, E)
-    sol = solve_mod(mat.T, np.array(target.coeffs, dtype=np.int64), E.p)
-    if sol is None:
-        return None
-    return E.elem([int(v) for v in sol])
 
 
 # ---------------------------------------------------------------------------

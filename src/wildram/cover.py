@@ -18,16 +18,22 @@ decomposition.  The rank-one characters of an additive cover are the
 scalars l with l . A = (F - 1) . u for some operator u, each giving the
 piece y^p - y = l f through z = u(y).  They are the roots in F_q of the
 adjoint of A (`additive.adjoint`, which holds the proof), a space of
-dimension deg_F A exactly when A splits over F_q, so one kernel yields
-them all.  Reduction modulo p-th powers is F_p-linear in l, so the
-characters of conductor at most c, with the unramified ones, fill a
-subspace whose rank follows from the number of its classes.
+dimension deg_F A exactly when A splits over F_q, so one kernel basis
+l_1, ..., l_d yields them all, and both facts a family needs are read
+from it:
+
+* the ladder: reduction modulo p-th powers is F_p-linear in l, so one
+  echelon form of the reduced l_i f, highest exponent first, gives the
+  rank of the characters of conductor at most c for every c at once;
+* the splitting: by trace duality the image of A on any field E is cut
+  out by Tr(l v) = 0 for the roots l in E, so a place x = y splits
+  exactly when f(y) passes those d linear forms.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 
 from .errors import (
     BadParameters,
@@ -36,14 +42,9 @@ from .errors import (
     InseparableOperator,
     ZeroCover,
 )
-from .field import FqPoly, field_from_json, reduce_pth_powers
-from .additive import (
-    AdditiveOp,
-    adjoint,
-    image_membership,
-    linearize_kernel,
-    wp_operator,
-)
+from .field import (FqPoly, field_from_json, frobenius_trace,
+                    reduce_pth_powers, rref_mod)
+from .additive import AdditiveOp, adjoint, linearize_kernel, wp_operator
 from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt_trace, witt2_sub
 
@@ -178,6 +179,17 @@ def _poly_free_part(f):
 # ---------------------------------------------------------------------------
 # character decompositions and conductor ladders
 
+def _character_basis(cover):
+    """The roots l_1, ..., l_d of `adjoint(A)` in F_q, d = deg_F A;
+    DecompositionFailure when there are fewer (A does not split there)."""
+    ctx = cover.ctx
+    kern = linearize_kernel(adjoint(cover.op), ctx.e)
+    if kern.dim != cover.op.f_degree:
+        raise DecompositionFailure(
+            "operator does not split over F_%d^%d" % (ctx.p, ctx.e))
+    return kern.basis
+
+
 def additive_characters(cover):
     """Rank-one pieces of an additive cover.
 
@@ -190,16 +202,13 @@ def additive_characters(cover):
     if cover.kind != "additive":
         raise BadParameters("character decomposition is for additive covers")
     ctx = cover.ctx
-    kern = linearize_kernel(adjoint(cover.op), ctx.e)
-    if kern.dim != cover.op.f_degree:
-        raise DecompositionFailure(
-            "operator does not split over F_%d^%d" % (ctx.p, ctx.e))
+    basis = _character_basis(cover)
     f = cover.rhs[0]
     out = []
-    for lam in itertools.product(range(ctx.p), repeat=kern.dim):
+    for lam in itertools.product(range(ctx.p), repeat=len(basis)):
         if next((v for v in lam if v), 0) != 1:
             continue
-        ell = sum((b * v for v, b in zip(lam, kern.basis) if v), ctx.zero)
+        ell = sum((b * v for v, b in zip(lam, basis) if v), ctx.zero)
         sub = CoverSpec(ctx, ("additive", wp_operator(ctx)), [f * ell],
                         label="%s chi%r" % (cover.label, list(lam)))
         out.append((lam, sub))
@@ -211,9 +220,13 @@ def character_levels(cover):
 
     Witt covers are cyclic: level j is the length-j truncation, with
     conductor 1 + max_{i<j} p^(j-1-i) M_i over the reduced coordinate
-    degrees M_i.  Additive covers get, at each ramified conductor c, one
-    degree-p level per unit of rank gained by the characters of
-    conductor <= c, the unramified ones included.
+    degrees M_i.  Additive covers: reduction modulo p-th powers is
+    F_p-linear in l, so the reduced l_i f, written as F_p rows with the
+    columns of exponent k before those of k - 1, span the reductions of
+    every character.  In their echelon form each pivot at exponent k is
+    one degree-p level of conductor k + 1: the pivots at exponents >= k
+    count the codimension of the characters of conductor at most k.  The
+    d - rank unramified dimensions join the lowest ramified level.
     """
     ctx = cover.ctx
     p = ctx.p
@@ -231,23 +244,16 @@ def character_levels(cover):
                         for i, g in enumerate(frees[:j]) if not g.is_zero())
             levels.append((m, p))
         return levels
-    conds = []  # 0 marks an unramified character
-    for _, sub in additive_characters(cover):
-        red, _, _ = reduce_pth_powers(sub.rhs[0])
-        free = _poly_free_part(red)
-        conds.append(1 + free.degree() if free else 0)
-    if not any(conds):
+    basis = _character_basis(cover)
+    # reduced forms carry no constant term, so every exponent is >= 1
+    reds = [reduce_pth_powers(cover.rhs[0] * ell)[0] for ell in basis]
+    exps = sorted({k for red in reds for k, _ in red.terms}, reverse=True)
+    if not exps:
         raise ZeroCover("every character of the cover is unramified")
-    levels = []
-    rank = 0
-    for c in sorted(set(conds) - {0}):
-        # N classes of a rank-r subspace: p^r = 1 + (p - 1) N
-        points = 1 + (p - 1) * sum(1 for m in conds if m <= c)
-        r = round(math.log(points, p))
-        assert p ** r == points, "classes of conductor <= %d" % c
-        levels.extend([(c, p)] * (r - rank))
-        rank = r
-    return levels
+    rows = [[c for k in exps for c in red.coeff(k).coeffs] for red in reds]
+    _, pivots = rref_mod(rows, p)
+    levels = [(exps[col // ctx.e] + 1, p) for col in reversed(pivots)]
+    return levels[:1] * (len(basis) - len(pivots)) + levels
 
 
 def conductor(cover):
@@ -268,6 +274,31 @@ def upper_filtration(cover):
     return ladder_filtration(character_levels(cover))
 
 
+def _split_test(cover, E):
+    """Predicate y -> whether the place x = y, for y in E, splits completely.
+
+    Witt covers: the Witt trace of the evaluated right hand side vanishes.
+    Additive covers: trace duality (`additive.adjoint`) gives
+    A(E) = {v : Tr(l v) = 0 for every root l of adjoint(A) in E}, split
+    or not, so each root contributes one F_p row (Tr(l X^j))_j and a
+    place costs one evaluation of f and d dot products.
+    """
+    if cover.kind == "witt":
+        ring = witt_ring(E, cover.op)
+        return lambda y: witt_trace(
+            ring.vec([f.evaluate(y) for f in cover.rhs])).is_zero()
+    p = E.p
+    powers = [E.elem([0] * j + [1]) for j in range(E.e)]
+    rows = [[frobenius_trace(ell * x).coeffs[0] for x in powers]
+            for ell in linearize_kernel(adjoint(cover.op), E.e).basis]
+    f = cover.rhs[0]
+
+    def test(y):
+        v = f.evaluate(y).coeffs
+        return not any(sum(map(operator.mul, row, v)) % p for row in rows)
+    return test
+
+
 def splits_at(cover, y):
     """Whether the place x = y splits completely in the cover.
 
@@ -275,13 +306,7 @@ def splits_at(cover, y):
     right hand side; for additive covers, solvability of A(w) = f(y) over
     the residue field of y.
     """
-    ctx = y.ctx
-    if cover.kind == "witt":
-        ring = witt_ring(ctx, cover.op)
-        vec = ring.vec([f.evaluate(y) for f in cover.rhs])
-        return witt_trace(vec).is_zero()
-    val = cover.rhs[0].evaluate(y)
-    return image_membership(cover.op, val, ctx.e) is not None
+    return _split_test(cover, y.ctx)(y)
 
 
 def base_change(cover, S, label=None):
@@ -348,26 +373,23 @@ def splits_everywhere(cover):
     """Whether every rational place of the line splits in the cover.
 
     Sweeps the whole field when it is small enough; otherwise samples 64
-    deterministic points.  Returns (all_split, split_count, checked).
+    deterministic points, each coordinate from the high bits of its own
+    step of a 63-bit LCG.  Returns (all_split, split_count, checked).
     """
     ctx = cover.ctx
-    q = ctx.p ** ctx.e
-    full = q <= 2048
-    if full:
+    if ctx.q <= 2048:
         sample = list(ctx.elements())
     else:
         state = 0x5eed
         sample = []
         for _ in range(64):
-            state = (state * 6364136223846793005
-                     + 1442695040888963407) % 2 ** 63
-            sample.append(ctx.elem([(state >> (7 * t)) % ctx.p
-                                    for t in range(ctx.e)]))
-    if cover.kind == "additive" and full:
-        image = {cover.op(z).coeffs for z in sample}
-        hits = sum(cover.rhs[0].evaluate(y).coeffs in image for y in sample)
-    else:
-        hits = sum(splits_at(cover, y) for y in sample)
+            coords = []
+            for _ in range(ctx.e):
+                state = (state * 6364136223846793005
+                         + 1442695040888963407) % 2 ** 63
+                coords.append((state >> 31) % ctx.p)
+            sample.append(ctx.elem(coords))
+    hits = sum(map(_split_test(cover, ctx), sample))
     return hits == len(sample), hits, len(sample)
 
 

@@ -125,21 +125,6 @@ def nullspace_mod(M, p):
     return basis
 
 
-def solve_mod(M, b, p):
-    """One solution of M x = b mod p, or None if inconsistent."""
-    M = np.asarray(M, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    aug = np.concatenate([M, b.reshape(-1, 1)], axis=1) % p
-    R, pivots = rref_mod(aug, p)
-    n = M.shape[1]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, n]
-    return x
-
-
 def _frob_q(f, p):
     """Frobenius matrix Q of F_p[X]/(f) for monic f: row i is X^(ip) mod f.
 

@@ -4,12 +4,12 @@ import math
 import random
 
 import pytest
+from _split_reference import image_membership, solve_mod
 
 from wildram.additive import (
     AdditiveOp,
     adjoint,
     frobenius_operator,
-    image_membership,
     linearize_kernel,
     operator_matrix,
     palindromic_adjoint,
@@ -29,7 +29,6 @@ from wildram.field import (
     make_field,
     nullspace_mod,
     rref_mod,
-    solve_mod,
 )
 
 

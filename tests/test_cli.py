@@ -287,6 +287,52 @@ def test_adjoint_bytes_frozen(tmp_path, capsys):
         "0ef66390dd4fdca65c91ed4918f09cc8a9442f894b82fe54488fd7500b71dbe4"
 
 
+# y^5 + y = x^6 and y^25 - y = x^26 over F_25, with sha256 of the stdout
+# of `cover-analyze` and of `basechange --sub [[0,1],[1,0]]` (x -> Xx + x^5)
+# as frozen before splitting was read off the adjoint kernel's traces
+_FROZEN_COVERS = {
+    "hermitian": ([[1, 0], [1, 0]], 6, (
+        "ffb1c34af9a1e0c6baffb9948d174d9b1ec646cfa5b2a7ea36f2a2d9fc72fda1",
+        "80b8e048ba9126b13ef42dc945f96119205289d38afa75c97c204c28a61dc380")),
+    "full trace": ([[4, 0], [0, 0], [1, 0]], 26, (
+        "8438649c4a099c85eb621af79fdde0254573bd3ad49f56db5df5b03d72a5b626",
+        "9e4046d0fbc69fcf35983c04d68be7a4d250aa2f820dcc2a37cdfd8ee3ab4b52")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_FROZEN_COVERS))
+def test_cover_bytes_frozen(tmp_path, capsys, label):
+    op, exp, (analyze, basechange) = _FROZEN_COVERS[label]
+    obj = {"field": {"p": 5, "e": 2}, "operator": {"additive": op},
+           "rhs": [[[exp, [1, 0]]]], "label": label}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(obj))
+    code, out = _run(["cover-analyze", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == analyze
+    code, out = _run(["basechange", str(path), "--sub", "[[0,1],[1,0]]"],
+                     capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == basechange
+
+
+@pytest.mark.parametrize("operator", [{"witt": 1},
+                                      {"additive": [[1], [1]]}])
+def test_sampled_splitting_sees_inert_places(tmp_path, capsys, operator):
+    # y^2 + y = c x over F_4096 with c = X + X^4: the place x is inert
+    # when Tr(c x) = 1, at half of the places.  A sampler whose coordinates past the ninth were always
+    # 0 drew only points of trace 0 and reported 64 of 64
+    obj = {"field": {"p": 2, "e": 12}, "operator": operator,
+           "rhs": [[[1, [0, 1, 0, 0, 1]]]]}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(obj))
+    code, out = _run(["cover-analyze", str(path)], capsys)
+    assert code == 0
+    hits, rest = json.loads(out)["splits"].split(" of ")
+    assert rest == "64 sampled places"
+    assert 16 <= int(hits) <= 48
+
+
 def test_bigaction_check(tmp_path, capsys):
     obj = {"p": 3,
            "filtration": {"numbering": "lower",

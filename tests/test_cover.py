@@ -3,8 +3,10 @@
 import random
 
 import _character_reference as reference
+import _split_reference
 import pytest
 
+from wildram import _expected, cover
 from wildram.additive import AdditiveOp, adjoint, linearize_kernel
 from wildram.cover import (
     CoverSpec,
@@ -24,7 +26,12 @@ from wildram.cover import (
     upper_filtration,
 )
 from wildram.errors import BadParameters, DecompositionFailure, ZeroCover
-from wildram.field import FqPoly, make_field, reduce_pth_powers
+from wildram.field import (
+    FqPoly,
+    extension_field,
+    make_field,
+    reduce_pth_powers,
+)
 from wildram.rayclass import ray_class_invariants
 from wildram.witt import witt2_sub
 
@@ -243,6 +250,76 @@ def test_splits_at_and_everywhere():
     assert (all_split, hits, total) == (False, 1, 2)
 
 
+def test_splitting_matches_reference():
+    # trace rows of the adjoint kernel against solving A(w) = f(y) (and
+    # the Witt trace) place by place, for split and non-split operators,
+    # at points of F_q and of F_(p^2e), and over sampled fields
+    rng = random.Random(56)
+    fields = [(2, 3), (2, 4), (3, 2), (5, 2), (7, 1), (7, 2), (3, 8),
+              (2, 12)]
+    kinds = {"split": 0, "other": 0, "witt": 0}
+    for trial in range(64):
+        p, e = fields[trial % len(fields)]
+        ctx = make_field(p, e)
+
+        def rand(field=ctx):
+            return field.elem([rng.randrange(p) for _ in range(field.e)])
+
+        f = FqPoly(ctx, tuple((k, rand()) for k in
+                              sorted(rng.sample(range(4 * p), 3))))
+        if trial % 3 == 2:
+            n = rng.randint(1, 3)
+            rhs = [f] + [FqPoly(ctx, ((rng.randrange(3 * p), rand()),))
+                         for _ in range(n - 1)]
+            cov = CoverSpec(ctx, ("witt", n), rhs)
+            kinds["witt"] += 1
+        else:
+            d = rng.randint(1, min(3, e))
+            if trial % 3:
+                A = AdditiveOp(ctx, [rand() or ctx.one for _ in range(d + 1)])
+            else:
+                A = None
+                while A is None:
+                    A = _subspace_op(ctx, [rand() for _ in range(d)])
+            cov = CoverSpec(ctx, ("additive", A), [f])
+            split = linearize_kernel(A, e).dim == d
+            kinds["split" if split else "other"] += 1
+        big = extension_field(p, 2 * e)
+        for y in [rand() for _ in range(4)] + [rand(big) for _ in range(4)]:
+            assert splits_at(cov, y) == _split_reference.splits_at(cov, y)
+        assert splits_everywhere(cov) == \
+            _split_reference.splits_everywhere(cov), cov.to_json()
+    assert min(kinds.values()) >= 10
+
+
+def _table_full_ladder(p, s):
+    """Expected merged ladder of the table-full tower at (p, 2s): the
+    q-rows (u r + v + 1, q) for 2 <= u <= p, 1 <= v < u, and the r-rows
+    and pairs (u (r + 1) + 1, p^s) for 1 <= u <= p, with r = p^s."""
+    r = p ** s
+    rows = [(u * r + v + 1, r * r) for u in range(2, p + 1)
+            for v in range(1, u)]
+    rows += [(u * (r + 1) + 1, r) for u in range(1, p + 1)]
+    return sorted(rows)
+
+
+def test_table_full_ladder_without_class_enumeration(monkeypatch):
+    # at (7, 8) every q-row has 960800 projective classes: the ladder
+    # must come from one echelon form, never from the classes
+    assert _table_full_ladder(5, 2) == \
+        [(m, 5 ** k) for m, k in _expected.LADDER]
+
+    def refuse(*args):
+        raise AssertionError("character classes enumerated")
+
+    monkeypatch.setattr(cover, "additive_characters", refuse)
+    fam = family_build(make_field(7, 8), "table-full")
+    tower = tower_compose(fam["items"])
+    assert fam["notes"]["m2"] == 16815
+    assert fam["notes"]["splits_at_rational_places"]
+    assert [(m, d) for m, d, _ in tower["levels"]] == _table_full_ladder(7, 4)
+
+
 def test_zero_cover_raises():
     ctx = make_field(2, 1)
     # y^2 - y = x^2 + x is wp of x, so nothing ramifies
@@ -305,21 +382,25 @@ def test_characters_match_reference():
     # with b X^(pk), b = -l0^(p-1) a^p, reduces to zero under l0.  With
     # only pairs l0 is unramified; a lower plain term gives two conductors
     rng = random.Random(54)
-    ladders = partial = 0
-    shapes = [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)]
-    for trial in range(72):
+    ladders = partial = deepest = 0
+    shapes = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
+              (5, 2), (5, 3), (7, 2), (7, 3)]
+    for trial in range(99):
         p, e = shapes[trial % len(shapes)]
         ctx = make_field(p, e)
-        d = rng.randint(1 if trial % 3 == 2 else 2, min(3, e))
+        d = rng.randint(1 if trial % 3 == 2 else 2, min(5, e))
 
         def rand():
             return ctx.elem([rng.randrange(p) for _ in range(e)])
 
-        A = _subspace_op(ctx, [rand() for _ in range(d)])
+        A = None
+        while A is None:  # redraw dependent bases
+            A = _subspace_op(ctx, [rand() for _ in range(d)])
         scale = rand()
-        if A is None or not scale:
+        if not scale:
             continue
         A = A * scale
+        deepest = max(deepest, d)
         ks = sorted(rng.sample([k for k in range(1, 4 * p) if k % p], 2))
         if trial % 3 == 2:
             terms = {k: rand() for k in ks}
@@ -348,7 +429,7 @@ def test_characters_match_reference():
         unramified = [lam for lam, sub in got
                       if not reduce_mod_wp(sub.rhs[0]).poly]
         partial += bool(unramified) and len(unramified) < len(got)
-    assert partial >= 12 and ladders >= 8
+    assert partial >= 12 and ladders >= 8 and deepest == 5
 
     # operators that do not split: both constructions refuse them
     refused = 0
