@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .errors import (
     BadParameters,
     ContextMismatch,
@@ -213,17 +211,14 @@ class KernelBasis:
 
 
 def operator_matrix(A, E):
-    """Matrix of A on E over F_p, acting on coordinate row vectors."""
+    """Matrix of A on E over F_p, acting on coordinate row vectors: row i
+    holds the coordinates of A(X^i)."""
     if E.p != A.ctx.p or E.e % A.ctx.e:
         raise NotASubfieldDegree(
             "operator field F_%d^%d does not embed in degree %d"
             % (A.ctx.p, A.ctx.e, E.e))
-    total = np.zeros((E.e, E.e), dtype=np.int64)
-    for j, aj in enumerate(A.coeffs):
-        if aj:
-            phi_j = np.array(E.frob_matrix(j), dtype=np.int64)
-            total = (total + phi_j @ E.mult_matrix(embed_elem(aj, E))) % E.p
-    return total
+    B = A.embed(E)
+    return [list(B(E.elem((0,) * i + (1,))).coeffs) for i in range(E.e)]
 
 
 def linearize_kernel(A, N):
@@ -236,9 +231,8 @@ def linearize_kernel(A, N):
     if A.is_zero():
         raise InseparableOperator("zero operator has no kernel basis")
     E = extension_field(A.ctx.p, N)
-    mat = operator_matrix(A, E)
-    rows = nullspace_mod(mat.T, E.p)
-    return KernelBasis(E, [E.elem([int(v) for v in row]) for row in rows])
+    rows = nullspace_mod(list(zip(*operator_matrix(A, E))), E.p)
+    return KernelBasis(E, [E.elem(row) for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,10 @@ def _exec_basechange(plan):
         raise UsageError("--sub must be a JSON array of coefficients")
     if not isinstance(coeffs, list) or not coeffs:
         raise UsageError("--sub must be a nonempty JSON array")
-    S = AdditiveOp(cover.ctx, coeffs)
+    try:
+        S = AdditiveOp(cover.ctx, coeffs)
+    except (TypeError, ValueError) as err:
+        raise UsageError("--sub: %s: %s" % (type(err).__name__, err))
     pulled = base_change(cover, S, label=plan.params["label"])
     _emit_json({
         "sub_degree": cover.ctx.p ** S.f_degree,

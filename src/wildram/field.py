@@ -23,6 +23,13 @@ mod r = p^n): a length-e vector becomes one int of b-bit slots with
 2^b > (2e - 1)(r - 1)^2, which bounds the convolution plus the e - 1
 folded reduction rows, so no slot carries.
 
+Linear algebra over F_p runs on rows of Python ints, the same vectors as
+FqElem.coeffs, so no result has a word size: rref_mod and nullspace_mod
+are plain row reductions, and every matrix of the powers of one element
+is _power_rows on the Kronecker product.  That covers Frobenius
+(frob_matrix, also applied as packed rows), Berlekamp's Q in the modulus
+scan and the Witt Frobenius.
+
 Polynomials are the sparse FqPoly, whose division and modular powers run
 the root finding behind subfield embeddings; additive polynomials are
 additive.AdditiveOp, in the twisted ring.
@@ -33,8 +40,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-
-import numpy as np
 
 from .errors import (
     BadParameters,
@@ -48,6 +53,10 @@ from .errors import (
 PUBLIC_DEGREE_CAP = 16
 TABLE_LIMIT = 2 ** 12
 _INTERNAL_DEGREE_CAP = 128
+# An input fence, no longer an arithmetic limit: _field refuses
+# e (p - 1)^2 >= 2^63 before Miller-Rabin, which keeps library callers
+# well inside _is_prime's proven range (p < 2^32 here).
+_INT64_BOUND = 2 ** 63
 
 
 def _is_prime(n):
@@ -72,97 +81,71 @@ def _is_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra mod p (int64 matrices, exact)
+# linear algebra mod p (rows of Python ints)
 #
-# One toolkit does all the F_p work, Berlekamp-style: F_p[X]/(f) is an
-# F_p-vector space on the power basis, multiplication by X is the
-# companion matrix C of f, and Frobenius is the matrix Q whose row i is
-# X^(ip) mod f.  Products of matrices with entries below p sum e terms
-# below p^2, so int64 stays exact while e * (p - 1)^2 < 2^63; _field
-# refuses larger fields before building anything.
-
-_INT64_BOUND = 2 ** 63
+# A matrix is a list of rows and acts on row vectors, so the matrix of a
+# map on F_p[X]/(f) has the image of X^i as its row i.
 
 
 def rref_mod(M, p):
-    """Row-reduced echelon form mod p; returns (R, pivot column list)."""
-    R = np.array(M, dtype=np.int64) % p
-    rows, cols = R.shape
+    """Row-reduced echelon form mod p of a sequence of rows; returns (R,
+    pivot column list) with R a list of int lists."""
+    R = [[int(c) % p for c in row] for row in M]
     pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if R[i, c]:
-                pivot_row = i
+    for c in range(len(R[0]) if R else 0):
+        r = len(pivots)
+        for i in range(r, len(R)):
+            if R[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        if pivot_row != r:
-            R[[r, pivot_row]] = R[[pivot_row, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), -1, p)) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        R = (R - np.outer(col, R[r])) % p
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], -1, p)
+        top = R[r] = [a * inv % p for a in R[r]]
+        for i, row in enumerate(R):
+            a = row[c]
+            if a and i != r:
+                R[i] = [(u - a * v) % p for u, v in zip(row, top)]
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if r + 1 == len(R):
             break
     return R, pivots
 
 
 def nullspace_mod(M, p):
-    """Rows spanning {x : M x = 0 mod p}."""
-    M = np.asarray(M, dtype=np.int64)
+    """Rows spanning {x : M x = 0 mod p}, as int lists."""
     R, pivots = rref_mod(M, p)
-    cols = M.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
+    basis = []
+    for fc in range(len(R[0])):
+        if fc in pivots:
+            continue
+        v = [0] * len(R[0])
+        v[fc] = 1
         for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(R[i, fc])) % p
+            v[pc] = -R[i][fc] % p
+        basis.append(v)
     return basis
 
 
-def _frob_q(f, p):
-    """Frobenius matrix Q of F_p[X]/(f) for monic f: row i is X^(ip) mod f.
-
-    C^p multiplies by X^p, so row i is row i - 1 times C^p.
-    """
-    e = len(f) - 1
-    C = np.eye(e, k=1, dtype=np.int64)  # row i is X * X^i mod f
-    C[-1] = [(-c) % p for c in f[:e]]
-    Cp = np.eye(e, dtype=np.int64)
-    k = p
-    while k:
-        if k & 1:
-            Cp = Cp @ C % p
-        k >>= 1
-        if k:
-            C = C @ C % p
-    Q = np.zeros((e, e), dtype=np.int64)
-    Q[0, 0] = 1
-    for i in range(1, e):
-        Q[i] = Q[i - 1] @ Cp % p
-    return Q
-
-
 def _is_irreducible(f, p):
-    """Berlekamp: the nullity of Q - I counts the distinct irreducible
-    factors of f, and X^(p^e) = X mod f makes f squarefree."""
+    """Berlekamp: X^(p^e) = X mod f makes f squarefree, and then the
+    nullity of Q - I counts its distinct irreducible factors, where Q's
+    row i is X^(ip) mod f.  The first test is e packed products and turns
+    most candidates away; only survivors pay for the echelon form."""
     e = len(f) - 1
     if e == 1:
         return True
-    Q = _frob_q(f, p)
-    if len(rref_mod(Q - np.eye(e, dtype=np.int64), p)[1]) != e - 1:
-        return False
-    x = np.zeros(e, dtype=np.int64)
-    x[1] = 1
+    rows = _reduction_rows(f, p)
+    bits, x = rows[0], (0, 1) + (0,) * (e - 2)
+    Q = _power_rows(_kron_pow(x, p, rows, p), rows, p)
     y = x
     for _ in range(e):
-        y = y @ Q % p
-    return bool(np.array_equal(y, x))
+        y = _unpack(sum(map(operator.mul, y, Q)), e, bits, p)
+    if y != x:
+        return False
+    shifted = [[a - (i == j) for j, a in enumerate(_unpack(v, e, bits, p))]
+               for i, v in enumerate(Q)]
+    return len(rref_mod(shifted, p)[1]) == e - 1
 
 
 def _least_irreducible(p, e):
@@ -240,6 +223,16 @@ def _kron_pow(a, k, rows, r):
     return result
 
 
+def _power_rows(x, rows, r):
+    """[1, x, ..., x^(e-1)] mod (f, r) for a length-e vector x, each packed
+    in the b-bit slots of rows: when x is a Frobenius image of X, the
+    matrix of g(X) -> g(x), applied as sum(v_i * row_i) for slots v_i < r."""
+    out = [(1,) + (0,) * (len(x) - 1)]
+    for _ in range(len(x) - 1):
+        out.append(_kron_mulmod(out[-1], x, rows, r))
+    return tuple(_pack(v, rows[0]) for v in out)
+
+
 # ---------------------------------------------------------------------------
 # contexts
 
@@ -254,7 +247,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "e", "q", "modulus", "zero", "one", "gen",
-                 "_red_rows", "_frob_mats", "_frob_rows", "_tables")
+                 "_red_rows", "_frob", "_tables")
 
     def __init__(self, p, e, modulus):
         self.p = p
@@ -262,7 +255,7 @@ class FieldCtx:
         self.q = p ** e
         self.modulus = tuple(modulus)
         self._red_rows = _reduction_rows(self.modulus, p)
-        self._frob_mats, self._frob_rows, self._tables = {}, {}, None
+        self._frob, self._tables = {}, None
         self.zero = FqElem(self, (0,) * e)
         self.one = FqElem(self, (1,) + (0,) * (e - 1))
         if e >= 2:
@@ -293,28 +286,19 @@ class FieldCtx:
         """Matrix over F_p of x -> x^(p^k) in the power basis, row i the
         image of X^i.  k counts mod e, so frob_matrix(-k) inverts
         frob_matrix(k)."""
-        k %= self.e
-        mat = self._frob_mats.get(k)
-        if mat is not None:
-            return mat
-        if k == 0:
-            mat = np.eye(self.e, dtype=np.int64)
-        elif k == 1:
-            mat = _frob_q(self.modulus, self.p)
-        else:
-            mat = np.array(self.frob_matrix(k - 1)) @ np.array(
-                self.frob_matrix(1)) % self.p
-        mat = tuple(map(tuple, mat.tolist()))
-        self._frob_mats[k] = mat
-        return mat
+        bits = self._red_rows[0]
+        return tuple(_unpack(row, self.e, bits, self.p)
+                     for row in self._frob_rows(k % self.e))
 
-    def mult_matrix(self, alpha):
-        """int64 matrix over F_p of x -> alpha x, row i the image of X^i."""
-        rows = []
-        for _ in range(self.e):
-            rows.append(alpha.coeffs)
-            alpha = alpha * self.gen
-        return np.array(rows, dtype=np.int64)
+    def _frob_rows(self, k):
+        """frob_matrix(k), 0 <= k < e, cached with its rows packed in the
+        product's b-bit slots: the powers of X^(p^k)."""
+        rows = self._frob.get(k)
+        if rows is None:
+            xk = _kron_pow(self.gen.coeffs, self.p ** k, self._red_rows,
+                           self.p)
+            rows = self._frob[k] = _power_rows(xk, self._red_rows, self.p)
+        return rows
 
     def _log_tables(self):
         """(log dict keyed by coefficient tuple, antilog list of length
@@ -509,14 +493,10 @@ class FqElem:
         i = tables and tables[0].get(self.coeffs)
         if i is not None:
             return tables[1][i * pow(ctx.p, k, ctx.q - 1) % (ctx.q - 1)]
-        # frob_matrix(k) rows in the product's b-bit slots: e (p - 1)^2
-        # < 2^b, so the weighted row sum never carries out of a slot
-        bits, rows = ctx._red_rows[0], ctx._frob_rows.get(k)
-        if rows is None:
-            rows = ctx._frob_rows[k] = tuple(
-                _pack(row, bits) for row in ctx.frob_matrix(k))
-        z = sum(map(operator.mul, self.coeffs, rows))
-        return FqElem(ctx, _unpack(z, ctx.e, bits, ctx.p))
+        # e (p - 1)^2 < 2^b, so the weighted row sum never carries out of
+        # a slot
+        z = sum(map(operator.mul, self.coeffs, ctx._frob_rows(k)))
+        return FqElem(ctx, _unpack(z, ctx.e, ctx._red_rows[0], ctx.p))
 
     def pth_root(self):
         # Frobenius is a bijection, so the root is x^(p^(e-1))
@@ -731,7 +711,13 @@ class FqPoly:
 
     @classmethod
     def from_json(cls, ctx, obj):
-        return cls(ctx, ((int(exp), ctx.elem(c)) for exp, c in obj))
+        terms = []
+        for exp, c in obj:
+            if int(exp) != exp or exp < 0:
+                raise ValueError(
+                    "exponent %r is not a nonnegative integer" % (exp,))
+            terms.append((int(exp), ctx.elem(c)))
+        return cls(ctx, terms)
 
     def __eq__(self, other):
         return (isinstance(other, FqPoly)

@@ -26,8 +26,8 @@ from __future__ import annotations
 import operator
 
 from .errors import BadParameters, ContextMismatch, LengthMismatch
-from .field import (FqPoly, _kron_mulmod, _kron_pow, _pack, _reduction_rows,
-                    _unpack)
+from .field import (FqPoly, _kron_mulmod, _kron_pow, _power_rows,
+                    _reduction_rows, _unpack)
 
 
 class WittRing:
@@ -43,14 +43,9 @@ class WittRing:
         self.n = n
         self.pn = ctx.p ** n
         self._red_rows = _reduction_rows(ctx.modulus, self.pn)
-        images = [self.one.x]
-        if ctx.e >= 2:
-            gen = WittVec(self, (0, 1) + (0,) * (ctx.e - 2)).coords
-            sigma_x = self.vec([c.frobenius() for c in gen]).x
-            for _ in range(ctx.e - 1):
-                images.append(_kron_mulmod(images[-1], sigma_x,
-                                           self._red_rows, self.pn))
-        self._frob_rows = tuple(_pack(v, self._red_rows[0]) for v in images)
+        gen = WittVec(self, ctx.gen.coeffs).coords
+        sigma_x = self.vec([c.frobenius() for c in gen]).x
+        self._frob_rows = _power_rows(sigma_x, self._red_rows, self.pn)
 
     def _teich(self, b, i=0):
         """[b] mod p^(n-i), as lift(b)^(q^(n-1-i)) mod p^n."""

@@ -27,7 +27,7 @@ def solve_mod(M, b, p):
         return None
     x = np.zeros(n, dtype=np.int64)
     for i, pc in enumerate(pivots):
-        x[pc] = R[i, n]
+        x[pc] = R[i][n]
     return x
 
 
@@ -38,7 +38,7 @@ def image_membership(A, c, N=None):
     E = extension_field(A.ctx.p, N)
     target = embed_elem(c, E) if c.ctx is not E else c
     mat = operator_matrix(A, E)
-    sol = solve_mod(mat.T, np.array(target.coeffs, dtype=np.int64), E.p)
+    sol = solve_mod(np.transpose(mat), target.coeffs, E.p)
     if sol is None:
         return None
     return E.elem([int(v) for v in sol])

@@ -66,7 +66,12 @@ def digit_tensor(ctx, m):
             bpow = bpow * beta
             c = (-1) ** t * math.comb(d + t - 1, t) % p
             if c:
-                out.append((t, ctx.mult_matrix(bpow * c)))
+                # matrix of x -> alpha x, row i the image of X^i
+                alpha, rows = bpow * c, []
+                for _ in range(e):
+                    rows.append(alpha.coeffs)
+                    alpha = alpha * ctx.gen
+                out.append((t, np.array(rows, dtype=np.int64)))
         return out
 
     for w in range(1, m):

@@ -5,6 +5,8 @@ import random
 
 import pytest
 from _split_reference import image_membership, solve_mod
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from wildram.additive import (
     AdditiveOp,
@@ -43,24 +45,53 @@ def _rand_op(ctx, rng, deg):
     return AdditiveOp(ctx, coeffs)
 
 
+def _all_ints(rows):
+    return all(type(c) is int for row in rows for c in row)
+
+
 def test_rref_solves_small_systems():
+    # the shapes the engine runs, up to 36 columns and not square, checked
+    # against sympy's echelon form over GF(p)
     rng = random.Random(21)
-    for p in (2, 3, 5):
-        for _ in range(20):
-            n = rng.randrange(1, 5)
-            M = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    for p in (2, 3, 5, 7):
+        K = GF(p)
+        for _ in range(15):
+            rows, cols = rng.randrange(1, 37), rng.randrange(1, 37)
+            M = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+            if rng.random() < 0.5:
+                # low rank: every row a combination of a few
+                base = M[:rng.randrange(1, 4)]
+                M = [[sum(rng.randrange(p) * b[c] for b in base) % p
+                      for c in range(cols)] for _ in range(rows)]
             R, pivots = rref_mod(M, p)
-            assert len(pivots) <= n
+            want, want_pivots = DomainMatrix(
+                [[K(c) for c in row] for row in M], (rows, cols), K).rref()
+            assert pivots == list(want_pivots)
+            assert R == [[int(c) % p for c in row] for row in want.to_list()]
+            null = nullspace_mod(M, p)
+            assert len(null) == cols - len(pivots)
+            assert _all_ints(R) and _all_ints(null)
             # every nullspace vector really annihilates M
-            for v in nullspace_mod(M, p):
+            for v in null:
                 for row in M:
                     assert sum(r * x for r, x in zip(row, v)) % p == 0
-            b = [rng.randrange(p) for _ in range(n)]
+            b = [rng.randrange(p) for _ in range(rows)]
             sol = solve_mod(M, b, p)
             if sol is not None:
-                for row, want in zip(M, b):
+                for row, want_b in zip(M, b):
                     got = sum(r * x for r, x in zip(row, sol)) % p
-                    assert got == want
+                    assert got == want_b
+
+
+def test_toolkit_results_are_python_ints():
+    # a numpy scalar leaking out would break json.dumps in the CLI
+    ctx = make_field(3, 2)
+    A = AdditiveOp(ctx, [[1, 2], [0, 1], [2, 2]])
+    for N in (2, 4, 6):
+        E = extension_field(3, N)
+        assert _all_ints(operator_matrix(A, E))
+        assert _all_ints(E.frob_matrix(N - 1))
+        assert _all_ints(b.coeffs for b in linearize_kernel(A, N).basis)
 
 
 def test_operator_additivity_and_compose():

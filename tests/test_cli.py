@@ -79,6 +79,14 @@ _PROFILE = {"p": 3,
     ("cover-analyze", json.dumps({"field": {"p": 2, "e": 1},
                                   "rhs": [[[3, [1]]]]})),
     ("bigaction-check", json.dumps(_PROFILE)),
+    # exponents are nonnegative integers: -1 would divide by zero when
+    # evaluated, and 1.5 must not pass as 1
+    ("cover-analyze", json.dumps({"rhs": [[[-1, [1]], [4, [1]]]],
+                                  "field": {"p": 3, "e": 2},
+                                  "operator": {"witt": 1}})),
+    ("cover-analyze", json.dumps({"rhs": [[[1.5, [1]], [4, [1]]]],
+                                  "field": {"p": 3, "e": 2},
+                                  "operator": {"witt": 1}})),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
@@ -150,6 +158,15 @@ def test_basechange(tmp_path, capsys):
     assert payload["after"]["splits"] == "all q places"
     exps = {term[0] for term in payload["cover"]["rhs"][0]}
     assert exps == {3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("sub", ['["x"]', '[null]', '[1.5]'])
+def test_basechange_bad_sub_is_usage_error(tmp_path, capsys, sub):
+    path = _write_cover(tmp_path)
+    assert cli.main(["basechange", path, "--sub", sub]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --sub")
+    assert len(err.splitlines()) == 1
 
 
 def test_rayclass_orders_csv(tmp_path, capsys):
