@@ -30,6 +30,7 @@ from .errors import (
 )
 from .field import (
     FqPoly,
+    elem_from_json,
     embed_elem,
     embed_poly,
     extension_field,
@@ -129,7 +130,7 @@ class AdditiveOp:
 
     @classmethod
     def from_json(cls, ctx, obj):
-        return cls(ctx, [ctx.elem(c) for c in obj])
+        return cls(ctx, [elem_from_json(ctx, c) for c in obj])
 
     def __eq__(self, other):
         return (isinstance(other, AdditiveOp)

@@ -363,7 +363,7 @@ def _exec_basechange(plan):
     if not isinstance(coeffs, list) or not coeffs:
         raise UsageError("--sub must be a nonempty JSON array")
     try:
-        S = AdditiveOp(cover.ctx, coeffs)
+        S = AdditiveOp.from_json(cover.ctx, coeffs)
     except (TypeError, ValueError) as err:
         raise UsageError("--sub: %s: %s" % (type(err).__name__, err))
     pulled = base_change(cover, S, label=plan.params["label"])

@@ -27,12 +27,16 @@ from it:
   rank of the characters of conductor at most c for every c at once;
 * the splitting: by trace duality the image of A on any field E is cut
   out by Tr(l v) = 0 for the roots l in E, so a place x = y splits
-  exactly when f(y) passes those d linear forms.
+  exactly when f(y) passes those d linear forms, and every rational
+  place splits exactly when x -> Tr(l_i f(x)) vanishes on F_q for each
+  i, which the trace criterion (`field._trace_vanishes`) reads off the
+  coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 from .errors import (
@@ -42,11 +46,20 @@ from .errors import (
     InseparableOperator,
     ZeroCover,
 )
-from .field import (FqPoly, field_from_json, frobenius_trace,
+from .field import (FqPoly, _check_integral, _fold, _trace_vanishes,
+                    _wp_preimage, field_from_json, frobenius_trace,
                     reduce_pth_powers, rref_mod)
 from .additive import AdditiveOp, adjoint, linearize_kernel, wp_operator
 from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt_trace, witt2_sub
+
+# the length-2 splitting criterion forms the carry psi(G^p, -G) of its
+# witness (p = 2 adds psi(G, -G) = G^2); with T terms in G that takes up
+# to sum_i n(i) n(p - i) coefficient products, n(i) the terms of a power
+# G^i.  Sparse equations (every built-in family: at most a few thousand)
+# stay far below this; dense ones at large p grow like q^2 against the
+# sweep's q places, and above it the sweep or the sample decides instead
+CARRY_PRODUCT_LIMIT = 2 ** 16
 
 
 class CoverSpec:
@@ -95,6 +108,7 @@ class CoverSpec:
         ctx = field_from_json(obj["field"])
         op_obj = obj["operator"]
         if "witt" in op_obj:
+            _check_integral([op_obj["witt"]])
             operator = ("witt", int(op_obj["witt"]))
         else:
             operator = ("additive", AdditiveOp.from_json(ctx, op_obj["additive"]))
@@ -369,14 +383,71 @@ def tower_compose(items):
             "filtration": ladder_filtration(levels)}
 
 
+def _carry_products(terms, p, q):
+    """Bound on the coefficient products of psi_carry on two polynomials
+    of `terms` terms and degree below q: a power of i of them has at most
+    comb(terms + i - 1, i) terms, and at most i q."""
+    n = {i: min(math.comb(terms + i - 1, i), i * q) for i in range(1, p)}
+    return sum(n[i] * n[p - i] for i in range(1, p))
+
+
+def _splits_at_every_place(cover):
+    """Whether every rational place splits, decided from the coefficients
+    by the trace criterion (`field._trace_vanishes`); None for Witt
+    covers of length 3 or more, and for length-2 covers whose witness
+    carry would exceed CARRY_PRODUCT_LIMIT.
+
+    Additive covers: a place splits when Tr(l f(y)) = 0 for each root l
+    of adjoint(A) in F_q (`_split_test`), and that is linear in l, so a
+    basis of the roots is enough.  Witt length 1 is the case l = 1.
+    Witt length 2: the Witt trace of (f_0(y), f_1(y)) is first Tr f_0(y),
+    and when that vanishes everywhere f_0 = G^p - G on F_q for the
+    witness G (`field._wp_preimage`).  Then r = (f_0, f_1) - (w_0, w_1),
+    with (w_0, w_1) = wp((G, 0)) = (G^p, 0) - (G, 0), has r_0 = 0 on F_q,
+    so (f_0, f_1)(y) = wp((G(y), 0)) + V(r_1(y)); the Witt trace kills wp
+    and commutes with V, which leaves Tr r_1(y).  witt2_sub gives
+    r_1 = f_1 - w_1 + psi(f_0, -w_0) - psi(w_0, -w_0), and the two carries
+    agree on F_q because f_0 and w_0 do, so r_1 = f_1 - w_1 there.  G and
+    G^p are folded onto F_q, which keeps the carries of w_1 at degree
+    below p q.
+    """
+    if cover.kind == "additive":
+        f = cover.rhs[0]
+        return all(_trace_vanishes(f * ell) for ell in
+                   linearize_kernel(adjoint(cover.op), cover.ctx.e).basis)
+    if cover.op == 1:
+        return _trace_vanishes(cover.rhs[0])
+    if cover.op > 2:
+        return None
+    f0, f1 = cover.rhs
+    if not _trace_vanishes(f0):
+        return False
+    G = _wp_preimage(f0)
+    ctx = cover.ctx
+    if _carry_products(len(G.terms), ctx.p, ctx.q) > CARRY_PRODUCT_LIMIT:
+        return None
+    zero = FqPoly.zero(ctx)
+    w1 = witt2_sub((_fold(G.pth_power()), zero), (G, zero))[1]
+    return _trace_vanishes(f1 - w1)
+
+
 def splits_everywhere(cover):
     """Whether every rational place of the line splits in the cover.
 
-    Sweeps the whole field when it is small enough; otherwise samples 64
-    deterministic points, each coordinate from the high bits of its own
-    step of a 63-bit LCG.  Returns (all_split, split_count, checked).
+    Returns (all_split, split_count, checked).  When the trace criterion
+    (`_splits_at_every_place`) says yes, that is (True, q, q) with no
+    place visited.  Otherwise the count sweeps the whole field when it
+    is small enough, and else samples 64 deterministic points, each
+    coordinate from the high bits of its own step of a 63-bit LCG; a
+    sample that happens to split throughout still reports all_split
+    False when the criterion has decided.  Where the criterion does not
+    decide (Witt length 3 and more, dense length-2 equations), all_split
+    is the sweep's or the sample's.
     """
     ctx = cover.ctx
+    exact = _splits_at_every_place(cover)
+    if exact:
+        return True, ctx.q, ctx.q
     if ctx.q <= 2048:
         sample = list(ctx.elements())
     else:
@@ -390,16 +461,18 @@ def splits_everywhere(cover):
                 coords.append((state >> 31) % ctx.p)
             sample.append(ctx.elem(coords))
     hits = sum(map(_split_test(cover, ctx), sample))
-    return hits == len(sample), hits, len(sample)
+    return exact is None and hits == len(sample), hits, len(sample)
 
 
 def _gamma_kernel(ctx, s):
-    """ker(F^s + 1) inside F_{p^2s} (or F_{p^e}), sorted, zero removed."""
-    A = AdditiveOp(ctx, [1] + [0] * (s - 1) + [1])
-    kern = linearize_kernel(A, ctx.e)
-    elems = sorted((x for x in kern.elements() if x),
-                   key=lambda x: x.coeffs)
-    return kern, elems
+    """ker(F^s + 1) inside F_{p^e}."""
+    return linearize_kernel(AdditiveOp(ctx, [1] + [0] * (s - 1) + [1]), ctx.e)
+
+
+def _least_gamma(ctx, s):
+    """The least nonzero element of ker(F^s + 1) inside F_{p^e}."""
+    return min((x for x in _gamma_kernel(ctx, s).elements() if x),
+               key=lambda x: x.coeffs)
 
 
 def _monomials(ctx, pairs):
@@ -418,8 +491,7 @@ def family_build(ctx, kind, witt_len=2):
         s = e // 2
         r = p ** s
         q = p ** e
-        _, gamma = _gamma_kernel(ctx, s)
-        a = gamma[0]
+        a = _least_gamma(ctx, s)
         m2 = 1 + p * (1 + r)
         w0 = CoverSpec(ctx, ("witt", 1), [_monomials(ctx, [(1 + r, a)])],
                        label="w0")
@@ -468,7 +540,7 @@ def family_build(ctx, kind, witt_len=2):
         s = e // 2
         r = p ** s
         q = p ** e
-        kern_gamma, _ = _gamma_kernel(ctx, s)
+        kern_gamma = _gamma_kernel(ctx, s)
         m2 = 1 + p * (1 + r)
         r_op = AdditiveOp(ctx, [1] + [0] * (s - 1) + [1])
         frob_op = AdditiveOp(ctx, [-1] + [0] * (e - 1) + [1])
@@ -499,8 +571,7 @@ def family_build(ctx, kind, witt_len=2):
         s = e // 2
         r = p ** s
         n = witt_len
-        _, gamma = _gamma_kernel(ctx, s)
-        a = gamma[0]
+        a = _least_gamma(ctx, s)
         rhs = [_monomials(ctx, [(1 + r, a)])] + \
               [FqPoly.zero(ctx) for _ in range(n - 1)]
         cov = CoverSpec(ctx, ("witt", n), rhs, label="exponent-p%d" % n)
@@ -511,7 +582,10 @@ def family_build(ctx, kind, witt_len=2):
 
     # how the family sits over the rational places: split everywhere is
     # what embeds it in the small-conductor ray class tower, and it can
-    # genuinely fail (p = 2), so it is measured rather than assumed
-    split_all = all(splits_everywhere(it.cover)[0] for it in items)
+    # genuinely fail (p = 2), so it is decided rather than assumed; only
+    # Witt length 3 and more (exponent-pn) still sweeps
+    exact = (_splits_at_every_place(it.cover) for it in items)
+    split_all = all(splits_everywhere(it.cover)[0] if v is None else v
+                    for it, v in zip(items, exact))
     notes["splits_at_rational_places"] = split_all
     return {"kind": kind, "items": items, "notes": notes}

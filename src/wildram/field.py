@@ -53,10 +53,10 @@ from .errors import (
 PUBLIC_DEGREE_CAP = 16
 TABLE_LIMIT = 2 ** 12
 _INTERNAL_DEGREE_CAP = 128
-# An input fence, no longer an arithmetic limit: _field refuses
+# An input fence, not an arithmetic limit: _field refuses
 # e (p - 1)^2 >= 2^63 before Miller-Rabin, which keeps library callers
 # well inside _is_prime's proven range (p < 2^32 here).
-_INT64_BOUND = 2 ** 63
+_INPUT_BOUND = 2 ** 63
 
 
 def _is_prime(n):
@@ -346,9 +346,10 @@ def _field(p, e):
         raise ResourceLimit(
             "extension degree %d exceeds the internal cap %d"
             % (e, _INTERNAL_DEGREE_CAP))
-    if e * (p - 1) ** 2 >= _INT64_BOUND:
+    if e * (p - 1) ** 2 >= _INPUT_BOUND:
         raise ResourceLimit(
-            "F_%d^%d: mod-p matrix products would overflow int64" % (p, e))
+            "F_%d^%d: e (p - 1)^2 >= 2^63 is past the input fence that keeps "
+            "p inside the proven range of the primality test" % (p, e))
     if not _is_prime(p):
         raise NonPrime("p must be a prime integer, got %r" % (p,))
     key = (p, e)
@@ -377,8 +378,9 @@ def extension_field(p, e):
 
 
 def field_from_json(obj):
-    ctx = make_field(int(obj["p"]), int(obj["e"]))
     mod = obj.get("modulus")
+    _check_integral([obj["p"], obj["e"]] + list(mod or []))
+    ctx = make_field(int(obj["p"]), int(obj["e"]))
     if mod is not None and tuple(int(c) for c in mod) != ctx.modulus:
         raise BadParameters(
             "modulus %r is not the canonical choice for p=%d, e=%d"
@@ -538,6 +540,123 @@ def frobenius_trace(x, d=1):
         cur = cur.frobenius(d)
         acc = acc + cur
     return acc
+
+
+def _check_integral(values):
+    """ValueError unless every value read from JSON is an integer, which
+    int() and ctx.elem would otherwise truncate (1.5 passing as 1)."""
+    for v in values:
+        if int(v) != v:
+            raise ValueError("%r is not an integer" % (v,))
+
+
+def elem_from_json(ctx, obj):
+    """ctx.elem of a JSON coefficient list or integer, refusing
+    non-integral entries."""
+    _check_integral(obj if isinstance(obj, list) else [obj])
+    return ctx.elem(obj)
+
+
+# ---------------------------------------------------------------------------
+# the absolute trace of a polynomial, as a function on F_q
+#
+# x^q = x on F_q, so an exponent k >= 1 acts as ((k - 1) mod (q - 1)) + 1.
+# On 1..q - 1 the p-cyclotomic cosets of u -> ((u p - 1) mod (q - 1)) + 1
+# each have a least member v, the leader, and a size f_v dividing e.  A
+# member u = v p^t has Tr(c x^u) = Tr(c^(p^-t) x^v), so the trace of g
+# gathers into C_v = sum of c_u^(p^-t_u) over v's coset, and
+#
+#     Tr(g(x)) = 0 on all of F_q  <=>  Tr_{q/p}(c_0) = 0 and
+#                                      Tr_{q/p^f_v}(C_v) = 0 for every v:
+#
+# x^v lies in F_{p^f_v}, so Tr(C x^v) = Tr_{p^f_v/p}(x^v Tr_{q/p^f_v}(C)),
+# and the x^(v p^s), s < f_v, over all leaders are distinct monomials of
+# degree below q, hence independent functions on F_q (Lidl and
+# Niederreiter, Finite Fields, ch. 2).
+
+
+def cyclotomic_coset(u, p, n):
+    """The coset of u in 1..n under u -> ((u p - 1) mod n) + 1, in walk
+    order u, u p, u p^2, ...: the p-cyclotomic coset of u mod n, with n
+    standing for 0 (p prime to n)."""
+    coset = [u]
+    w = (u * p - 1) % n + 1
+    while w != u:
+        coset.append(w)
+        w = (w * p - 1) % n + 1
+    return coset
+
+
+def _trace_parts(g):
+    """(c_0, {v: (walk of v, [(t, c^(p^-t)), ...])}): the folded terms
+    c X^u of g, u = v p^t, sorted under the leader v of their coset."""
+    ctx = g.ctx
+    c0, parts = ctx.zero, {}
+    for k, c in _fold(g).terms:
+        if k == 0:
+            c0 = c
+            continue
+        walk = cyclotomic_coset(k, ctx.p, ctx.q - 1)
+        s = walk.index(min(walk))
+        t = -s % len(walk)
+        part = parts.setdefault(walk[s], (walk[s:] + walk[:s], []))
+        part[1].append((t, c.frobenius(-t)))
+    return c0, parts
+
+
+def _trace_vanishes(g):
+    """Whether x -> Tr_{q/p}(g(x)) is zero on all of F_q, decided on the
+    coefficients of g in O(#terms * e) field operations."""
+    c0, parts = _trace_parts(g)
+    return not frobenius_trace(c0) and not any(
+        frobenius_trace(sum((h for _, h in hs), g.ctx.zero), len(walk))
+        for walk, hs in parts.values())
+
+
+def _wp_preimage(g):
+    """G with exponents in 1..q - 1 plus a constant, and g = G^p - G as
+    functions on F_q; g must pass _trace_vanishes.
+
+    With wp(H) = H^p - H: a term c x^u, u = v p^t, is h^(p^t) for
+    h = c^(p^-t) x^v, so it is h + wp(sum_{i<t} h^(p^i)).  Each leader
+    then carries C_v x^v = wp(sum_{i<f} (b x^v)^(p^i)) with
+    b^(p^f) - b = C_v, f = f_v, solvable by additive Hilbert 90 as an
+    F_p linear system; the constant is the case f = 1.
+    """
+    ctx = g.ctx
+    c0, parts = _trace_parts(g)
+    terms = [(0, _frobenius_preimage(c0, 1))]
+    for walk, hs in parts.values():
+        for t, h in hs:
+            terms += [(walk[i], h.frobenius(i)) for i in range(t)]
+        b = _frobenius_preimage(sum((h for _, h in hs), ctx.zero), len(walk))
+        terms += [(w, b.frobenius(i)) for i, w in enumerate(walk)]
+    return FqPoly(ctx, terms)
+
+
+def _frobenius_preimage(c, f):
+    """One b with b^(p^f) - b = c, from the rows of frob_matrix(f) - I;
+    c must have Tr_{q/p^f}(c) = 0."""
+    ctx = c.ctx
+    e = ctx.e
+    M = ctx.frob_matrix(f)
+    # b M - b = c, transposed: one row per coordinate of c
+    R, pivots = rref_mod([[M[i][j] - (i == j) for i in range(e)]
+                          + [c.coeffs[j]] for j in range(e)], ctx.p)
+    if e in pivots:
+        raise AssertionError("no Artin-Schreier preimage: nonzero trace")
+    b = [0] * e
+    for row, col in zip(R, pivots):
+        b[col] = row[e]
+    return FqElem(ctx, tuple(b))
+
+
+def _fold(g):
+    """g with every exponent k >= 1 moved to ((k - 1) mod (q - 1)) + 1:
+    the same function on F_q."""
+    n = g.ctx.q - 1
+    return FqPoly(g.ctx, [((k - 1) % n + 1 if k else 0, c)
+                          for k, c in g.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +835,7 @@ class FqPoly:
             if int(exp) != exp or exp < 0:
                 raise ValueError(
                     "exponent %r is not a nonnegative integer" % (exp,))
-            terms.append((int(exp), ctx.elem(c)))
+            terms.append((int(exp), elem_from_json(ctx, c)))
         return cls(ctx, terms)
 
     def __eq__(self, other):

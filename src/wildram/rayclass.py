@@ -54,6 +54,7 @@ import math
 import numpy as np
 
 from .errors import BadParameters, ResourceLimit, TooLarge
+from .field import cyclotomic_coset
 
 
 # profiles and tables stop at this modulus; the largest any workload or
@@ -80,15 +81,11 @@ def pivot_profiles(ctx, M, ks):
     profiles = {k: [0] * M for k in ks}
     seen = set()
     for v in range(1, M):
-        r = v % n
-        if v % p == 0 or r in seen:
+        u = (v - 1) % n + 1
+        if v % p == 0 or u in seen:
             continue
-        coset = {r}
-        r = r * p % n
-        while r not in coset:
-            coset.add(r)
-            r = r * p % n
-        seen |= coset
+        coset = cyclotomic_coset(u, p, n)
+        seen.update(coset)
         w, i = v, 0
         while w < M:
             for k in ks:

@@ -59,7 +59,7 @@ def test_exit_codes(tmp_path, capsys):
     code, _ = _run(["cover-analyze", str(tmp_path / "absent.json")],
                    capsys)
     assert code == 1
-    # a prime past the int64 bound fails at once; a composite is usage
+    # a prime past the input fence fails at once; a composite is usage
     start = time.perf_counter()
     code, _ = _run(["field", "--p", "10000000000000061", "--e", "1"], capsys)
     assert code == 1 and time.perf_counter() - start < 1
@@ -86,6 +86,20 @@ _PROFILE = {"p": 3,
                                   "operator": {"witt": 1}})),
     ("cover-analyze", json.dumps({"rhs": [[[1.5, [1]], [4, [1]]]],
                                   "field": {"p": 3, "e": 2},
+                                  "operator": {"witt": 1}})),
+    # coefficients, Witt lengths and field entries too: 1.5, 1.7 and 2.5
+    # must not pass as 1 and 2
+    ("cover-analyze", json.dumps({"rhs": [[[4, [1.5]]]],
+                                  "field": {"p": 3, "e": 2},
+                                  "operator": {"witt": 1}})),
+    ("cover-analyze", json.dumps({"rhs": [[[4, [1]]]],
+                                  "field": {"p": 3, "e": 2},
+                                  "operator": {"witt": 1.7}})),
+    ("cover-analyze", json.dumps({"rhs": [[[4, [1]]]],
+                                  "field": {"p": 3, "e": 2},
+                                  "operator": {"additive": [[1], [1.5]]}})),
+    ("cover-analyze", json.dumps({"rhs": [[[3, [1]]]],
+                                  "field": {"p": 2.5, "e": 1},
                                   "operator": {"witt": 1}})),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):
@@ -160,7 +174,7 @@ def test_basechange(tmp_path, capsys):
     assert exps == {3, 4, 5, 6}
 
 
-@pytest.mark.parametrize("sub", ['["x"]', '[null]', '[1.5]'])
+@pytest.mark.parametrize("sub", ['["x"]', '[null]', '[1.5]', '[[1.5]]'])
 def test_basechange_bad_sub_is_usage_error(tmp_path, capsys, sub):
     path = _write_cover(tmp_path)
     assert cli.main(["basechange", path, "--sub", sub]) == 2
@@ -348,6 +362,22 @@ def test_sampled_splitting_sees_inert_places(tmp_path, capsys, operator):
     hits, rest = json.loads(out)["splits"].split(" of ")
     assert rest == "64 sampled places"
     assert 16 <= int(hits) <= 48
+
+
+def test_splitting_over_large_field_is_exact(tmp_path, capsys):
+    # y^2 + y = c x^65 over F_4096 with c = X^64 + X: x^65 lies in F_64,
+    # and Tr_{4096/64}(c) = 0, so every place splits.  The trace criterion
+    # proves it from the coefficients, where 64 sampled places could only
+    # suggest it
+    ctx = field.make_field(2, 12)
+    c = ctx.gen ** 64 + ctx.gen
+    obj = {"field": {"p": 2, "e": 12}, "operator": {"witt": 1},
+           "rhs": [[[65, c.to_json()]]]}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(obj))
+    code, out = _run(["cover-analyze", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["splits"] == "all q places"
 
 
 def test_bigaction_check(tmp_path, capsys):

@@ -287,9 +287,118 @@ def test_splitting_matches_reference():
         big = extension_field(p, 2 * e)
         for y in [rand() for _ in range(4)] + [rand(big) for _ in range(4)]:
             assert splits_at(cov, y) == _split_reference.splits_at(cov, y)
-        assert splits_everywhere(cov) == \
-            _split_reference.splits_everywhere(cov), cov.to_json()
+        want = _split_reference.splits_everywhere(cov)
+        if ctx.q > 2048 and cover._splits_at_every_place(cov):
+            # proved from the coefficients; the sample can only agree
+            assert splits_everywhere(cov) == (True, ctx.q, ctx.q)
+            assert want == (True, 64, 64), cov.to_json()
+        else:
+            assert splits_everywhere(cov) == want, cov.to_json()
     assert min(kinds.values()) >= 10
+
+
+def _random_poly(rng, ctx, n, top):
+    """n terms with exponents below top and random coefficients."""
+    return FqPoly(ctx, tuple(
+        (k, [rng.randrange(ctx.p) for _ in range(ctx.e)])
+        for k in rng.sample(range(top), n)))
+
+
+def _wp2(h, k):
+    """wp((H, K)) = (H, K)^F - (H, K) for polynomial Witt pairs."""
+    return witt2_sub((h.pth_power(), k.pth_power()), (h, k))
+
+
+def test_split_criterion_matches_sweep():
+    # the trace criterion against _split_test at every place, with
+    # exponents up to 3q so that folding onto F_q is exercised.  Additive
+    # covers take split and non-split operators and right hand sides
+    # that are zero, constant, images A(H) + A(z) (which split), images
+    # plus one term, and random.  Length-1 Witt covers are H^p - H + c
+    # or random.  Random length-2 pairs rarely split, so about two thirds
+    # of them have f_0 = H^p - H + c with Tr(c) = 0, the witness's path:
+    # with f_1 random, or as wp((H, K)) + (0, d)
+    rng = random.Random(58)
+    fields = [(2, 1), (2, 3), (2, 4), (2, 6), (3, 1), (3, 2), (3, 3),
+              (5, 1), (5, 2), (7, 1), (7, 2), (2, 8)]
+    tally = {kind: [0, 0] for kind in ("additive", "witt1", "witt2")}
+    for trial in range(432):
+        p, e = fields[trial % len(fields)]
+        ctx = make_field(p, e)
+        q, zero = ctx.q, FqPoly.zero(ctx)
+
+        def rand():
+            return ctx.elem([rng.randrange(p) for _ in range(e)])
+
+        def const(c):
+            return FqPoly(ctx, ((0, c),))
+
+        kind = ("additive", "witt1", "witt2")[trial // len(fields) % 3]
+        shape = rng.randrange(3)
+        h = _random_poly(rng, ctx, 2, 3 * q)
+        if kind == "additive":
+            d = rng.randint(1, min(2, e))
+            A = _subspace_op(ctx, [rand() for _ in range(d)]) \
+                if rng.randrange(2) else None
+            if A is None:  # dependent basis, or a random operator
+                A = AdditiveOp(ctx, [rand() or ctx.one for _ in range(d + 1)])
+            image = sum((h.pth_power(j) * a for j, a in enumerate(A.coeffs)),
+                        const(A(rand())))
+            f = [zero, const(rand()), image,
+                 image + _random_poly(rng, ctx, 1, 3 * q),
+                 _random_poly(rng, ctx, 3, 3 * q)][rng.randrange(5)]
+            cov = CoverSpec(ctx, ("additive", A), [f])
+        elif kind == "witt1":
+            f = [h.pth_power() - h + const(rand()),
+                 _random_poly(rng, ctx, 3, 3 * q)][shape % 2]
+            cov = CoverSpec(ctx, ("witt", 1), [f])
+        else:
+            z = rand()
+            h += const(z.frobenius() - z)
+            if shape == 0:
+                rhs = [_random_poly(rng, ctx, 3, 3 * q),
+                       _random_poly(rng, ctx, 2, 3 * q)]
+            elif shape == 1:
+                rhs = [h.pth_power() - h, _random_poly(rng, ctx, 2, 3 * q)]
+            else:
+                f0, f1 = _wp2(h, _random_poly(rng, ctx, 1, 3 * q))
+                rhs = [f0, f1 + const(rand() if rng.randrange(2)
+                                      else ctx.zero)]
+            cov = CoverSpec(ctx, ("witt", 2), rhs)
+        got = cover._splits_at_every_place(cov)
+        want = all(map(cover._split_test(cov, ctx), ctx.elements()))
+        assert got == want, cov.to_json()
+        tally[kind][want] += 1
+    for kind, (other, split) in tally.items():
+        assert split >= 20 and other >= 20, (kind, split, other)
+
+
+def test_dense_pair_is_left_to_the_sweep():
+    # an eight-term witness at p = 13 would take millions of carry
+    # products against 169 places: the criterion declines, and the sweep
+    # decides and counts
+    ctx = make_field(13, 2)
+    h = _random_poly(random.Random(59), ctx, 8, ctx.q)
+    cov = CoverSpec(ctx, ("witt", 2),
+                    [h.pth_power() - h, _mono(ctx, [(2, 1)])])
+    assert cover._splits_at_every_place(cov) is None
+    hits = sum(map(cover._split_test(cov, ctx), ctx.elements()))
+    assert splits_everywhere(cov) == (hits == ctx.q, hits, ctx.q)
+
+
+@pytest.mark.parametrize("p, e, kind", [
+    (5, 4, "table-full"), (5, 4, "jump2-even"), (5, 4, "exponent-pn"),
+    (3, 3, "jump2-odd"), (7, 8, "table-full"), (3, 8, "jump2-even"),
+    (2, 12, "jump2-even")])
+def test_family_splitting_visits_no_place(monkeypatch, p, e, kind):
+    # every family cover has Witt length at most 2, so the verdict comes
+    # from the trace criterion alone; (2, 12) jump2-even does not split
+    def refuse(*args):
+        raise AssertionError("places swept")
+
+    monkeypatch.setattr(cover, "_split_test", refuse)
+    fam = family_build(make_field(p, e), kind)
+    assert fam["notes"]["splits_at_rational_places"] == ((p, e) != (2, 12))
 
 
 def _table_full_ladder(p, s):

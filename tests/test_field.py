@@ -327,12 +327,13 @@ def test_bad_parameters():
         make_field(6, 1)
     with pytest.raises(DegreeOutOfRange):
         make_field(2, 0)
-    # int64 mod-p matrix products need e * (p - 1)^2 < 2^63, which fails
-    # at e = 2 once p > 2^31 + 1; the refusal comes before any scan
+    # the input fence e * (p - 1)^2 < 2^63 keeps p where the primality
+    # test is proven; it fails at e = 2 once p > 2^31 + 1, and the
+    # refusal comes before any scan
     p = 2 ** 31 + 11
     assert sympy.isprime(p)
     start = time.perf_counter()
-    with pytest.raises(ResourceLimit, match="int64"):
+    with pytest.raises(ResourceLimit, match="proven range"):
         extension_field(p, 2)
     assert time.perf_counter() - start < 1
     # just under the bound the scan runs, in bounded memory
