@@ -44,6 +44,7 @@ from .errors import (
     ContextMismatch,
     DecompositionFailure,
     InseparableOperator,
+    ResourceLimit,
     ZeroCover,
 )
 from .field import (FqPoly, _check_integral, _fold, _trace_vanishes,
@@ -53,13 +54,15 @@ from .additive import AdditiveOp, adjoint, linearize_kernel, wp_operator
 from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt_trace, witt2_sub
 
-# the length-2 splitting criterion forms the carry psi(G^p, -G) of its
-# witness (p = 2 adds psi(G, -G) = G^2); with T terms in G that takes up
-# to sum_i n(i) n(p - i) coefficient products, n(i) the terms of a power
-# G^i.  Sparse equations (every built-in family: at most a few thousand)
-# stay far below this; dense ones at large p grow like q^2 against the
-# sweep's q places, and above it the sweep or the sample decides instead
-CARRY_PRODUCT_LIMIT = 2 ** 16
+# The length-2 criterion and the sweep of F_q, priced in coefficient
+# products of the witness's carries (`_carry_products`): a place test
+# costs one Witt trace, about 32 products, and about two more per term
+# of the right hand side (on 31 dense pairs with 2 <= p <= 13 and
+# q <= 3125, a place took 60-600 us and a carry product 1-9 us on a
+# 2-vCPU machine).  Deciding splitting may cost at most _PLACE_LIMIT
+# place tests; past that either way it is refused.
+_PLACE_PRODUCTS = 32
+_PLACE_LIMIT = 2 ** 18
 
 
 class CoverSpec:
@@ -384,22 +387,22 @@ def tower_compose(items):
 
 
 def _carry_products(terms, p, q):
-    """Bound on the coefficient products of psi_carry on two polynomials
-    of `terms` terms and degree below q: a power of i of them has at most
-    comb(terms + i - 1, i) terms, and at most i q."""
+    """Bound on the coefficient products of the two carries,
+    psi(G, -G) and psi(G^p, -G), that witt2_sub((G^p, 0), (G, 0)) forms
+    for a witness G of `terms` terms and degree below q: a power of i of
+    them has at most comb(terms + i - 1, i) terms, and at most i q."""
     n = {i: min(math.comb(terms + i - 1, i), i * q) for i in range(1, p)}
-    return sum(n[i] * n[p - i] for i in range(1, p))
+    return 2 * sum(n[i] * n[p - i] for i in range(1, p))
 
 
 def _splits_at_every_place(cover):
-    """Whether every rational place splits, decided from the coefficients
-    by the trace criterion (`field._trace_vanishes`); None for Witt
-    covers of length 3 or more, and for length-2 covers whose witness
-    carry would exceed CARRY_PRODUCT_LIMIT.
+    """Whether every rational place splits, decided exactly; None for
+    Witt covers of length 3 or more.
 
     Additive covers: a place splits when Tr(l f(y)) = 0 for each root l
     of adjoint(A) in F_q (`_split_test`), and that is linear in l, so a
-    basis of the roots is enough.  Witt length 1 is the case l = 1.
+    basis of the roots is enough for the trace criterion
+    (`field._trace_vanishes`).  Witt length 1 is the case l = 1.
     Witt length 2: the Witt trace of (f_0(y), f_1(y)) is first Tr f_0(y),
     and when that vanishes everywhere f_0 = G^p - G on F_q for the
     witness G (`field._wp_preimage`).  Then r = (f_0, f_1) - (w_0, w_1),
@@ -409,7 +412,10 @@ def _splits_at_every_place(cover):
     r_1 = f_1 - w_1 + psi(f_0, -w_0) - psi(w_0, -w_0), and the two carries
     agree on F_q because f_0 and w_0 do, so r_1 = f_1 - w_1 there.  G and
     G^p are folded onto F_q, which keeps the carries of w_1 at degree
-    below p q.
+    below p q.  A dense G at large p makes those carries cost about q^2
+    products; where they would cost more than testing every place of
+    F_q, the places are tested instead.  ResourceLimit when the cheaper
+    of the two exceeds _PLACE_LIMIT place tests.
     """
     if cover.kind == "additive":
         f = cover.rhs[0]
@@ -424,44 +430,54 @@ def _splits_at_every_place(cover):
         return False
     G = _wp_preimage(f0)
     ctx = cover.ctx
-    if _carry_products(len(G.terms), ctx.p, ctx.q) > CARRY_PRODUCT_LIMIT:
-        return None
+    place = _PLACE_PRODUCTS + 2 * (len(f0.terms) + len(f1.terms))
+    carry = _carry_products(len(G.terms), ctx.p, ctx.q)
+    if min(carry, place * ctx.q) > place * _PLACE_LIMIT:
+        raise ResourceLimit(
+            "splitting over F_%d^%d: a %d-term witness costs more than "
+            "%d place tests" % (ctx.p, ctx.e, len(G.terms), _PLACE_LIMIT))
+    if carry > place * ctx.q:
+        return all(map(_split_test(cover, ctx), ctx.elements()))
     zero = FqPoly.zero(ctx)
     w1 = witt2_sub((_fold(G.pth_power()), zero), (G, zero))[1]
     return _trace_vanishes(f1 - w1)
 
 
+def _places(ctx):
+    """The places `splits_everywhere` counts: all of F_q up to q = 2048,
+    else 64 deterministic points, each coordinate from the high bits of
+    its own step of a 63-bit LCG."""
+    if ctx.q <= 2048:
+        return list(ctx.elements())
+    state = 0x5eed
+    sample = []
+    for _ in range(64):
+        coords = []
+        for _ in range(ctx.e):
+            state = (state * 6364136223846793005
+                     + 1442695040888963407) % 2 ** 63
+            coords.append((state >> 31) % ctx.p)
+        sample.append(ctx.elem(coords))
+    return sample
+
+
 def splits_everywhere(cover):
     """Whether every rational place of the line splits in the cover.
 
-    Returns (all_split, split_count, checked).  When the trace criterion
-    (`_splits_at_every_place`) says yes, that is (True, q, q) with no
-    place visited.  Otherwise the count sweeps the whole field when it
-    is small enough, and else samples 64 deterministic points, each
-    coordinate from the high bits of its own step of a 63-bit LCG; a
-    sample that happens to split throughout still reports all_split
-    False when the criterion has decided.  Where the criterion does not
-    decide (Witt length 3 and more, dense length-2 equations), all_split
-    is the sweep's or the sample's.
+    Returns (all_split, split_count, checked).  all_split is exact for
+    Witt length at most 2 and additive covers (`_splits_at_every_place`),
+    and when it holds the result is (True, q, q).  Otherwise the count
+    runs over `_places`: the whole field up to q = 2048, else a sample
+    of 64.  For Witt length 3 and more, all_split is whether every place
+    counted split, so above q = 2048 it rests on the sample.
     """
     ctx = cover.ctx
     exact = _splits_at_every_place(cover)
     if exact:
         return True, ctx.q, ctx.q
-    if ctx.q <= 2048:
-        sample = list(ctx.elements())
-    else:
-        state = 0x5eed
-        sample = []
-        for _ in range(64):
-            coords = []
-            for _ in range(ctx.e):
-                state = (state * 6364136223846793005
-                         + 1442695040888963407) % 2 ** 63
-                coords.append((state >> 31) % ctx.p)
-            sample.append(ctx.elem(coords))
-    hits = sum(map(_split_test(cover, ctx), sample))
-    return exact is None and hits == len(sample), hits, len(sample)
+    places = _places(ctx)
+    hits = sum(map(_split_test(cover, ctx), places))
+    return exact is None and hits == len(places), hits, len(places)
 
 
 def _gamma_kernel(ctx, s):
@@ -583,9 +599,13 @@ def family_build(ctx, kind, witt_len=2):
     # how the family sits over the rational places: split everywhere is
     # what embeds it in the small-conductor ray class tower, and it can
     # genuinely fail (p = 2), so it is decided rather than assumed; only
-    # Witt length 3 and more (exponent-pn) still sweeps
-    exact = (_splits_at_every_place(it.cover) for it in items)
-    split_all = all(splits_everywhere(it.cover)[0] if v is None else v
-                    for it, v in zip(items, exact))
+    # Witt length 3 and more (exponent-pn) still tests places
+    def splits(cov):
+        exact = _splits_at_every_place(cov)
+        if exact is None:
+            return all(map(_split_test(cov, ctx), _places(ctx)))
+        return exact
+
+    split_all = all(splits(it.cover) for it in items)
     notes["splits_at_rational_places"] = split_all
     return {"kind": kind, "items": items, "notes": notes}

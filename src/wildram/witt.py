@@ -239,11 +239,7 @@ def witt2_add(u, v):
 
 
 def witt2_neg(u):
-    """-[A, B] = [-A, -B - psi(A, -A)]; for odd p that carry is
-    -(sum_{i<p} 1/i) A^p = 0, so the negative is [-A, -B]."""
     a, b = u
-    if a.ctx.p % 2:
-        return (-a, -b)
     return (-a, -b - psi_carry(a, -a))
 
 

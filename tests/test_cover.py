@@ -25,10 +25,12 @@ from wildram.cover import (
     tower_compose,
     upper_filtration,
 )
-from wildram.errors import BadParameters, DecompositionFailure, ZeroCover
+from wildram.errors import (BadParameters, DecompositionFailure,
+                            ResourceLimit, ZeroCover)
 from wildram.field import (
     FqPoly,
     extension_field,
+    frobenius_trace,
     make_field,
     reduce_pth_powers,
 )
@@ -373,17 +375,61 @@ def test_split_criterion_matches_sweep():
         assert split >= 20 and other >= 20, (kind, split, other)
 
 
-def test_dense_pair_is_left_to_the_sweep():
+def _counting_split_test(monkeypatch):
+    """Patch cover._split_test to count the places it is asked about."""
+    visited = []
+    real = cover._split_test
+
+    def counting(cov, E):
+        test = real(cov, E)
+        return lambda y: visited.append(y) or test(y)
+
+    monkeypatch.setattr(cover, "_split_test", counting)
+    return visited
+
+
+def test_dense_pair_is_decided_by_the_sweep(monkeypatch):
     # an eight-term witness at p = 13 would take millions of carry
-    # products against 169 places: the criterion declines, and the sweep
-    # decides and counts
+    # products against 169 place tests: the places decide, exactly
     ctx = make_field(13, 2)
     h = _random_poly(random.Random(59), ctx, 8, ctx.q)
     cov = CoverSpec(ctx, ("witt", 2),
                     [h.pth_power() - h, _mono(ctx, [(2, 1)])])
-    assert cover._splits_at_every_place(cov) is None
     hits = sum(map(cover._split_test(cov, ctx), ctx.elements()))
+    visited = _counting_split_test(monkeypatch)
+    assert cover._splits_at_every_place(cov) == (hits == ctx.q)
+    assert visited
     assert splits_everywhere(cov) == (hits == ctx.q, hits, ctx.q)
+
+
+def test_sweep_above_sampled_fields_is_exact(monkeypatch):
+    # over F_3125 the places splits_everywhere counts are a sample of 64,
+    # but a witness priced past the sweep must still be decided on all q
+    # places: a pair wp((H, K)) splits everywhere, and adding (0, d) with
+    # Tr(d) != 0 leaves no place split
+    ctx = make_field(5, 5)
+    rng = random.Random(60)
+    f0, f1 = _wp2(_random_poly(rng, ctx, 2, 3 * ctx.q),
+                  _random_poly(rng, ctx, 1, 3 * ctx.q))
+    d = next(c for c in (ctx.gen ** i for i in range(ctx.e))
+             if frobenius_trace(c))
+    monkeypatch.setattr(cover, "_carry_products", lambda *args: 10 ** 9)
+    visited = _counting_split_test(monkeypatch)
+    split = CoverSpec(ctx, ("witt", 2), [f0, f1])
+    assert splits_everywhere(split) == (True, ctx.q, ctx.q)
+    assert len(visited) == ctx.q
+    inert = CoverSpec(ctx, ("witt", 2), [f0, f1 + FqPoly(ctx, ((0, d),))])
+    assert splits_everywhere(inert) == (False, 0, 64)
+
+
+def test_splitting_past_the_place_limit_is_refused():
+    # a 40-term witness at (7, 8): its carries and the sweep of 5764801
+    # places both cost more than the limit, so neither is started
+    ctx = make_field(7, 8)
+    h = _random_poly(random.Random(61), ctx, 40, ctx.q)
+    cov = CoverSpec(ctx, ("witt", 2), [h.pth_power() - h, FqPoly.zero(ctx)])
+    with pytest.raises(ResourceLimit):
+        splits_everywhere(cov)
 
 
 @pytest.mark.parametrize("p, e, kind", [
