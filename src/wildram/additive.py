@@ -113,11 +113,7 @@ class AdditiveOp:
     def __sub__(self, other):
         if not isinstance(other, AdditiveOp):
             return NotImplemented
-        if other.ctx is not self.ctx:
-            raise ContextMismatch("operators over different contexts")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return AdditiveOp(self.ctx,
-                          [self.coeff(j) - other.coeff(j) for j in range(n)])
+        return self + other * -1
 
     def __mul__(self, scalar):
         c = self.ctx.elem(scalar)

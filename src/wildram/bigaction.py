@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadParameters, InvalidProfile, MissingDeclaration
+from .field import _check_integral, _is_prime
 from .ramify import (
     Filtration,
     herbrand_convert,
@@ -101,9 +102,13 @@ class ActionProfile:
     @classmethod
     def from_json(cls, obj):
         filt = Filtration.from_json(obj["filtration"])
-        return cls(obj["p"], filt, obj["v"],
-                   g2_invariants=obj.get("g2_invariants"),
-                   s=obj.get("s"))
+        p, v = _check_integral([obj["p"], obj["v"]])
+        s = obj.get("s")
+        if s is not None:
+            s = _check_integral([s])[0]
+        if not _is_prime(p):
+            raise ValueError("p = %d is not a prime" % p)
+        return cls(p, filt, v, g2_invariants=obj.get("g2_invariants"), s=s)
 
 
 def profile_from_levels(p, levels, v, g2_invariants=None, s=None):

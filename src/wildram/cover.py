@@ -111,8 +111,7 @@ class CoverSpec:
         ctx = field_from_json(obj["field"])
         op_obj = obj["operator"]
         if "witt" in op_obj:
-            _check_integral([op_obj["witt"]])
-            operator = ("witt", int(op_obj["witt"]))
+            operator = ("witt", _check_integral([op_obj["witt"]])[0])
         else:
             operator = ("additive", AdditiveOp.from_json(ctx, op_obj["additive"]))
         rhs = [FqPoly.from_json(ctx, f) for f in obj["rhs"]]

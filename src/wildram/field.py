@@ -7,21 +7,23 @@ to a FieldCtx, so this module fixes the conventions once:
   polynomial of degree e over F_p, comparing coefficient tuples
   (c_0, ..., c_{e-1}) from the constant term upward, with the single
   exception e = 1 where the modulus is X itself;
-* elements are coefficient tuples of length e in that basis;
+* an element is one int holding c_i in its b-bit slot i (the Kronecker
+  slots below), every slot below p; FqElem.coeffs reads the tuple back;
 * "least" element always means least coefficient tuple under the same
-  lexicographic order.
+  lexicographic order, never least packed int.
 
 Those three rules make every serialized object stable across runs and
 machines, which the reproduction commands rely on.
 
-Products take one of two integer paths.  Fields with e >= 2 and
-q <= TABLE_LIMIT (2^12, so no table outgrows about 1 MB) keep log/antilog
-tables, built on first use, and multiply, power, invert and apply
-Frobenius by index arithmetic mod q - 1.  Every other product is one
-Kronecker substitution (_kron_mulmod, also the Witt lift ring's product
-mod r = p^n): a length-e vector becomes one int of b-bit slots with
-2^b > (2e - 1)(r - 1)^2, which bounds the convolution plus the e - 1
-folded reduction rows, so no slot carries.
+Sums are SWAR: all slots at once, then p comes off each slot that reached
+it (_swar_fix).  Products take one of two integer paths.  Fields with
+e >= 2 and q <= TABLE_LIMIT (2^12, so no table outgrows about 1 MB) keep
+log/antilog tables keyed by the packed int, built on first use, and
+multiply, power, invert and apply Frobenius by index arithmetic mod
+q - 1.  Every other product is one Kronecker substitution (_kron_fold,
+also the Witt lift ring's product mod r = p^n): 2^b > (2e - 1)(r - 1)^2
+bounds the convolution plus the e - 1 folded reduction rows, so no slot
+carries, and _slot_reducer then takes every slot mod p.
 
 Linear algebra over F_p runs on rows of Python ints, the same vectors as
 FqElem.coeffs, so no result has a word size: rref_mod and nullspace_mod
@@ -30,9 +32,9 @@ is _power_rows on the Kronecker product.  That covers Frobenius
 (frob_matrix, also applied as packed rows), Berlekamp's Q in the modulus
 scan and the Witt Frobenius.
 
-Polynomials are the sparse FqPoly, whose division and modular powers run
-the root finding behind subfield embeddings; additive polynomials are
-additive.AdditiveOp, in the twisted ring.
+Polynomials are the sparse FqPoly (trusted constructor _poly), whose
+division and modular powers run the root finding behind subfield
+embeddings; additive polynomials are additive.AdditiveOp.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ _INTERNAL_DEGREE_CAP = 128
 # e (p - 1)^2 >= 2^63 before Miller-Rabin, which keeps library callers
 # well inside _is_prime's proven range (p < 2^32 here).
 _INPUT_BOUND = 2 ** 63
+_new = object.__new__  # the trusted constructors skip __init__
 
 
 def _is_prime(n):
@@ -135,16 +138,15 @@ def _is_irreducible(f, p):
     e = len(f) - 1
     if e == 1:
         return True
-    rows = _reduction_rows(f, p)
-    bits, x = rows[0], (0, 1) + (0,) * (e - 2)
-    Q = _power_rows(_kron_pow(x, p, rows, p), rows, p)
-    y = x
+    ring = FieldCtx(p, e, f)  # F_p[X]/(f), a field when f is irreducible
+    bits, Q = ring._red_rows[0], ring._frob_rows(1)
+    x = y = ring.gen.coeffs
     for _ in range(e):
         y = _unpack(sum(map(operator.mul, y, Q)), e, bits, p)
     if y != x:
         return False
-    shifted = [[a - (i == j) for j, a in enumerate(_unpack(v, e, bits, p))]
-               for i, v in enumerate(Q)]
+    shifted = [[a - (i == j) for j, a in enumerate(row)]
+               for i, row in enumerate(ring.frob_matrix())]
     return len(rref_mod(shifted, p)[1]) == e - 1
 
 
@@ -167,7 +169,7 @@ def _least_irreducible(p, e):
 
 def _reduction_rows(f, r):
     """Slot width b and the rows X^e, ..., X^(2e-2) mod (f, r) packed in
-    b-bit slots for _kron_mulmod; r is p, or p^n in the Witt lift ring."""
+    b-bit slots for _kron_fold; r is p, or p^n in the Witt lift ring."""
     e = len(f) - 1
     bits = ((2 * e - 1) * (r - 1) ** 2).bit_length()
     rows = [tuple((-c) % r for c in f[:e])] if e >= 2 else []
@@ -191,46 +193,111 @@ def _unpack(z, e, bits, r):
     return tuple([((z >> s) & mask) % r for s in range(0, e * bits, bits)])
 
 
-def _kron_mulmod(a, b, rows, r):
-    """Product of two length-e coefficient vectors mod (f, r), where rows
-    is _reduction_rows(f, r): one bigint product does the convolution,
-    then each top slot folds back as c_t times its packed row."""
+def _kron_fold(z, rows, r):
+    """z, a product of two packed length-e vectors, folded below X^e mod
+    (f, r) as each top slot c_t mod r times its row of rows =
+    _reduction_rows(f, r); slots are left below (2e - 1)(r - 1)^2."""
     bits, packed = rows
-    e = len(a)
-    if e == 1:
-        return ((a[0] * b[0]) % r,)
-    z = _pack(a, bits) * _pack(b, bits)
     mask = (1 << bits) - 1
-    low = z & ((1 << (e * bits)) - 1)
-    z >>= e * bits
+    top = (len(packed) + 1) * bits
+    low = z & ((1 << top) - 1)
+    z >>= top
     for row in packed:
         c = (z & mask) % r
         if c:
             low += c * row
         z >>= bits
-    return _unpack(low, e, bits, r)
+    return low
 
 
-def _kron_pow(a, k, rows, r):
-    """a^k for k >= 0 by square-and-multiply on _kron_mulmod."""
-    result = (1,) + (0,) * (len(a) - 1)
+def _kron_mulmod(a, b, rows, r):
+    """Product of two length-e coefficient vectors mod (f, r), one bigint
+    product and _kron_fold: the kernel's tuple form, for the tests."""
+    bits = rows[0]
+    z = _kron_fold(_pack(a, bits) * _pack(b, bits), rows, r)
+    return _unpack(z, len(a), bits, r)
+
+
+def _swar_fix(m, t, ones):
+    """z -> z with m taken off each slot >= m, read from bit t of slot +
+    2^t - m: needs m <= 2^t and slots below 2^t + m; ones marks slots."""
+    k, hi = ((1 << t) - m) * ones, ones << t
+    return lambda z: z - (((z + k) & hi) >> t) * m
+
+
+def _slot_reducer(r, e, bits):
+    """z -> z with each of its e b-bit slots, at most (2e - 1)(r - 1)^2,
+    taken mod r (p, or p^n for Witt vectors).  A power of 2 is one AND.
+    When 2^h = 1 mod r for a 2^h < 8r (r = 3, 5, 7, 9, 31, 73, 127, ...),
+    slot-wise folds v -> (v >> h) + (v mod 2^h) bring every slot to about
+    2^h, and conditional subtracts of 4r, 2r, r finish.  Other r go slot
+    by slot."""
+    ones = _pack((1,) * e, bits)
+    h = next((h for h in range(1, (8 * r).bit_length())
+              if pow(2, h, r) == 1), 0)
+    if r & (r - 1) == 0 or e == 1:
+        return ((r - 1) * ones).__and__ if r & (r - 1) == 0 else r.__rmod__
+    if not h:
+        mask = (1 << bits) - 1
+        return lambda z: _pack([(z >> s & mask) % r
+                                for s in range(0, e * bits, bits)], bits)
+    low, folds, fixes = ((1 << h) - 1) * ones, 0, []
+    top = (2 * e - 1) * (r - 1) ** 2
+    while (top >> h) + (1 << h) - 1 < top:
+        top, folds = (top >> h) + (1 << h) - 1, folds + 1
+    for j in reversed(range((top // r).bit_length())):
+        fixes.append(_swar_fix(r << j, bits - 1, ones))
+        top = max((r << j) - 1, top - (r << j))
+
+    def reduce(z):
+        for _ in range(folds):
+            lo = z & low
+            z = lo + ((z ^ lo) >> h)
+        for fix in fixes:
+            z = fix(z)
+        return z
+    return reduce
+
+
+def _kron_pow(x, k, mul):
+    """x^k for a packed x and k >= 0, square-and-multiply on mul."""
+    result = 1
     while k:
         if k & 1:
-            result = _kron_mulmod(result, a, rows, r)
+            result = mul(result, x)
         k >>= 1
         if k:
-            a = _kron_mulmod(a, a, rows, r)
+            x = mul(x, x)
     return result
 
 
-def _power_rows(x, rows, r):
-    """[1, x, ..., x^(e-1)] mod (f, r) for a length-e vector x, each packed
-    in the b-bit slots of rows: when x is a Frobenius image of X, the
-    matrix of g(X) -> g(x), applied as sum(v_i * row_i) for slots v_i < r."""
-    out = [(1,) + (0,) * (len(x) - 1)]
-    for _ in range(len(x) - 1):
-        out.append(_kron_mulmod(out[-1], x, rows, r))
-    return tuple(_pack(v, rows[0]) for v in out)
+def _power_rows(x, n, mul):
+    """[1, x, ..., x^(n-1)] for a packed x under mul: for x = X^(p^k), the
+    rows of g(X) -> g(x), applied as sum(v_i * row_i) for slots v_i < r."""
+    out = [1]
+    for _ in range(n - 1):
+        out.append(mul(out[-1], x))
+    return tuple(out)
+
+
+class _KronRing:
+    """Z/r[X]/(f) on ints packed in the Kronecker slots: the slot
+    reduction, the SWAR fix-up and the product that FieldCtx (r = p) and
+    witt.WittRing (r = p^n) share."""
+
+    __slots__ = ("_r", "_red_rows", "_reduce", "_fix", "_pr")
+
+    def _init_ring(self, f, r):
+        self._r, self._red_rows = r, _reduction_rows(f, r)
+        bits, e = self._red_rows[0], len(f) - 1
+        ones, self._reduce = _pack((1,) * e, bits), _slot_reducer(r, e, bits)
+        # sums keep every slot below 2r - 1, so any 2^t >= r will do
+        self._fix = _swar_fix(r, (r - 1).bit_length(), ones)
+        self._pr = r * ones
+
+    def _mul(self, x, y):
+        """Product of two packed elements, by Kronecker substitution."""
+        return self._reduce(_kron_fold(x * y, self._red_rows, self._r))
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +306,25 @@ def _power_rows(x, rows, r):
 _CTX_CACHE = {}
 
 
-class FieldCtx:
+class FieldCtx(_KronRing):
     """Arithmetic context for F_{p^e} = F_p[X] / (modulus).
 
     Build instances through make_field or extension_field; both cache by
     (p, e), so element operations may compare contexts by identity.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "zero", "one", "gen",
-                 "_red_rows", "_frob", "_tables")
+    __slots__ = ("p", "e", "q", "modulus", "zero", "one", "gen", "_frob",
+                 "_tables")
 
     def __init__(self, p, e, modulus):
         self.p = p
         self.e = e
         self.q = p ** e
         self.modulus = tuple(modulus)
-        self._red_rows = _reduction_rows(self.modulus, p)
+        self._init_ring(self.modulus, p)
         self._frob, self._tables = {}, None
-        self.zero = FqElem(self, (0,) * e)
-        self.one = FqElem(self, (1,) + (0,) * (e - 1))
-        if e >= 2:
-            self.gen = FqElem(self, (0, 1) + (0,) * (e - 2))
-        else:
-            self.gen = self.zero  # the class of X in F_p[X]/(X)
+        self.zero, self.one = _elem(self, 0), _elem(self, 1)
+        self.gen = _elem(self, (e >= 2) << self._red_rows[0])  # X; 0 at e = 1
 
     def elem(self, value):
         """Coerce an int or a coefficient sequence into this field."""
@@ -270,12 +333,12 @@ class FieldCtx:
                 raise ContextMismatch("element from a different context")
             return value
         if isinstance(value, int):
-            return FqElem(self, (value % self.p,) + (0,) * (self.e - 1))
+            return _elem(self, value % self.p)
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) > self.e:
             raise BadParameters(
                 "coefficient sequence longer than the extension degree")
-        return FqElem(self, coeffs + (0,) * (self.e - len(coeffs)))
+        return FqElem(self, coeffs)
 
     def elements(self):
         """All q elements, least coefficient tuple first."""
@@ -295,31 +358,26 @@ class FieldCtx:
         product's b-bit slots: the powers of X^(p^k)."""
         rows = self._frob.get(k)
         if rows is None:
-            xk = _kron_pow(self.gen.coeffs, self.p ** k, self._red_rows,
-                           self.p)
-            rows = self._frob[k] = _power_rows(xk, self._red_rows, self.p)
+            xk = _kron_pow(self.gen.v, self.p ** k, self._mul)
+            rows = self._frob[k] = _power_rows(xk, self.e, self._mul)
         return rows
 
     def _log_tables(self):
-        """(log dict keyed by coefficient tuple, antilog list of length
+        """(log dict keyed by the packed int, antilog list of length
         2(q - 1)) of the least primitive element, found from the prime
         factors of q - 1; None for fields that keep no tables."""
         if self.e == 1 or self.q > TABLE_LIMIT:
             return None
         if self._tables is None:
-            p, rows, n = self.p, self._red_rows, self.q - 1
+            n = self.q - 1
             ells = [ell for ell in range(2, n + 1)
                     if n % ell == 0 and _is_prime(ell)]
-            for g in itertools.product(range(p), repeat=self.e):
-                if any(g) and all(_kron_pow(g, n // ell, rows, p)
-                                  != self.one.coeffs for ell in ells):
-                    break
+            g = next(g for g in self.elements() if g and all(
+                _kron_pow(g.v, n // ell, self._mul) != 1 for ell in ells))
             exp = [self.one]
             for _ in range(n - 1):
-                exp.append(FqElem(self, _kron_mulmod(exp[-1].coeffs, g,
-                                                     rows, p)))
-            self._tables = ({x.coeffs: i for i, x in enumerate(exp)},
-                            exp + exp)
+                exp.append(_elem(self, self._mul(exp[-1].v, g.v)))
+            self._tables = ({x.v: i for i, x in enumerate(exp)}, exp + exp)
         return self._tables
 
     def to_json(self):
@@ -379,8 +437,8 @@ def extension_field(p, e):
 
 def field_from_json(obj):
     mod = obj.get("modulus")
-    _check_integral([obj["p"], obj["e"]] + list(mod or []))
-    ctx = make_field(int(obj["p"]), int(obj["e"]))
+    p, e, *_ = _check_integral([obj["p"], obj["e"]] + list(mod or []))
+    ctx = make_field(p, e)
     if mod is not None and tuple(int(c) for c in mod) != ctx.modulus:
         raise BadParameters(
             "modulus %r is not the canonical choice for p=%d, e=%d"
@@ -392,13 +450,18 @@ def field_from_json(obj):
 # elements
 
 class FqElem:
-    """Immutable element of a FieldCtx, a length-e coefficient tuple."""
+    """Immutable element of a FieldCtx: v packs the reduced coefficient
+    tuple given to the constructor in the ctx's slots, c_0 lowest."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "v")
 
     def __init__(self, ctx, coeffs):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.v = _pack(coeffs, ctx._red_rows[0])
+
+    @property
+    def coeffs(self):
+        return _unpack(self.v, self.ctx.e, self.ctx._red_rows[0], self.ctx.p)
 
     def _coerce(self, other):
         if isinstance(other, FqElem):
@@ -413,43 +476,35 @@ class FqElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.ctx.p
-        return FqElem(self.ctx, tuple((a + b) % p
-                                      for a, b in zip(self.coeffs, other.coeffs)))
+        ctx = self.ctx
+        return _elem(ctx, ctx._fix(self.v + other.v))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ctx.p
-        return FqElem(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        return _elem(ctx, ctx._fix(ctx._pr - self.v))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.ctx.p
-        return FqElem(self.ctx, tuple((a - b) % p
-                                      for a, b in zip(self.coeffs, other.coeffs)))
+        ctx = self.ctx
+        return _elem(ctx, ctx._fix(self.v + ctx._pr - other.v))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ctx = self.ctx
-        if ctx.e == 1:
-            return FqElem(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
         tables = ctx._log_tables()
         if tables is None:
-            return FqElem(ctx, _kron_mulmod(self.coeffs, other.coeffs,
-                                            ctx._red_rows, ctx.p))
-        i = tables[0].get(self.coeffs)
-        j = tables[0].get(other.coeffs)
+            return _elem(ctx, ctx._mul(self.v, other.v))
+        i = tables[0].get(self.v)
+        j = tables[0].get(other.v)
         if i is None or j is None:
             return ctx.zero
         return tables[1][i + j]
@@ -461,12 +516,12 @@ class FqElem:
             return NotImplemented
         ctx = self.ctx
         tables = ctx._log_tables()
-        i = tables and tables[0].get(self.coeffs)
+        i = tables and tables[0].get(self.v)
         if i is not None:
             return tables[1][i * k % (ctx.q - 1)]
         if k < 0:
             return self.inverse() ** (-k)
-        return FqElem(ctx, _kron_pow(self.coeffs, k, ctx._red_rows, ctx.p))
+        return _elem(ctx, _kron_pow(self.v, k, ctx._mul))
 
     def inverse(self):
         if not self:
@@ -480,10 +535,7 @@ class FqElem:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        return self.inverse().__mul__(other)
 
     def frobenius(self, k=1):
         """x -> x^(p^k)."""
@@ -492,33 +544,33 @@ class FqElem:
         if k == 0:
             return self
         tables = ctx._log_tables()
-        i = tables and tables[0].get(self.coeffs)
+        i = tables and tables[0].get(self.v)
         if i is not None:
             return tables[1][i * pow(ctx.p, k, ctx.q - 1) % (ctx.q - 1)]
         # e (p - 1)^2 < 2^b, so the weighted row sum never carries out of
         # a slot
         z = sum(map(operator.mul, self.coeffs, ctx._frob_rows(k)))
-        return FqElem(ctx, _unpack(z, ctx.e, ctx._red_rows[0], ctx.p))
+        return _elem(ctx, ctx._reduce(z))
 
     def pth_root(self):
         # Frobenius is a bijection, so the root is x^(p^(e-1))
         return self.frobenius(self.ctx.e - 1)
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not self.v
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.v != 0
 
     def __eq__(self, other):
         if isinstance(other, int):
             return self == self.ctx.elem(other)
         return (isinstance(other, FqElem)
                 and self.ctx is other.ctx
-                and self.coeffs == other.coeffs)
+                and self.v == other.v)
 
     def __hash__(self):
-        return hash((self.coeffs, self.ctx.p, self.ctx.e))
+        return hash((self.v, self.ctx.p, self.ctx.e))
 
     def to_json(self):
         return list(self.coeffs)
@@ -526,6 +578,13 @@ class FqElem:
     def __repr__(self):
         return "FqElem(%r in F_%d^%d)" % (list(self.coeffs),
                                           self.ctx.p, self.ctx.e)
+
+
+def _elem(ctx, v):
+    """The trusted FqElem constructor: v is already packed and reduced."""
+    x = _new(FqElem)
+    x.ctx, x.v = ctx, v
+    return x
 
 
 def frobenius_trace(x, d=1):
@@ -543,11 +602,13 @@ def frobenius_trace(x, d=1):
 
 
 def _check_integral(values):
-    """ValueError unless every value read from JSON is an integer, which
-    int() and ctx.elem would otherwise truncate (1.5 passing as 1)."""
+    """The values read from JSON as ints; ValueError unless each is an
+    integer, which int() and ctx.elem would otherwise truncate (1.5
+    passing as 1)."""
     for v in values:
         if int(v) != v:
             raise ValueError("%r is not an integer" % (v,))
+    return [int(v) for v in values]
 
 
 def elem_from_json(ctx, obj):
@@ -668,19 +729,8 @@ class FqPoly:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms=()):
-        acc = {}
-        for exp, coeff in terms:
-            coeff = ctx.elem(coeff)
-            if not coeff:
-                continue
-            prev = acc.get(exp)
-            cur = coeff if prev is None else prev + coeff
-            if cur:
-                acc[exp] = cur
-            elif prev is not None:
-                del acc[exp]
         self.ctx = ctx
-        self.terms = tuple(sorted(acc.items()))
+        self.terms = _poly(ctx, [(k, ctx.elem(c)) for k, c in terms]).terms
 
     @classmethod
     def zero(cls, ctx):
@@ -701,10 +751,7 @@ class FqPoly:
         return self.terms[-1][0] if self.terms else -1
 
     def coeff(self, exp):
-        for k, c in self.terms:
-            if k == exp:
-                return c
-        return self.ctx.zero
+        return dict(self.terms).get(exp, self.ctx.zero)
 
     def _check(self, other):
         if other.ctx is not self.ctx:
@@ -714,42 +761,33 @@ class FqPoly:
         if not isinstance(other, FqPoly):
             return NotImplemented
         self._check(other)
-        return FqPoly(self.ctx, self.terms + other.terms)
+        return _poly(self.ctx, self.terms + other.terms)
 
     def __neg__(self):
-        return FqPoly(self.ctx, tuple((k, -c) for k, c in self.terms))
+        return _poly(self.ctx, [(k, -c) for k, c in self.terms])
 
     def __sub__(self, other):
         if not isinstance(other, FqPoly):
             return NotImplemented
-        self._check(other)
-        return FqPoly(self.ctx,
-                      self.terms + tuple((k, -c) for k, c in other.terms))
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (FqElem, int)):
             c = self.ctx.elem(other)
-            return FqPoly(self.ctx, tuple((k, a * c) for k, a in self.terms))
+            return _poly(self.ctx, [(k, a * c) for k, a in self.terms])
         if not isinstance(other, FqPoly):
             return NotImplemented
         self._check(other)
-        acc = {}
-        for i, a in self.terms:
-            for j, b in other.terms:
-                k = i + j
-                prod = a * b
-                prev = acc.get(k)
-                acc[k] = prod if prev is None else prev + prod
-        return FqPoly(self.ctx, acc.items())
+        return _poly(self.ctx, [(i + j, a * b) for i, a in self.terms
+                                for j, b in other.terms])
 
     __rmul__ = __mul__
 
     def pth_power(self, k=1):
         """Freshman power: coefficients to the p^k, exponents times p^k."""
         step = self.ctx.p ** k
-        return FqPoly(self.ctx,
-                      tuple((exp * step, c.frobenius(k) if self.ctx.e > 1 else c)
-                            for exp, c in self.terms))
+        return _poly(self.ctx, [(exp * step, c.frobenius(k))
+                                for exp, c in self.terms])
 
     def __pow__(self, k, modulo=None):
         """self**k, or pow(self, k, modulo) reduced after every product."""
@@ -778,7 +816,7 @@ class FqPoly:
         db, lead = other.terms[-1]
         # a monic divisor needs no inverse, which costs a (q - 2)-th
         # power in Kronecker fields
-        inv = None if lead.coeffs == self.ctx.one.coeffs else lead.inverse()
+        inv = None if lead == self.ctx.one else lead.inverse()
         rem = dict(self.terms)
         quot = []
         for shift in range(self.degree() - db, -1, -1):
@@ -795,7 +833,7 @@ class FqPoly:
                     rem[k] = cur
                 else:
                     del rem[k]
-        return FqPoly(self.ctx, quot), FqPoly(self.ctx, rem.items())
+        return _poly(self.ctx, quot), _poly(self.ctx, rem.items())
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -819,11 +857,10 @@ class FqPoly:
         if not isinstance(g, FqPoly):
             raise ContextMismatch("compose expects a polynomial")
         self._check(g)
-        acc = FqPoly.zero(self.ctx)
         frob_powers = [g]
-        for exp, c in self.terms:
-            acc = acc + _char_p_power(g, exp, frob_powers) * c
-        return acc
+        return _poly(self.ctx, [
+            (k, a * c) for exp, c in self.terms
+            for k, a in _char_p_power(g, exp, frob_powers).terms])
 
     def to_json(self):
         return [[exp, c.to_json()] for exp, c in self.terms]
@@ -848,18 +885,27 @@ class FqPoly:
                      tuple((k, c.coeffs) for k, c in self.terms)))
 
     def __repr__(self):
-        if not self.terms:
-            return "FqPoly(0)"
-        bits = []
-        for exp, c in reversed(self.terms):
-            bits.append("%r*X^%d" % (list(c.coeffs), exp))
-        return "FqPoly(%s)" % " + ".join(bits)
+        bits = ["%r*X^%d" % (list(c.coeffs), k) for k, c in self.terms[::-1]]
+        return "FqPoly(%s)" % (" + ".join(bits) or "0")
+
+
+def _poly(ctx, terms):
+    """The trusted FqPoly constructor, which the public one ends in: terms
+    are (exponent, element of ctx) pairs, already coerced.  Coefficients
+    of one exponent add up, and zeros drop out."""
+    acc = {}
+    for k, c in terms:
+        prev = acc.get(k)
+        acc[k] = c if prev is None else prev + c
+    f = _new(FqPoly)
+    f.ctx, f.terms = ctx, tuple(sorted([(k, c) for k, c in acc.items() if c]))
+    return f
 
 
 def _char_p_power(g, k, frob_powers):
     """g**k via base-p digits, sharing the list of p^j-th powers of g."""
     p = g.ctx.p
-    result = FqPoly(g.ctx, ((0, g.ctx.one),))
+    result = _poly(g.ctx, [(0, g.ctx.one)])
     j = 0
     while k:
         d = k % p
@@ -884,39 +930,27 @@ def reduce_pth_powers(f):
     where reduced has no constant term and no term whose exponent is a
     positive multiple of p.  The rewrite rule is a*X^(ip) -> a^(1/p)*X^i,
     applied until it stabilizes; the witness collects the replacement
-    terms so callers can audit the identity.
+    terms so callers can audit the identity.  The rule is linear, so each
+    term runs it on its own.
     """
-    ctx = f.ctx
-    p = ctx.p
-    acc = {exp: c for exp, c in f.terms}
-    witness = {}
-    pending = sorted((e for e in acc if e >= p and e % p == 0), reverse=True)
-    while pending:
-        exp = pending.pop()
-        c = acc.pop(exp, None)
-        if c is None or not c:
-            continue
-        new_exp = exp // p
-        root = c.pth_root()
-        for table in (acc, witness):
-            prev = table.get(new_exp)
-            cur = root if prev is None else prev + root
-            if cur:
-                table[new_exp] = cur
-            elif prev is not None:
-                del table[new_exp]
-        if new_exp >= p and new_exp % p == 0 and new_exp in acc:
-            pending.append(new_exp)
-            pending.sort(reverse=True)
-    constant = acc.pop(0, ctx.zero)
-    return (FqPoly(ctx, acc.items()), constant,
-            FqPoly(ctx, witness.items()))
+    ctx, terms = f.ctx, f.terms
+    constant = ctx.zero
+    if terms and terms[0][0] == 0:
+        constant, terms = terms[0][1], terms[1:]
+    reduced, witness = [], []
+    for exp, c in terms:
+        while exp % ctx.p == 0:
+            exp, c = exp // ctx.p, c.pth_root()
+            witness.append((exp, c))
+        reduced.append((exp, c))
+    return _poly(ctx, reduced), constant, _poly(ctx, witness)
 
 
 # ---------------------------------------------------------------------------
 # subfield embeddings
 
 _EMBED_ROOTS = {}
+_EMBED_ROWS = {}
 
 
 def _split_roots(g, rng, out):
@@ -972,22 +1006,21 @@ def subfield_root(small, big):
 
 
 def embed_elem(x, big):
-    """Image of x under the canonical embedding into big."""
+    """Image of x under the canonical embedding into big: sum c_i rho^i
+    over the cached packed rows rho^i, reduced once."""
     small = x.ctx
     if small is big:
         return x
-    rho = subfield_root(small, big)
-    acc = big.zero
-    power = big.one
-    for c in x.coeffs:
-        if c:
-            acc = acc + power * c
-        power = power * rho
-    return acc
+    key = (small.p, small.e, big.e)
+    if key not in _EMBED_ROWS:
+        rho = subfield_root(small, big).v
+        _EMBED_ROWS[key] = _power_rows(rho, small.e, big._mul)
+    z = sum(map(operator.mul, x.coeffs, _EMBED_ROWS[key]))
+    return _elem(big, big._reduce(z))
 
 
 def embed_poly(f, big):
     """Coefficient-wise canonical embedding of a polynomial."""
     if f.ctx is big:
         return f
-    return FqPoly(big, tuple((exp, embed_elem(c, big)) for exp, c in f.terms))
+    return _poly(big, [(exp, embed_elem(c, big)) for exp, c in f.terms])

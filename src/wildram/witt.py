@@ -5,10 +5,11 @@ lifts the field modulus coefficient by coefficient (Serre, Local Fields,
 II 4-6; Wan, Lectures on Finite Fields and Galois Rings): the vector
 (a_0, ..., a_{n-1}) is the ring element x = sum_i p^i [a_i^(p^-i)], with
 the Teichmueller lift [b] = lift(b)^(q^(n-1)) mod p^n, the root of
-T^q = T over b.  So a WittVec holds one length-e tuple of ints mod p^n:
-sums are componentwise, a product is one Kronecker product mod
-(M~, p^n), and the Witt Frobenius is the ring automorphism sigma with
-sigma([b]) = [b^p], a Z/p^n-linear map fixed by the images sigma(X^i).
+T^q = T over b.  So a WittVec holds one packed int, its e coefficients
+mod p^n in Kronecker slots as for field elements: sums are SWAR, a
+product is one Kronecker product mod (M~, p^n), and the Witt Frobenius
+is the ring automorphism sigma with sigma([b]) = [b^p], a Z/p^n-linear
+map fixed by the images sigma(X^i).
 
 The coordinates are read back by peeling Teichmueller digits: b = x mod p
 is a_i^(p^-i), and x - [b] is exactly divisible by p because [b] reduces
@@ -26,15 +27,14 @@ from __future__ import annotations
 import operator
 
 from .errors import BadParameters, ContextMismatch, LengthMismatch
-from .field import (FqPoly, _kron_mulmod, _kron_pow, _power_rows,
-                    _reduction_rows, _unpack)
+from .field import FqPoly, _KronRing, _kron_pow, _pack, _power_rows, _unpack
 
 
-class WittRing:
-    """Arithmetic context for W_n(F_q) = GR(p^n, e); caches the reduction
-    rows mod (M~, p^n) and the packed Frobenius images sigma(X^i)."""
+class WittRing(_KronRing):
+    """Arithmetic context for W_n(F_q) = GR(p^n, e), the ring mod
+    (M~, p^n); caches the packed Frobenius images sigma(X^i)."""
 
-    __slots__ = ("ctx", "n", "pn", "_red_rows", "_frob_rows")
+    __slots__ = ("ctx", "n", "pn", "_frob_rows")
 
     def __init__(self, ctx, n):
         if n < 1:
@@ -42,15 +42,15 @@ class WittRing:
         self.ctx = ctx
         self.n = n
         self.pn = ctx.p ** n
-        self._red_rows = _reduction_rows(ctx.modulus, self.pn)
-        gen = WittVec(self, ctx.gen.coeffs).coords
+        self._init_ring(ctx.modulus, self.pn)
+        gen = WittVec(self, _pack(ctx.gen.coeffs, self._red_rows[0])).coords
         sigma_x = self.vec([c.frobenius() for c in gen]).x
-        self._frob_rows = _power_rows(sigma_x, self._red_rows, self.pn)
+        self._frob_rows = _power_rows(sigma_x, ctx.e, self._mul)
 
     def _teich(self, b, i=0):
-        """[b] mod p^(n-i), as lift(b)^(q^(n-1-i)) mod p^n."""
-        return _kron_pow(b.coeffs, self.ctx.q ** (self.n - 1 - i),
-                         self._red_rows, self.pn)
+        """[b] mod p^(n-i), packed, as lift(b)^(q^(n-1-i)) mod p^n."""
+        return _kron_pow(_pack(b.coeffs, self._red_rows[0]),
+                         self.ctx.q ** (self.n - 1 - i), self._mul)
 
     # -- public construction -------------------------------------------------
 
@@ -59,20 +59,20 @@ class WittRing:
         if len(cs) != self.n:
             raise LengthMismatch(
                 "expected %d coordinates, got %d" % (self.n, len(cs)))
-        p, pn = self.ctx.p, self.pn
-        x = (0,) * self.ctx.e
+        x = 0
         for i, a in enumerate(cs):
+            # slots stay below (p^i + 1)(p^n - 1), inside the reducer's bound
             t = self._teich(a.frobenius(-i), i)
-            x = tuple([(u + p ** i * v) % pn for u, v in zip(x, t)])
+            x = self._reduce(x + self.ctx.p ** i * t)
         return WittVec(self, x)
 
     @property
     def zero(self):
-        return WittVec(self, (0,) * self.ctx.e)
+        return WittVec(self, 0)
 
     @property
     def one(self):
-        return WittVec(self, (1,) + (0,) * (self.ctx.e - 1))
+        return WittVec(self, 1)
 
     def teichmueller(self, x):
         return WittVec(self, self._teich(self.ctx.elem(x)))
@@ -104,8 +104,8 @@ def witt_ring(ctx, n):
 
 
 class WittVec:
-    """Element of W_n(F_q): the Galois-ring element x, a length-e tuple of
-    ints mod p^n, plus its ring."""
+    """Element of W_n(F_q): the Galois-ring element x, packed in the
+    ring's slots, each below p^n, plus its ring."""
 
     __slots__ = ("ring", "x")
 
@@ -118,12 +118,13 @@ class WittVec:
         """The Witt coordinates (a_0, ..., a_{n-1}), peeled digit by digit."""
         ring = self.ring
         ctx, p, pn = ring.ctx, ring.ctx.p, ring.pn
-        x = self.x
+        unpack = lambda z: _unpack(z, ctx.e, ring._red_rows[0], pn)
+        x = unpack(self.x)
         out = []
         for i in range(ring.n):
             b = ctx.elem(x)
             out.append(b.frobenius(i))
-            diff = [u - v for u, v in zip(x, ring._teich(b, i))]
+            diff = [u - v for u, v in zip(x, unpack(ring._teich(b, i)))]
             assert all(d % p == 0 for d in diff), "Teichmueller digit not exact"
             x = [(d // p) % pn for d in diff]
         return tuple(out)
@@ -138,39 +139,34 @@ class WittVec:
 
     def __add__(self, other):
         self._check(other)
-        pn = self.ring.pn
-        return WittVec(self.ring, tuple([(a + b) % pn
-                                         for a, b in zip(self.x, other.x)]))
+        ring = self.ring
+        return WittVec(ring, ring._fix(self.x + other.x))
 
     def __sub__(self, other):
         self._check(other)
-        pn = self.ring.pn
-        return WittVec(self.ring, tuple([(a - b) % pn
-                                         for a, b in zip(self.x, other.x)]))
+        return self + -other
 
     def __neg__(self):
-        pn = self.ring.pn
-        return WittVec(self.ring, tuple([(-a) % pn for a in self.x]))
+        ring = self.ring
+        return WittVec(ring, ring._fix(ring._pr - self.x))
 
     def __mul__(self, other):
         self._check(other)
-        ring = self.ring
-        return WittVec(ring, _kron_mulmod(self.x, other.x,
-                                          ring._red_rows, ring.pn))
+        return WittVec(self.ring, self.ring._mul(self.x, other.x))
 
     def frobenius(self):
         # the rows' slots are below p^n, so the sum of e products stays
         # under the (2e - 1)(p^n - 1)^2 the slot width allows
         ring = self.ring
-        z = sum(map(operator.mul, self.x, ring._frob_rows))
-        return WittVec(ring, _unpack(z, ring.ctx.e, ring._red_rows[0],
-                                     ring.pn))
+        x = _unpack(self.x, ring.ctx.e, ring._red_rows[0], ring.pn)
+        return WittVec(ring, ring._reduce(sum(map(operator.mul, x,
+                                                  ring._frob_rows))))
 
     def is_zero(self):
-        return not any(self.x)
+        return not self.x
 
     def __bool__(self):
-        return any(self.x)
+        return self.x != 0
 
     def __eq__(self, other):
         return (isinstance(other, WittVec)

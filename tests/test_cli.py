@@ -79,6 +79,13 @@ _PROFILE = {"p": 3,
     ("cover-analyze", json.dumps({"field": {"p": 2, "e": 1},
                                   "rhs": [[[3, [1]]]]})),
     ("bigaction-check", json.dumps(_PROFILE)),
+    # p must be a prime integer and v an integer: 3.5, "3", 4 and 2.5
+    # must not reach the ratio check
+    ("bigaction-check", json.dumps(dict(_PROFILE, p=3.5, v=2))),
+    ("bigaction-check", json.dumps(dict(_PROFILE, p="3", v=2))),
+    ("bigaction-check", json.dumps(dict(_PROFILE, p=4, v=2))),
+    ("bigaction-check", json.dumps({"v": 2.5, "p": 3,
+                                    "filtration": _PROFILE["filtration"]})),
     # exponents are nonnegative integers: -1 would divide by zero when
     # evaluated, and 1.5 must not pass as 1
     ("cover-analyze", json.dumps({"rhs": [[[-1, [1]], [4, [1]]]],
@@ -400,6 +407,20 @@ def test_bigaction_check(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     code, _ = _run(["bigaction-check", str(path), "--strict"], capsys)
     assert code == 1
+
+
+def test_bigaction_check_reads_integral_floats_as_ints(tmp_path, capsys):
+    # 3.0 is the integer 3, as in every other JSON loader; it used to
+    # reach Fraction(2 p, p - 1) as a float and end in a traceback
+    outs = []
+    for p, v, s in [(3, 2, 1), (3.0, 2.0, 1.0)]:
+        obj = dict(_PROFILE, p=p, v=v, s=s, g2_invariants=[3])
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(obj))
+        code, out = _run(["bigaction-check", str(path)], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_repeat_invocation_is_deterministic(tmp_path, capsys):

@@ -1,0 +1,131 @@
+"""Packed-int field elements against plain coefficient-tuple arithmetic.
+
+An FqElem holds one int of b-bit slots.  These tests compare every
+element operation with a tuple reference written here, on shapes that
+reach each slot-reduction path (one AND at p = 2, folds at p = 3, 5, 7,
+slot by slot at p = 11 and 65537), each product path (e = 1, log tables,
+Kronecker substitution) and the tightest SWAR slot, b = 2 at (2, 2).
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from wildram.field import (
+    FqPoly,
+    _reduction_rows,
+    _slot_reducer,
+    embed_elem,
+    extension_field,
+    make_field,
+    subfield_root,
+)
+
+# (p, e): e = 1; log-table fields; Kronecker fields
+SHAPES = [(2, 1), (7, 1),
+          (2, 2), (3, 5), (5, 3), (7, 2), (11, 3),
+          (2, 13), (3, 8), (5, 6), (7, 5), (11, 4), (65537, 3)]
+
+
+def _ref_mul(a, b, f, p):
+    """Schoolbook product of coefficient tuples mod (f, p), f monic."""
+    e = len(f) - 1
+    conv = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for t in range(2 * e - 2, e - 1, -1):
+        for i in range(e):
+            conv[t - e + i] -= conv[t] * f[i]
+    return tuple(v % p for v in conv[:e])
+
+
+def _ref_pow(a, k, f, p):
+    result = (1,) + (0,) * (len(a) - 1)
+    for bit in bin(k)[2:]:
+        result = _ref_mul(result, result, f, p)
+        if bit == "1":
+            result = _ref_mul(result, a, f, p)
+    return result
+
+
+def _coeffs(p, e):
+    vec = st.lists(st.integers(0, p - 1), min_size=e, max_size=e).map(tuple)
+    # all p - 1 fills every slot of a sum and a product to the top
+    return st.one_of(st.just((p - 1,) * e), st.just((0,) * e), vec)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_packed_arithmetic_matches_tuples(data):
+    p, e = data.draw(st.sampled_from(SHAPES))
+    ctx, f = make_field(p, e), make_field(p, e).modulus
+    a, b = data.draw(_coeffs(p, e)), data.draw(_coeffs(p, e))
+    x, y = ctx.elem(a), ctx.elem(b)
+    assert x.coeffs == a and ctx.elem(x.coeffs) == x
+    assert (x + y).coeffs == tuple((u + v) % p for u, v in zip(a, b))
+    assert (x - y).coeffs == tuple((u - v) % p for u, v in zip(a, b))
+    assert (-x).coeffs == tuple(-u % p for u in a)
+    assert (x * y).coeffs == _ref_mul(a, b, f, p)
+    k = data.draw(st.integers(0, 3 * ctx.q))
+    assert (x ** k).coeffs == _ref_pow(a, k, f, p)
+    j = data.draw(st.integers(0, 2 * e))
+    assert x.frobenius(j).coeffs == _ref_pow(a, p ** j, f, p)
+    assert _ref_pow(x.pth_root().coeffs, p, f, p) == a
+    if any(a):
+        one = (1,) + (0,) * (e - 1)
+        assert _ref_mul(x.inverse().coeffs, a, f, p) == one
+    # equality and hashing see the value, however it was reached
+    z = (x + y) - y
+    assert (x == y) == (a == b) and z == x and hash(z) == hash(x)
+    assert bool(x) == any(a)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_slot_reducer_matches_slotwise_mod(data):
+    # r = 9, 4 and 25 are Witt moduli p^n; 31, 73 and 127 fold as 3, 5, 7
+    r = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 25, 31, 73, 127,
+                                   65537]))
+    e = data.draw(st.integers(1, 40))
+    top = (2 * e - 1) * (r - 1) ** 2
+    bits = top.bit_length()
+    slots = data.draw(st.lists(st.one_of(st.just(top), st.integers(0, top)),
+                               min_size=e, max_size=e))
+    z = sum(v << (i * bits) for i, v in enumerate(slots))
+    want = sum((v % r) << (i * bits) for i, v in enumerate(slots))
+    assert _reduction_rows((1,) * e + (1,), r)[0] == bits
+    assert _slot_reducer(r, e, bits)(z) == want
+
+
+# (p, d, e): into a log-table field and into Kronecker fields
+EMBED_SHAPES = [(2, 2, 4), (3, 2, 8), (5, 1, 6), (2, 4, 16), (7, 1, 2),
+                (2, 3, 15)]
+
+
+def test_embed_elem_matches_horner():
+    rng = random.Random(21)
+    for p, d, e in EMBED_SHAPES:
+        small, big = make_field(p, d), extension_field(p, e)
+        rho, f = subfield_root(small, big).coeffs, big.modulus
+        for _ in range(20):
+            c = tuple(rng.randrange(p) for _ in range(d))
+            want = (0,) * e
+            for ci in reversed(c):
+                want = _ref_mul(want, rho, f, p)
+                want = (want[0] + ci) % p, *want[1:]
+            assert embed_elem(small.elem(c), big).coeffs == want
+
+
+def test_subfield_root_is_least_tuple_not_least_int():
+    # the packed int compares from c_{e-1} down, so in both fields its
+    # least root is another root than the least coefficient tuple
+    cases = [(3, 2, 4, (0, 1, 2, 0), (0, 2, 1, 0)),
+             (2, 4, 8, (0, 0, 0, 1, 0, 1, 0, 1), (1, 1, 0, 1, 1, 0, 1, 0))]
+    for p, d, e, by_tuple, by_int in cases:
+        small, big = make_field(p, d), make_field(p, e)
+        g = FqPoly(big, enumerate(small.modulus))
+        roots = [x for x in big.elements() if not g.evaluate(x)]
+        assert min(roots, key=lambda x: x.coeffs).coeffs == by_tuple
+        assert min(roots, key=lambda x: x.v).coeffs == by_int
+        assert subfield_root(small, big).coeffs == by_tuple
