@@ -334,11 +334,33 @@ def _exec_rayclass_m2(plan):
     return 0
 
 
+def _family_degree_floor(p, e, kind, witt_len):
+    """A k with tower degree >= p^k for family_build(F_{p^e}, kind), known
+    before any item is built: each item multiplies the degree by at least
+    p (one level of degree p per unit of rank, or its marginal p), and
+    the one exponent-pn item, a Witt vector of length witt_len, by
+    p^witt_len.  A kind whose parity does not fit e gets 1, which leaves
+    the refusal to family_build."""
+    odd = e % 2
+    return {"jump2-even": not odd and p + 1, "jump2-odd": odd and 2 * p - 1,
+            "table-full": not odd and (p - 1) * (p + 2) // 2,
+            "exponent-pn": not odd and witt_len}.get(kind) or 1
+
+
 def _exec_family_build(plan):
     ctx = make_field(plan.params["p"], plan.params["e"])
-    fam = family_build(ctx, plan.params["kind"],
-                       witt_len=plan.params["witt_len"])
+    kind, witt_len = plan.params["kind"], plan.params["witt_len"]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # p^k >= 10^int(k log10 p), so this refuses only unprintable degrees
+    k = _family_degree_floor(ctx.p, ctx.e, kind, witt_len)
+    if limit and int(k * math.log10(ctx.p)) >= limit:
+        raise ResourceLimit("the tower degree has over %d digits, the limit "
+                            "on printed integers" % limit)
+    fam = family_build(ctx, kind, witt_len=witt_len)
     tower = tower_compose(fam["items"])
+    if limit and max(tower["degree"], tower["genus"]) >= 10 ** limit:
+        raise ResourceLimit("the tower degree or genus has over %d digits, "
+                            "the limit on printed integers" % limit)
     payload = {
         "kind": fam["kind"],
         "notes": fam["notes"],

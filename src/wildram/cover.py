@@ -48,8 +48,8 @@ from .errors import (
     ZeroCover,
 )
 from .field import (FqPoly, _check_integral, _fold, _trace_vanishes,
-                    _wp_preimage, field_from_json, frobenius_trace,
-                    reduce_pth_powers, rref_mod)
+                    _wp_preimage, embed_poly, field_from_json,
+                    frobenius_trace, reduce_pth_powers, rref_mod)
 from .additive import AdditiveOp, adjoint, linearize_kernel, wp_operator
 from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt_trace, witt2_sub
@@ -297,17 +297,19 @@ def _split_test(cover, E):
     Additive covers: trace duality (`additive.adjoint`) gives
     A(E) = {v : Tr(l v) = 0 for every root l of adjoint(A) in E}, split
     or not, so each root contributes one F_p row (Tr(l X^j))_j and a
-    place costs one evaluation of f and d dot products.
+    place costs one evaluation of f and d dot products.  The right hand
+    side is embedded into E once, here, not once per place.
     """
+    rhs = [embed_poly(f, E) for f in cover.rhs]
     if cover.kind == "witt":
         ring = witt_ring(E, cover.op)
         return lambda y: witt_trace(
-            ring.vec([f.evaluate(y) for f in cover.rhs])).is_zero()
+            ring.vec([f.evaluate(y) for f in rhs])).is_zero()
     p = E.p
     powers = [E.elem([0] * j + [1]) for j in range(E.e)]
     rows = [[frobenius_trace(ell * x).coeffs[0] for x in powers]
             for ell in linearize_kernel(adjoint(cover.op), E.e).basis]
-    f = cover.rhs[0]
+    f = rhs[0]
 
     def test(y):
         v = f.evaluate(y).coeffs

@@ -29,12 +29,19 @@ Linear algebra over F_p runs on rows of Python ints, the same vectors as
 FqElem.coeffs, so no result has a word size: rref_mod and nullspace_mod
 are plain row reductions, and every matrix of the powers of one element
 is _power_rows on the Kronecker product.  That covers Frobenius
-(frob_matrix, also applied as packed rows), Berlekamp's Q in the modulus
-scan and the Witt Frobenius.
+(frob_matrix, applied to a packed element as one row sum, _apply),
+Berlekamp's Q in the modulus scan and the Witt Frobenius.
 
 Polynomials are the sparse FqPoly (trusted constructor _poly), whose
 division and modular powers run the root finding behind subfield
-embeddings; additive polynomials are additive.AdditiveOp.
+embeddings; additive polynomials are additive.AdditiveOp.  Products,
+powers, substitution, differences and reduce_pth_powers run on packed
+terms (exponent, int): _mul_terms gathers the products per exponent
+with a factor 1 passed through, the p^j-th powers of g behind g^k and
+the p-th roots apply Frobenius to the int, and FqElem objects are made
+once, when _packed_poly builds the result.
+embed_poly remembers its last result, so a run of calls on one f and one
+field (a translation test over many y) embeds f once.
 """
 
 from __future__ import annotations
@@ -139,10 +146,9 @@ def _is_irreducible(f, p):
     if e == 1:
         return True
     ring = FieldCtx(p, e, f)  # F_p[X]/(f), a field when f is irreducible
-    bits, Q = ring._red_rows[0], ring._frob_rows(1)
-    x = y = ring.gen.coeffs
+    x = y = ring.gen.v
     for _ in range(e):
-        y = _unpack(sum(map(operator.mul, y, Q)), e, bits, p)
+        y = ring._apply(y, ring._frob_rows(1))
     if y != x:
         return False
     shifted = [[a - (i == j) for j, a in enumerate(row)]
@@ -210,14 +216,6 @@ def _kron_fold(z, rows, r):
     return low
 
 
-def _kron_mulmod(a, b, rows, r):
-    """Product of two length-e coefficient vectors mod (f, r), one bigint
-    product and _kron_fold: the kernel's tuple form, for the tests."""
-    bits = rows[0]
-    z = _kron_fold(_pack(a, bits) * _pack(b, bits), rows, r)
-    return _unpack(z, len(a), bits, r)
-
-
 def _swar_fix(m, t, ones):
     """z -> z with m taken off each slot >= m, read from bit t of slot +
     2^t - m: needs m <= 2^t and slots below 2^t + m; ones marks slots."""
@@ -259,8 +257,9 @@ def _slot_reducer(r, e, bits):
     return reduce
 
 
-def _kron_pow(x, k, mul):
-    """x^k for a packed x and k >= 0, square-and-multiply on mul."""
+def _power(x, k, mul):
+    """x^k for k >= 0, square-and-multiply on mul starting from the int 1:
+    packed elements, or polynomials under a product mod m."""
     result = 1
     while k:
         if k & 1:
@@ -298,6 +297,13 @@ class _KronRing:
     def _mul(self, x, y):
         """Product of two packed elements, by Kronecker substitution."""
         return self._reduce(_kron_fold(x * y, self._red_rows, self._r))
+
+    def _apply(self, v, rows):
+        """sum v_i rows_i over the slots of packed v: the ring map with
+        rows[i] the image of X^i (a Frobenius, from _power_rows).  e
+        (r - 1)^2 < 2^b, so no slot carries."""
+        c = _unpack(v, len(rows), self._red_rows[0], self._r)
+        return self._reduce(sum(map(operator.mul, c, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +364,7 @@ class FieldCtx(_KronRing):
         product's b-bit slots: the powers of X^(p^k)."""
         rows = self._frob.get(k)
         if rows is None:
-            xk = _kron_pow(self.gen.v, self.p ** k, self._mul)
+            xk = _power(self.gen.v, self.p ** k, self._mul)
             rows = self._frob[k] = _power_rows(xk, self.e, self._mul)
         return rows
 
@@ -373,7 +379,7 @@ class FieldCtx(_KronRing):
             ells = [ell for ell in range(2, n + 1)
                     if n % ell == 0 and _is_prime(ell)]
             g = next(g for g in self.elements() if g and all(
-                _kron_pow(g.v, n // ell, self._mul) != 1 for ell in ells))
+                _power(g.v, n // ell, self._mul) != 1 for ell in ells))
             exp = [self.one]
             for _ in range(n - 1):
                 exp.append(_elem(self, self._mul(exp[-1].v, g.v)))
@@ -521,7 +527,7 @@ class FqElem:
             return tables[1][i * k % (ctx.q - 1)]
         if k < 0:
             return self.inverse() ** (-k)
-        return _elem(ctx, _kron_pow(self.v, k, ctx._mul))
+        return _elem(ctx, _power(self.v, k, ctx._mul))
 
     def inverse(self):
         if not self:
@@ -547,10 +553,7 @@ class FqElem:
         i = tables and tables[0].get(self.v)
         if i is not None:
             return tables[1][i * pow(ctx.p, k, ctx.q - 1) % (ctx.q - 1)]
-        # e (p - 1)^2 < 2^b, so the weighted row sum never carries out of
-        # a slot
-        z = sum(map(operator.mul, self.coeffs, ctx._frob_rows(k)))
-        return _elem(ctx, ctx._reduce(z))
+        return _elem(ctx, ctx._apply(self.v, ctx._frob_rows(k)))
 
     def pth_root(self):
         # Frobenius is a bijection, so the root is x^(p^(e-1))
@@ -769,17 +772,23 @@ class FqPoly:
     def __sub__(self, other):
         if not isinstance(other, FqPoly):
             return NotImplemented
-        return self + -other
+        self._check(other)
+        ctx, acc = self.ctx, dict(_packed(self))
+        for k, c in other.terms:
+            acc[k] = ctx._fix(acc.get(k, 0) + ctx._pr - c.v)
+        return _packed_poly(ctx, acc)
 
     def __mul__(self, other):
+        ctx = self.ctx
         if isinstance(other, (FqElem, int)):
-            c = self.ctx.elem(other)
-            return _poly(self.ctx, [(k, a * c) for k, a in self.terms])
-        if not isinstance(other, FqPoly):
+            c = ctx.elem(other).v
+            other = [(0, c)] if c else []
+        elif isinstance(other, FqPoly):
+            self._check(other)
+            other = _packed(other)
+        else:
             return NotImplemented
-        self._check(other)
-        return _poly(self.ctx, [(i + j, a * b) for i, a in self.terms
-                                for j, b in other.terms])
+        return _packed_poly(ctx, _mul_terms(ctx, _packed(self), other, {}))
 
     __rmul__ = __mul__
 
@@ -794,17 +803,12 @@ class FqPoly:
         if not isinstance(k, int) or k < 0:
             return NotImplemented
         if modulo is None:
-            return _char_p_power(self, k, [self])
+            return _packed_poly(self.ctx,
+                                dict(_pow_terms(self.ctx, k, [_packed(self)])))
         # square-and-multiply: base-p digits would cost e(p - 1)/2
         # products at the Cantor-Zassenhaus exponent (q - 1)/2
-        result, base = FqPoly(self.ctx, ((0, 1),)) % modulo, self % modulo
-        while k:
-            if k & 1:
-                result = result * base % modulo
-            k >>= 1
-            if k:
-                base = base * base % modulo
-        return result
+        power = _power(self % modulo, k, lambda a, b: a * b % modulo)
+        return power if k else FqPoly(self.ctx, ((0, 1),)) % modulo
 
     def __divmod__(self, other):
         """(quotient, remainder) with deg remainder < deg other."""
@@ -857,10 +861,10 @@ class FqPoly:
         if not isinstance(g, FqPoly):
             raise ContextMismatch("compose expects a polynomial")
         self._check(g)
-        frob_powers = [g]
-        return _poly(self.ctx, [
-            (k, a * c) for exp, c in self.terms
-            for k, a in _char_p_power(g, exp, frob_powers).terms])
+        ctx, powers, acc = self.ctx, [_packed(g)], {}
+        for exp, c in self.terms:
+            _mul_terms(ctx, [(0, c.v)], _pow_terms(ctx, exp, powers), acc)
+        return _packed_poly(ctx, acc)
 
     def to_json(self):
         return [[exp, c.to_json()] for exp, c in self.terms]
@@ -902,20 +906,47 @@ def _poly(ctx, terms):
     return f
 
 
-def _char_p_power(g, k, frob_powers):
-    """g**k via base-p digits, sharing the list of p^j-th powers of g."""
-    p = g.ctx.p
-    result = _poly(g.ctx, [(0, g.ctx.one)])
-    j = 0
+def _packed_poly(ctx, acc):
+    """The FqPoly of a dict {exponent: packed element}, zeros dropped: the
+    one place where packed results become FqElem objects."""
+    f = _new(FqPoly)
+    f.ctx, f.terms = ctx, tuple([(k, _elem(ctx, v))
+                                 for k, v in sorted(acc.items()) if v])
+    return f
+
+
+def _packed(f):
+    return [(k, c.v) for k, c in f.terms]
+
+
+def _mul_terms(ctx, xs, ys, acc):
+    """Add the products of the nonzero packed terms xs and ys into acc,
+    {exponent: packed sum}, and return it.  A factor 1 passes the other
+    through; fields with log tables multiply by them."""
+    tables = ctx._log_tables()
+    mul = ctx._mul if tables is None else (
+        lambda x, y, log=tables[0], exp=tables[1]: exp[log[x] + log[y]].v)
+    fix, get = ctx._fix, acc.get
+    for i, x in xs:
+        for j, y in ys:
+            z = y if x == 1 else x if y == 1 else mul(x, y)
+            prev = get(i + j)
+            acc[i + j] = z if prev is None else fix(prev + z)
+    return acc
+
+
+def _pow_terms(ctx, k, powers):
+    """Packed terms of g^k from the base-p digits of k; powers[j] holds
+    those of g^(p^j), shared between calls and extended by Frobenius."""
+    result, j, rows = [(0, 1)], 0, ctx._frob_rows(1 % ctx.e)
     while k:
-        d = k % p
-        if d:
-            while j >= len(frob_powers):
-                frob_powers.append(frob_powers[-1].pth_power())
-            piece = frob_powers[j]
-            for _ in range(d):
-                result = result * piece
-        k //= p
+        k, d = divmod(k, ctx.p)
+        if j == len(powers):
+            powers.append([(i * ctx.p, ctx._apply(v, rows))
+                           for i, v in powers[-1]])
+        for _ in range(d):
+            acc = _mul_terms(ctx, result, powers[j], {})
+            result = [t for t in acc.items() if t[1]]
         j += 1
     return result
 
@@ -933,17 +964,17 @@ def reduce_pth_powers(f):
     terms so callers can audit the identity.  The rule is linear, so each
     term runs it on its own.
     """
-    ctx, terms = f.ctx, f.terms
+    ctx, terms = f.ctx, _packed(f)
     constant = ctx.zero
     if terms and terms[0][0] == 0:
-        constant, terms = terms[0][1], terms[1:]
-    reduced, witness = [], []
-    for exp, c in terms:
+        constant, terms = f.terms[0][1], terms[1:]
+    rows, reduced, witness = ctx._frob_rows(ctx.e - 1), {}, {}
+    for exp, v in terms:
         while exp % ctx.p == 0:
-            exp, c = exp // ctx.p, c.pth_root()
-            witness.append((exp, c))
-        reduced.append((exp, c))
-    return _poly(ctx, reduced), constant, _poly(ctx, witness)
+            exp, v = exp // ctx.p, ctx._apply(v, rows)
+            witness[exp] = ctx._fix(witness.get(exp, 0) + v)
+        reduced[exp] = ctx._fix(reduced.get(exp, 0) + v)
+    return _packed_poly(ctx, reduced), constant, _packed_poly(ctx, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,8 +1050,17 @@ def embed_elem(x, big):
     return _elem(big, big._reduce(z))
 
 
+_EMBED_LAST = [None, None, None]  # f, big, embed_poly(f, big)
+
+
 def embed_poly(f, big):
-    """Coefficient-wise canonical embedding of a polynomial."""
+    """Coefficient-wise canonical embedding of a polynomial.  The last
+    result is kept with f itself, so a run of calls on one f and one big
+    field embeds f once, and the memo never holds more than one image."""
     if f.ctx is big:
         return f
-    return _poly(big, [(exp, embed_elem(c, big)) for exp, c in f.terms])
+    last = _EMBED_LAST
+    if last[0] is not f or last[1] is not big:
+        last[:] = f, big, _poly(big, [(exp, embed_elem(c, big))
+                                      for exp, c in f.terms])
+    return last[2]

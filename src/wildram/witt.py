@@ -24,10 +24,8 @@ length-2 Witt sums of polynomial pairs built from it.
 
 from __future__ import annotations
 
-import operator
-
 from .errors import BadParameters, ContextMismatch, LengthMismatch
-from .field import FqPoly, _KronRing, _kron_pow, _pack, _power_rows, _unpack
+from .field import FqPoly, _KronRing, _pack, _power, _power_rows, _unpack
 
 
 class WittRing(_KronRing):
@@ -49,8 +47,8 @@ class WittRing(_KronRing):
 
     def _teich(self, b, i=0):
         """[b] mod p^(n-i), packed, as lift(b)^(q^(n-1-i)) mod p^n."""
-        return _kron_pow(_pack(b.coeffs, self._red_rows[0]),
-                         self.ctx.q ** (self.n - 1 - i), self._mul)
+        return _power(_pack(b.coeffs, self._red_rows[0]),
+                      self.ctx.q ** (self.n - 1 - i), self._mul)
 
     # -- public construction -------------------------------------------------
 
@@ -155,12 +153,8 @@ class WittVec:
         return WittVec(self.ring, self.ring._mul(self.x, other.x))
 
     def frobenius(self):
-        # the rows' slots are below p^n, so the sum of e products stays
-        # under the (2e - 1)(p^n - 1)^2 the slot width allows
         ring = self.ring
-        x = _unpack(self.x, ring.ctx.e, ring._red_rows[0], ring.pn)
-        return WittVec(ring, ring._reduce(sum(map(operator.mul, x,
-                                                  ring._frob_rows))))
+        return WittVec(ring, ring._apply(self.x, ring._frob_rows))
 
     def is_zero(self):
         return not self.x

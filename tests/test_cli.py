@@ -251,6 +251,47 @@ def test_modulus_limit_refusals(monkeypatch, capsys):
         assert len(err.splitlines()) == 1 and want in err, err
 
 
+def test_family_build_refuses_unprintable_towers(capsys, monkeypatch):
+    # F_1031^2: the 1032 items are built and the degree, about 6000
+    # digits, is refused before printing; at p = 65537 the 65538 items,
+    # and a Witt vector of length 10000 at p = 3, are refused by the
+    # floor p^k before any item is built
+    code = cli.main(["family-build", "--p", "1031", "--e", "2",
+                     "--kind", "jump2-even"])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) == 1 and "4300" in err, err
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("items built before the size check")
+
+    monkeypatch.setattr(cli, "family_build", no_build)
+    for p, e, kind, n in ((65537, 2, "jump2-even", 2),
+                          (65537, 1, "jump2-odd", 2),
+                          (1031, 2, "table-full", 2),
+                          (3, 2, "exponent-pn", 10000)):
+        code = cli.main(["family-build", "--p", str(p), "--e", str(e),
+                         "--kind", kind, "--witt-len", str(n)])
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("kind", ["jump2-even", "jump2-odd", "table-full",
+                                  "exponent-pn"])
+def test_family_degree_floor_bounds_the_degree(kind):
+    # the floor is a floor: what prints today still prints
+    for p in (2, 3, 5, 7, 11):
+        for e in (1, 2, 3, 4):
+            for witt_len in (1, 2, 3) if kind == "exponent-pn" else (2,):
+                try:
+                    fam = cli.family_build(field.make_field(p, e), kind,
+                                           witt_len=witt_len)
+                except cli.WildramError:
+                    continue
+                k = cli._family_degree_floor(p, e, kind, witt_len)
+                degree = cli.tower_compose(fam["items"])["degree"]
+                assert p ** k <= degree, (p, e, witt_len)
+
+
 def test_rayclass_m2(capsys):
     code, out = _run(["rayclass-m2", "--p", "2", "--e", "2"], capsys)
     assert code == 0 and out == "7\n"

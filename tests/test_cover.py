@@ -6,7 +6,7 @@ import _character_reference as reference
 import _split_reference
 import pytest
 
-from wildram import _expected, cover
+from wildram import _expected, cover, field
 from wildram.additive import AdditiveOp, adjoint, linearize_kernel
 from wildram.cover import (
     CoverSpec,
@@ -297,6 +297,35 @@ def test_splitting_matches_reference():
         else:
             assert splits_everywhere(cov) == want, cov.to_json()
     assert min(kinds.values()) >= 10
+
+
+def test_split_test_embeds_the_rhs_once(monkeypatch):
+    # places of F_(3^4) for covers over F_9: each predicate embeds its
+    # right hand sides once, however many places it then tests; the two
+    # sides of the Witt pair would evict each other from embed_poly's
+    # one-entry memo if each place embedded them
+    rng = random.Random(57)
+    ctx, big = make_field(3, 2), extension_field(3, 4)
+    calls = []
+    embed = field.embed_elem
+    monkeypatch.setattr(field, "embed_elem",
+                        lambda x, E: calls.append(x) or embed(x, E))
+    pair = [_random_poly(rng, ctx, 3, 20), _random_poly(rng, ctx, 2, 20)]
+    covers = [CoverSpec(ctx, ("witt", 2), pair),
+              CoverSpec(ctx, ("additive", AdditiveOp(ctx, [-1, 0, 1])),
+                        [_random_poly(rng, ctx, 3, 20)])]
+    places = [big.elem([rng.randrange(3) for _ in range(4)])
+              for _ in range(24)]
+    for cov in covers:
+        want = [_split_reference.splits_at(cov, y) for y in places]
+        counts = []
+        for n in (2, 24):
+            del calls[:]
+            test = cover._split_test(cov, big)
+            assert [test(y) for y in places[:n]] == want[:n]
+            counts.append(len(calls))
+        # the Witt pair misses the memo on both sides each time
+        assert counts[0] == counts[1] and (counts[0] or cov.kind != "witt")
 
 
 def _random_poly(rng, ctx, n, top):

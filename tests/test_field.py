@@ -21,8 +21,10 @@ from wildram.field import (
     FqPoly,
     _is_irreducible,
     _is_prime,
-    _kron_mulmod,
+    _kron_fold,
+    _pack,
     _reduction_rows,
+    _unpack,
     embed_elem,
     embed_poly,
     extension_field,
@@ -126,6 +128,14 @@ def test_arithmetic_matches_sympy():
                 assert (a.inverse() * a) == ctx.one
                 assert _to_poly(a ** -k, z, p) \
                     == _sympy_pow(pa.invert(mod), k, mod)
+
+
+def _kron_mulmod(a, b, rows, r):
+    """Product of two length-e coefficient vectors mod (f, r), one bigint
+    product and _kron_fold: the kernel's tuple form."""
+    bits = rows[0]
+    z = _kron_fold(_pack(a, bits) * _pack(b, bits), rows, r)
+    return _unpack(z, len(a), bits, r)
 
 
 def test_kron_kernel_slot_bound():

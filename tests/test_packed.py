@@ -5,9 +5,13 @@ element operation with a tuple reference written here, on shapes that
 reach each slot-reduction path (one AND at p = 2, folds at p = 3, 5, 7,
 slot by slot at p = 11 and 65537), each product path (e = 1, log tables,
 Kronecker substitution) and the tightest SWAR slot, b = 2 at (2, 2).
+FqPoly products, powers and substitutions, which run on packed terms,
+are checked against polynomials of coefficient tuples, {exponent: tuple},
+multiplied term by term with the same reference.
 """
 
 import random
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +20,7 @@ from wildram.field import (
     _reduction_rows,
     _slot_reducer,
     embed_elem,
+    embed_poly,
     extension_field,
     make_field,
     subfield_root,
@@ -129,3 +134,114 @@ def test_subfield_root_is_least_tuple_not_least_int():
         assert min(roots, key=lambda x: x.coeffs).coeffs == by_tuple
         assert min(roots, key=lambda x: x.v).coeffs == by_int
         assert subfield_root(small, big).coeffs == by_tuple
+
+
+def _ref_poly_mul(A, B, f, p):
+    out = {}
+    for i, a in A.items():
+        for j, b in B.items():
+            c, prev = _ref_mul(a, b, f, p), out.get(i + j, (0,) * len(a))
+            out[i + j] = tuple((u + v) % p for u, v in zip(prev, c))
+    return {k: c for k, c in out.items() if any(c)}
+
+
+def _ref_poly_pow(A, k, f, p):
+    result = {0: (1,) + (0,) * (len(f) - 2)}
+    for _ in range(k):
+        result = _ref_poly_mul(result, A, f, p)
+    return result
+
+
+def _ref_compose(A, G, f, p):
+    out = {}
+    for k, c in A.items():
+        term = _ref_poly_mul({0: c}, _ref_poly_pow(G, k, f, p), f, p)
+        for i, a in term.items():
+            prev = out.get(i, (0,) * len(a))
+            out[i] = tuple((u + v) % p for u, v in zip(prev, a))
+    return {k: c for k, c in out.items() if any(c)}
+
+
+def _as_dict(poly):
+    return {k: c.coeffs for k, c in poly.terms}
+
+
+def _exponents(p, top):
+    """Exponents up to top with two or three base-p digits where p allows,
+    digits above 1 among them."""
+    return st.builds(lambda d: min(top, sum(c * p ** j for j, c in
+                                            enumerate(d))),
+                     st.lists(st.integers(0, min(p - 1, 3)),
+                              min_size=1, max_size=3))
+
+
+def _ref_poly(p, e, exps, size):
+    return st.one_of(
+        st.just({}), st.just({0: (1,) + (0,) * (e - 1)}),
+        st.dictionaries(exps, _coeffs(p, e), max_size=size).map(
+            lambda d: {k: c for k, c in d.items() if any(c)}))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_packed_poly_products_match_tuples(data):
+    p, e = data.draw(st.sampled_from(SHAPES))
+    ctx, f = make_field(p, e), make_field(p, e).modulus
+
+    def poly(d):
+        return FqPoly(ctx, [(k, ctx.elem(c)) for k, c in d.items()])
+
+    # g of degree <= 3, often with a constant term, keeps g^k small
+    A = data.draw(_ref_poly(p, e, _exponents(p, 40), 4))
+    B = data.draw(_ref_poly(p, e, st.integers(0, 6), 3))
+    G = data.draw(_ref_poly(p, e, st.integers(0, 3), 3))
+    k = data.draw(_exponents(p, 30))
+    assert _as_dict(poly(A) * poly(B)) == _ref_poly_mul(A, B, f, p)
+    assert _as_dict(poly(G) ** k) == _ref_poly_pow(G, k, f, p)
+    assert _as_dict(poly(A).compose(poly(G))) == _ref_compose(A, G, f, p)
+    j = data.draw(st.integers(0, 2 * e))
+    assert _as_dict(poly(B).pth_power(j)) == {
+        k * p ** j: _ref_pow(c, p ** j, f, p) for k, c in B.items()}
+
+
+def test_packed_poly_edge_cases():
+    for p, e in SHAPES:
+        ctx = make_field(p, e)
+        a = ctx.elem([1] * e)
+        x, one, zero = FqPoly.x(ctx), FqPoly(ctx, [(0, 1)]), FqPoly.zero(ctx)
+        # the X terms cancel, and f(a) = 0 makes the substitution vanish
+        assert (x + a * one) * (x - a * one) == x * x - (a * a) * one
+        assert ((x + a * one) * (x - a * one)).coeff(1) == ctx.zero
+        f = x ** (2 * p + 1) - (a ** (2 * p + 1)) * one
+        assert f.compose(a * one) == zero
+        # factors equal to one, and the zero polynomial
+        assert f * one == one * f == f * 1 == f.compose(x) == f ** 1 == f
+        assert f ** 0 == one == zero ** 0 == one.compose(f)
+        assert f * zero == zero * f == f * 0 == p * f == zero
+        assert zero.compose(f) == zero
+        assert zero ** 3 == zero.pth_power() == zero
+        assert f.compose(zero) == f.coeff(0) * one
+
+
+def test_embed_poly_memo_follows_its_arguments():
+    rng = random.Random(23)
+    small = make_field(3, 2)
+    big1, big2 = extension_field(3, 4), extension_field(3, 6)
+
+    def draw():
+        return FqPoly(small, [(rng.randrange(30), small.elem(
+            [rng.randrange(3), rng.randrange(3)])) for _ in range(4)])
+
+    def want(f, big):
+        return FqPoly(big, [(k, embed_elem(c, big)) for k, c in f.terms])
+    f1, f2 = draw(), draw()
+    for f, big in [(f1, big1), (f2, big1), (f1, big2), (f1, big2),
+                   (f2, big2), (f2, big1), (f1, big1)]:
+        image = embed_poly(f, big)
+        assert image.ctx is big and image == want(f, big)
+    # the memo holds f itself, so the id it is keyed on cannot pass to
+    # another polynomial while the memo answers for it
+    f = draw()
+    refs = sys.getrefcount(f)
+    assert embed_poly(f, big2) == want(f, big2)
+    assert sys.getrefcount(f) == refs + 1
