@@ -19,8 +19,6 @@ self-reciprocal operator.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     BadParameters,
     ContextMismatch,
@@ -76,7 +74,7 @@ class AdditiveOp:
 
     def evaluate(self, x):
         if x.ctx is not self.ctx:
-            return self.embed(x.ctx).evaluate(x)
+            return _embed_op(self, x.ctx).evaluate(x)
         acc = self.ctx.zero
         for j, c in enumerate(self.coeffs):
             if c:
@@ -145,6 +143,19 @@ class AdditiveOp:
         return "AdditiveOp(%s)" % " + ".join(bits)
 
 
+_EMBED_LAST = [None, None, None]  # A, big, A.embed(big)
+
+
+def _embed_op(A, big):
+    """A.embed(big), remembered for the last A and big as
+    field.embed_poly remembers polynomials: a run of evaluations of one
+    operator over one field embeds it once."""
+    last = _EMBED_LAST
+    if last[0] is not A or last[1] is not big:
+        last[:] = A, big, A.embed(big)
+    return last[2]
+
+
 def frobenius_operator(ctx, k=1):
     return AdditiveOp(ctx, [0] * k + [1])
 
@@ -194,14 +205,17 @@ class KernelBasis:
         return len(self.basis)
 
     def elements(self):
-        """All p^dim kernel elements (keep dim small)."""
-        p = self.field.p
-        for digits in itertools.product(range(p), repeat=len(self.basis)):
-            acc = self.field.zero
-            for d, b in zip(digits, self.basis):
-                if d:
-                    acc = acc + b * d
-            yield acc
+        """All p^dim kernel elements (keep dim small): sum d_i b_i for the
+        digit vectors d in itertools.product order, built by additions
+        from the multiples 0, b, 2b, ... of each basis vector."""
+        zero = self.field.zero
+        sums = [zero]
+        for b in self.basis:
+            multiples = [zero]
+            for _ in range(self.field.p - 1):
+                multiples.append(multiples[-1] + b)
+            sums = [a + m for a in sums for m in multiples]
+        yield from sums
 
     def __repr__(self):
         return "KernelBasis(dim=%d over %r)" % (self.dim, self.field)

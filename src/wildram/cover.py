@@ -588,6 +588,14 @@ def family_build(ctx, kind, witt_len=2):
         s = e // 2
         r = p ** s
         n = witt_len
+        # length 3 and more tests places, each about n^2 e log2 p Witt
+        # products (0.6-0.9 times that, measured at n = 10-100, q <= 729)
+        work = len(_places(ctx)) * n * n * e * math.log2(p) if n > 2 else 0
+        if work > _PLACE_PRODUCTS * _PLACE_LIMIT:
+            raise ResourceLimit(
+                "Witt length %d over F_%d^%d: the place tests need about "
+                "%d products, over the limit of %d"
+                % (n, p, e, work, _PLACE_PRODUCTS * _PLACE_LIMIT))
         a = _least_gamma(ctx, s)
         rhs = [_monomials(ctx, [(1 + r, a)])] + \
               [FqPoly.zero(ctx) for _ in range(n - 1)]

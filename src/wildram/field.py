@@ -16,14 +16,14 @@ Those three rules make every serialized object stable across runs and
 machines, which the reproduction commands rely on.
 
 Sums are SWAR: all slots at once, then p comes off each slot that reached
-it (_swar_fix).  Products take one of two integer paths.  Fields with
+it (_fix).  Products take one of two integer paths.  Fields with
 e >= 2 and q <= TABLE_LIMIT (2^12, so no table outgrows about 1 MB) keep
 log/antilog tables keyed by the packed int, built on first use, and
 multiply, power, invert and apply Frobenius by index arithmetic mod
-q - 1.  Every other product is one Kronecker substitution (_kron_fold,
-also the Witt lift ring's product mod r = p^n): 2^b > (2e - 1)(r - 1)^2
-bounds the convolution plus the e - 1 folded reduction rows, so no slot
-carries, and _slot_reducer then takes every slot mod p.
+q - 1.  Every other product is one Kronecker substitution and a Barrett
+fold (_kron_fold; also the Witt lift ring's product mod r = p^n): 2^b >
+e(r - 1)^2 + (e - 1)^3 (r - 1)^4 bounds every slot, so none carries, and
+_slot_reducer then takes every slot mod r.
 
 Linear algebra over F_p runs on rows of Python ints, the same vectors as
 FqElem.coeffs, so no result has a word size: rref_mod and nullspace_mod
@@ -46,9 +46,11 @@ field (a translation test over many y) embeds f once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
+import sys
 
 from .errors import (
     BadParameters,
@@ -159,32 +161,44 @@ def _is_irreducible(f, p):
 def _least_irreducible(p, e):
     if e == 1:
         return (0, 1)
-    # the candidates in order are the base-p digits, c_0 first, of
-    # successive integers, generated one at a time; c_0 = 0 means X
-    # divides the candidate, so the scan starts at c_0 = 1
+    # candidates: the base-p digits, c_0 first, of successive integers
+    # from p^(e-1) (c_0 = 0 would make X a factor); a root x < 16, by
+    # Horner from the top, turns most away cheaper than Berlekamp can
+    points = range(1, min(p, 16))
     for n in range(p ** (e - 1), p ** e):
         cand = [1]
         for _ in range(e):
             n, c = divmod(n, p)
             cand.append(c)
-        cand = tuple(reversed(cand))
-        if _is_irreducible(cand, p):
-            return cand
+        if not any(functools.reduce(lambda a, c: a * x + c, cand) % p == 0
+                   for x in points) and _is_irreducible(cand[::-1], p):
+            return tuple(reversed(cand))
     raise AssertionError("irreducible polynomial exists for every degree")
 
 
+_SLOT_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # one cast per width
+
+
+def _fold_bound(e, r):
+    """The largest slot of _kron_fold: convolution, then quotient by f."""
+    return e * (r - 1) ** 2 + (e - 1) ** 3 * (r - 1) ** 4
+
+
 def _reduction_rows(f, r):
-    """Slot width b and the rows X^e, ..., X^(2e-2) mod (f, r) packed in
-    b-bit slots for _kron_fold; r is p, or p^n in the Witt lift ring."""
+    """(b, e b, (e - 2) b, mask of e slots, mu, -(f - X^e)) for _kron_fold,
+    mu = X^(2e-2) div f; both rows mod r (p, or p^n for Witt vectors) and
+    packed.  2^b > _fold_bound, so no slot carries; a byte width b, taken
+    when it at most doubles b, lets _unpack read all slots in one cast."""
     e = len(f) - 1
-    bits = ((2 * e - 1) * (r - 1) ** 2).bit_length()
-    rows = [tuple((-c) % r for c in f[:e])] if e >= 2 else []
-    for _ in range(e - 2):
-        prev = rows[-1]
-        top = prev[e - 1]
-        rows.append(tuple((a + top * b) % r
-                          for a, b in zip((0,) + prev[:-1], rows[0])))
-    return bits, tuple(_pack(row, bits) for row in rows)
+    bits = _fold_bound(e, r).bit_length()
+    bits = next((w for w in _SLOT_FORMATS if bits <= w <= 2 * bits), bits)
+    rem, mu = [0] * (2 * e - 2) + [1], []
+    for k in range(2 * e - 2, e - 1, -1):  # X^(2e-2) by monic f, mod r
+        mu.append(rem[k] % r)
+        for i in range(e):
+            rem[k - e + i] -= mu[-1] * f[i]
+    return (bits, e * bits, max(e - 2, 0) * bits, (1 << e * bits) - 1,
+            _pack(mu[::-1], bits), _pack([-c % r for c in f[:e]], bits))
 
 
 def _pack(v, bits):
@@ -194,66 +208,56 @@ def _pack(v, bits):
     return x
 
 
-def _unpack(z, e, bits, r):
-    mask = (1 << bits) - 1
-    return tuple([((z >> s) & mask) % r for s in range(0, e * bits, bits)])
+def _unpack(z, e, bits):
+    """The e b-bit slots of z, c_0 first; one cast at byte widths."""
+    fmt = _SLOT_FORMATS.get(bits)
+    if fmt:
+        return memoryview(z.to_bytes(e * bits >> 3, sys.byteorder)).cast(fmt)
+    return [(z >> s) & ~(-1 << bits) for s in range(0, e * bits, bits)]
 
 
-def _kron_fold(z, rows, r):
-    """z, a product of two packed length-e vectors, folded below X^e mod
-    (f, r) as each top slot c_t mod r times its row of rows =
-    _reduction_rows(f, r); slots are left below (2e - 1)(r - 1)^2."""
-    bits, packed = rows
-    mask = (1 << bits) - 1
-    top = (len(packed) + 1) * bits
-    low = z & ((1 << top) - 1)
-    z >>= top
-    for row in packed:
-        c = (z & mask) % r
-        if c:
-            low += c * row
-        z >>= bits
-    return low
+def _kron_fold(z, rows):
+    """z, a product of two packed length-e vectors, folded below X^e mod f
+    by Barrett's quotient, rows = _reduction_rows(f, r): for z = hi X^e +
+    lo and monic f, Q = hi mu div X^(e-2) is z div f and z mod f = lo - (Q
+    (f - X^e) below X^e).  No slot carries, so over Z it agrees mod r."""
+    _, top, shift, low, mu, f_neg = rows
+    return (z & low) + ((((z >> top) * mu) >> shift) * f_neg & low)
 
 
-def _swar_fix(m, t, ones):
-    """z -> z with m taken off each slot >= m, read from bit t of slot +
-    2^t - m: needs m <= 2^t and slots below 2^t + m; ones marks slots."""
-    k, hi = ((1 << t) - m) * ones, ones << t
-    return lambda z: z - (((z + k) & hi) >> t) * m
-
-
-def _slot_reducer(r, e, bits):
-    """z -> z with each of its e b-bit slots, at most (2e - 1)(r - 1)^2,
-    taken mod r (p, or p^n for Witt vectors).  A power of 2 is one AND.
-    When 2^h = 1 mod r for a 2^h < 8r (r = 3, 5, 7, 9, 31, 73, 127, ...),
-    slot-wise folds v -> (v >> h) + (v mod 2^h) bring every slot to about
-    2^h, and conditional subtracts of 4r, 2r, r finish.  Other r go slot
-    by slot."""
+@functools.lru_cache(maxsize=256)  # alike for every modulus-scan candidate
+def _slot_reducer(r, e, bits, top):
+    """z -> z with each of its e b-bit slots, at most top, taken mod r (p,
+    or p^n for Witt vectors).  A power of 2 is one AND.  Else, 2^h = 1 mod
+    r, folds v -> (v >> k) + (v mod 2^k), k in h, 2h, ... leaving the least
+    bound, shrink the slots till one division fits: v div r = (v m) >> s,
+    m = ceil(2^s / r), exact while v (m r - 2^s) < 2^s.  An r whose order
+    h is long against b (19, 25, 27, 125, ...) goes slot by slot."""
     ones = _pack((1,) * e, bits)
-    h = next((h for h in range(1, (8 * r).bit_length())
-              if pow(2, h, r) == 1), 0)
     if r & (r - 1) == 0 or e == 1:
         return ((r - 1) * ones).__and__ if r & (r - 1) == 0 else r.__rmod__
-    if not h:
-        mask = (1 << bits) - 1
-        return lambda z: _pack([(z >> s & mask) % r
-                                for s in range(0, e * bits, bits)], bits)
-    low, folds, fixes = ((1 << h) - 1) * ones, 0, []
-    top = (2 * e - 1) * (r - 1) ** 2
-    while (top >> h) + (1 << h) - 1 < top:
-        top, folds = (top >> h) + (1 << h) - 1, folds + 1
-    for j in reversed(range((top // r).bit_length())):
-        fixes.append(_swar_fix(r << j, bits - 1, ones))
-        top = max((r << j) - 1, top - (r << j))
+    h = next((h for h in range(1, bits) if pow(2, h, r) == 1), bits)
+    folds = []
+    while True:
+        t = top.bit_length()  # m r - 2^s is 1 to r - 1: 2^s > top r will do
+        s = next(s for s in range(t, t + r.bit_length() + 1)
+                 if top * (-(-(1 << s) // r) * r - (1 << s)) < 1 << s)
+        m = -(-(1 << s) // r)
+        if top * m < 1 << bits:
+            break
+        k = min(range(h, bits, h), default=0,
+                key=lambda k: (top >> k) + (1 << k))
+        if not k or (top >> k) + (1 << k) - 1 >= top:
+            return lambda z: _pack([v % r for v in _unpack(z, e, bits)], bits)
+        top = (top >> k) + (1 << k) - 1
+        folds.append((((1 << k) - 1) * ones, k))
+    quot = ((1 << (bits - s)) - 1) * ones
 
     def reduce(z):
-        for _ in range(folds):
+        for low, k in folds:
             lo = z & low
-            z = lo + ((z ^ lo) >> h)
-        for fix in fixes:
-            z = fix(z)
-        return z
+            z = lo + ((z ^ lo) >> k)
+        return z - ((z * m >> s) & quot) * r
     return reduce
 
 
@@ -273,36 +277,39 @@ def _power(x, k, mul):
 def _power_rows(x, n, mul):
     """[1, x, ..., x^(n-1)] for a packed x under mul: for x = X^(p^k), the
     rows of g(X) -> g(x), applied as sum(v_i * row_i) for slots v_i < r."""
-    out = [1]
-    for _ in range(n - 1):
-        out.append(mul(out[-1], x))
-    return tuple(out)
+    return tuple(itertools.accumulate(itertools.repeat(x, n - 1), mul,
+                                      initial=1))
 
 
 class _KronRing:
     """Z/r[X]/(f) on ints packed in the Kronecker slots: the slot
-    reduction, the SWAR fix-up and the product that FieldCtx (r = p) and
+    reductions, the SWAR fix-up and the product that FieldCtx (r = p) and
     witt.WittRing (r = p^n) share."""
 
-    __slots__ = ("_r", "_red_rows", "_reduce", "_fix", "_pr")
+    __slots__ = ("_red_rows", "_reduce", "_reduce_fold", "_fix", "_pr")
 
     def _init_ring(self, f, r):
-        self._r, self._red_rows = r, _reduction_rows(f, r)
+        self._red_rows = _reduction_rows(f, r)
         bits, e = self._red_rows[0], len(f) - 1
-        ones, self._reduce = _pack((1,) * e, bits), _slot_reducer(r, e, bits)
-        # sums keep every slot below 2r - 1, so any 2^t >= r will do
-        self._fix = _swar_fix(r, (r - 1).bit_length(), ones)
+        ones = _pack((1,) * e, bits)
+        # _reduce covers a row sum, e (r - 1)^2, _reduce_fold a product
+        self._reduce = _slot_reducer(r, e, bits, e * (r - 1) ** 2)
+        self._reduce_fold = _slot_reducer(r, e, bits, _fold_bound(e, r))
+        # sums stay below 2r - 1 < 2^t + r: bit t of slot + 2^t - r flags r
+        t = (r - 1).bit_length()
+        k, hi = ((1 << t) - r) * ones, ones << t
+        self._fix = lambda z: z - (((z + k) & hi) >> t) * r
         self._pr = r * ones
 
     def _mul(self, x, y):
         """Product of two packed elements, by Kronecker substitution."""
-        return self._reduce(_kron_fold(x * y, self._red_rows, self._r))
+        return self._reduce_fold(_kron_fold(x * y, self._red_rows))
 
     def _apply(self, v, rows):
         """sum v_i rows_i over the slots of packed v: the ring map with
         rows[i] the image of X^i (a Frobenius, from _power_rows).  e
         (r - 1)^2 < 2^b, so no slot carries."""
-        c = _unpack(v, len(rows), self._red_rows[0], self._r)
+        c = _unpack(v, len(rows), self._red_rows[0])
         return self._reduce(sum(map(operator.mul, c, rows)))
 
 
@@ -323,10 +330,7 @@ class FieldCtx(_KronRing):
                  "_tables")
 
     def __init__(self, p, e, modulus):
-        self.p = p
-        self.e = e
-        self.q = p ** e
-        self.modulus = tuple(modulus)
+        self.p, self.e, self.q, self.modulus = p, e, p ** e, tuple(modulus)
         self._init_ring(self.modulus, p)
         self._frob, self._tables = {}, None
         self.zero, self.one = _elem(self, 0), _elem(self, 1)
@@ -356,7 +360,7 @@ class FieldCtx(_KronRing):
         image of X^i.  k counts mod e, so frob_matrix(-k) inverts
         frob_matrix(k)."""
         bits = self._red_rows[0]
-        return tuple(_unpack(row, self.e, bits, self.p)
+        return tuple(tuple(_unpack(row, self.e, bits))
                      for row in self._frob_rows(k % self.e))
 
     def _frob_rows(self, k):
@@ -462,12 +466,11 @@ class FqElem:
     __slots__ = ("ctx", "v")
 
     def __init__(self, ctx, coeffs):
-        self.ctx = ctx
-        self.v = _pack(coeffs, ctx._red_rows[0])
+        self.ctx, self.v = ctx, _pack(coeffs, ctx._red_rows[0])
 
     @property
     def coeffs(self):
-        return _unpack(self.v, self.ctx.e, self.ctx._red_rows[0], self.ctx.p)
+        return tuple(_unpack(self.v, self.ctx.e, self.ctx._red_rows[0]))
 
     def _coerce(self, other):
         if isinstance(other, FqElem):
@@ -509,8 +512,7 @@ class FqElem:
         tables = ctx._log_tables()
         if tables is None:
             return _elem(ctx, ctx._mul(self.v, other.v))
-        i = tables[0].get(self.v)
-        j = tables[0].get(other.v)
+        i, j = tables[0].get(self.v), tables[0].get(other.v)
         if i is None or j is None:
             return ctx.zero
         return tables[1][i + j]
@@ -596,8 +598,7 @@ def frobenius_trace(x, d=1):
     if d < 1 or e % d:
         raise NotASubfieldDegree("trace target degree %d does not divide %d"
                                  % (d, e))
-    acc = x
-    cur = x
+    acc = cur = x
     for _ in range(e // d - 1):
         cur = cur.frobenius(d)
         acc = acc + cur
@@ -701,8 +702,7 @@ def _wp_preimage(g):
 def _frobenius_preimage(c, f):
     """One b with b^(p^f) - b = c, from the rows of frob_matrix(f) - I;
     c must have Tr_{q/p^f}(c) = 0."""
-    ctx = c.ctx
-    e = ctx.e
+    ctx, e = c.ctx, c.ctx.e
     M = ctx.frob_matrix(f)
     # b M - b = c, transposed: one row per coordinate of c
     R, pivots = rref_mod([[M[i][j] - (i == j) for i in range(e)]
@@ -942,7 +942,7 @@ def _pow_terms(ctx, k, powers):
     while k:
         k, d = divmod(k, ctx.p)
         if j == len(powers):
-            powers.append([(i * ctx.p, ctx._apply(v, rows))
+            powers.append([(i * ctx.p, v if v == 1 else ctx._apply(v, rows))
                            for i, v in powers[-1]])
         for _ in range(d):
             acc = _mul_terms(ctx, result, powers[j], {})

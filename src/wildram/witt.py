@@ -116,7 +116,7 @@ class WittVec:
         """The Witt coordinates (a_0, ..., a_{n-1}), peeled digit by digit."""
         ring = self.ring
         ctx, p, pn = ring.ctx, ring.ctx.p, ring.pn
-        unpack = lambda z: _unpack(z, ctx.e, ring._red_rows[0], pn)
+        unpack = lambda z: _unpack(z, ctx.e, ring._red_rows[0])
         x = unpack(self.x)
         out = []
         for i in range(ring.n):

@@ -1,5 +1,6 @@
 """Additive operators, linearized kernels, and the palindromic adjoint."""
 
+import itertools
 import math
 import random
 
@@ -8,8 +9,10 @@ from _split_reference import image_membership, solve_mod
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from wildram import additive
 from wildram.additive import (
     AdditiveOp,
+    KernelBasis,
     adjoint,
     frobenius_operator,
     linearize_kernel,
@@ -133,6 +136,43 @@ def test_operator_matrix_matches_evaluation():
                 got = got + big.elem([int(M[i][j]) if k == 0 else 0
                                       for k in range(4)]) * bj
             assert got == want
+
+
+def test_kernel_elements_in_digit_order():
+    # sum d_i b_i over itertools.product's digit vectors, the first basis
+    # vector's digit slowest, in a log-table field and a Kronecker field
+    rng = random.Random(31)
+    for p, e, dim in ((3, 4, 3), (2, 13, 5), (5, 6, 2)):
+        ctx = extension_field(p, e)
+        basis = [_rand_elem(ctx, rng) for _ in range(dim)]
+        want = []
+        for digits in itertools.product(range(p), repeat=dim):
+            acc = ctx.zero
+            for d, b in zip(digits, basis):
+                acc = acc + b * d
+            want.append(acc)
+        assert list(KernelBasis(ctx, basis).elements()) == want
+
+
+def test_evaluate_embeds_the_operator_once(monkeypatch):
+    # y in an extension field: a run of evaluations of one operator
+    # embeds its coefficients once, however long the run
+    rng = random.Random(32)
+    ctx, big = make_field(3, 2), extension_field(3, 12)
+    coeffs = [_rand_elem(ctx, rng) for _ in range(4)]
+    ys = [_rand_elem(big, rng) for _ in range(24)]
+    want = [AdditiveOp(ctx, coeffs).embed(big).evaluate(y) for y in ys]
+    calls = []
+    embed = additive.embed_elem
+    monkeypatch.setattr(additive, "embed_elem",
+                        lambda x, E: calls.append(x) or embed(x, E))
+    counts = []
+    for n in (2, 24):
+        del calls[:]
+        A = AdditiveOp(ctx, coeffs)
+        assert [A.evaluate(y) for y in ys[:n]] == want[:n]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == len(coeffs)
 
 
 def test_kernel_of_frobenius_minus_one():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from wildram import cli, field, rayclass
+from wildram import cli, cover, field, rayclass
 from wildram.errors import UsageError
 
 
@@ -273,6 +273,24 @@ def test_family_build_refuses_unprintable_towers(capsys, monkeypatch):
                          "--kind", kind, "--witt-len", str(n)])
         err = capsys.readouterr().err
         assert code == 1 and len(err.splitlines()) == 1, err
+
+
+def test_family_build_refuses_long_witt_sweeps(capsys, monkeypatch):
+    # Witt length 800 at F_9 would test its 9 places for minutes: the
+    # estimate refuses it before the family is built; length 50 still runs
+    code, out = _run(["family-build", "--p", "3", "--e", "2", "--kind",
+                      "exponent-pn", "--witt-len", "50"], capsys)
+    assert code == 0
+    assert json.loads(out)["notes"]["conductor"] == 1 + 3 ** 49 * 4
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("family built before the work estimate")
+
+    monkeypatch.setattr(cover, "_least_gamma", no_build)
+    code = cli.main(["family-build", "--p", "3", "--e", "2", "--kind",
+                     "exponent-pn", "--witt-len", "800"])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) == 1 and "products" in err
 
 
 @pytest.mark.parametrize("kind", ["jump2-even", "jump2-odd", "table-full",

@@ -134,8 +134,8 @@ def _kron_mulmod(a, b, rows, r):
     """Product of two length-e coefficient vectors mod (f, r), one bigint
     product and _kron_fold: the kernel's tuple form."""
     bits = rows[0]
-    z = _kron_fold(_pack(a, bits) * _pack(b, bits), rows, r)
-    return _unpack(z, len(a), bits, r)
+    z = _kron_fold(_pack(a, bits) * _pack(b, bits), rows)
+    return tuple(c % r for c in _unpack(z, len(a), bits))
 
 
 def test_kron_kernel_slot_bound():

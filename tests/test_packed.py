@@ -2,9 +2,10 @@
 
 An FqElem holds one int of b-bit slots.  These tests compare every
 element operation with a tuple reference written here, on shapes that
-reach each slot-reduction path (one AND at p = 2, folds at p = 3, 5, 7,
-slot by slot at p = 11 and 65537), each product path (e = 1, log tables,
-Kronecker substitution) and the tightest SWAR slot, b = 2 at (2, 2).
+reach each slot-reduction path (one AND at p = 2, folds and one division
+at p = 3, 5, 7, 11 and 65537, slot by slot for products at p = 19), each
+product path (e = 1, log tables, Kronecker substitution) and the tightest
+SWAR slot, b = 2 at (2, 2).
 FqPoly products, powers and substitutions, which run on packed terms,
 are checked against polynomials of coefficient tuples, {exponent: tuple},
 multiplied term by term with the same reference.
@@ -17,8 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from wildram.field import (
     FqPoly,
+    _kron_fold,
+    _pack,
     _reduction_rows,
     _slot_reducer,
+    _unpack,
     embed_elem,
     embed_poly,
     extension_field,
@@ -29,7 +33,7 @@ from wildram.field import (
 # (p, e): e = 1; log-table fields; Kronecker fields
 SHAPES = [(2, 1), (7, 1),
           (2, 2), (3, 5), (5, 3), (7, 2), (11, 3),
-          (2, 13), (3, 8), (5, 6), (7, 5), (11, 4), (65537, 3)]
+          (2, 13), (3, 8), (5, 6), (7, 5), (11, 4), (19, 3), (65537, 3)]
 
 
 def _ref_mul(a, b, f, p):
@@ -86,21 +90,63 @@ def test_packed_arithmetic_matches_tuples(data):
     assert bool(x) == any(a)
 
 
+# r = 9, 4, 25 and 27 are Witt moduli p^n; 31, 73 and 127 fold as 3, 5, 7
+MODULI = [2, 3, 4, 5, 7, 9, 11, 25, 27, 31, 73, 127, 65537]
+
+
+def _fold_top(e, r):
+    """The width rule's bound: the convolution's e (r - 1)^2 plus e - 1
+    products of a quotient slot, up to (e - 1)^2 (r - 1)^3, and r - 1."""
+    return e * (r - 1) ** 2 + (e - 1) ** 3 * (r - 1) ** 4
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.data())
 def test_slot_reducer_matches_slotwise_mod(data):
-    # r = 9, 4 and 25 are Witt moduli p^n; 31, 73 and 127 fold as 3, 5, 7
-    r = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 25, 31, 73, 127,
-                                   65537]))
+    r = data.draw(st.sampled_from(MODULI))
     e = data.draw(st.integers(1, 40))
-    top = (2 * e - 1) * (r - 1) ** 2
-    bits = top.bit_length()
+    wide = _fold_top(e, r)
+    bits = _reduction_rows((1,) * e + (1,), r)[0]
+    # the bit length of the bound, or a byte width above it for one cast
+    assert wide < 2 ** bits
+    assert bits in (wide.bit_length(), 8, 16, 32, 64)
+    # a product folds from the wide bound, a Frobenius row sum from its own
+    top = data.draw(st.sampled_from([wide, e * (r - 1) ** 2]))
     slots = data.draw(st.lists(st.one_of(st.just(top), st.integers(0, top)),
                                min_size=e, max_size=e))
     z = sum(v << (i * bits) for i, v in enumerate(slots))
     want = sum((v % r) << (i * bits) for i, v in enumerate(slots))
-    assert _reduction_rows((1,) * e + (1,), r)[0] == bits
-    assert _slot_reducer(r, e, bits)(z) == want
+    assert _slot_reducer(r, e, bits, top)(z) == want
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_kron_fold_at_its_worst_case(data):
+    # any monic f: the Barrett quotient is exact over Z, and every slot
+    # stays at or below the bound the width is sized for
+    r = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 25, 27, 65537]))
+    e = data.draw(st.integers(1, 40))
+    f = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=e,
+                                 max_size=e))) + (1,)
+    full = st.just((r - 1,) * e)
+    x, y = (data.draw(st.one_of(full, st.lists(
+        st.integers(0, r - 1), min_size=e, max_size=e).map(tuple)))
+        for _ in range(2))
+    rows = _reduction_rows(f, r)
+    bits = rows[0]
+    z = _kron_fold(_pack(x, bits) * _pack(y, bits), rows)
+    assert max(_unpack(z, e, bits)) <= _fold_top(e, r) and z < 1 << e * bits
+    conv = [0] * (2 * e - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            conv[i + j] += a * b
+    for t in range(2 * e - 2, e - 1, -1):
+        for i in range(e):
+            conv[t - e + i] -= conv[t] * f[i]
+    want = tuple(v % r for v in conv[:e])
+    assert tuple(v % r for v in _unpack(z, e, bits)) == want
+    reduce = _slot_reducer(r, e, bits, _fold_top(e, r))
+    assert reduce(z) == _pack(want, bits)
 
 
 # (p, d, e): into a log-table field and into Kronecker fields
