@@ -19,6 +19,9 @@ self-reciprocal operator.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .errors import (
     BadParameters,
     ContextMismatch,
@@ -26,16 +29,9 @@ from .errors import (
     NotASubfieldDegree,
     NotInXSXForm,
 )
-from .field import (
-    FqPoly,
-    elem_from_json,
-    embed_elem,
-    embed_poly,
-    extension_field,
-    frobenius_trace,
-    nullspace_mod,
-    reduce_pth_powers,
-)
+from .field import (FqPoly, _elem, _memo_last, _mul_fn, _packed_poly,
+                    elem_from_json, embed_elem, extension_field,
+                    frobenius_trace, nullspace_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +70,7 @@ class AdditiveOp:
 
     def evaluate(self, x):
         if x.ctx is not self.ctx:
-            return _embed_op(self, x.ctx).evaluate(x)
+            return self.embed(x.ctx).evaluate(x)
         acc = self.ctx.zero
         for j, c in enumerate(self.coeffs):
             if c:
@@ -83,6 +79,7 @@ class AdditiveOp:
 
     __call__ = evaluate
 
+    @_memo_last  # a run of evaluations over one field embeds once
     def embed(self, big):
         return AdditiveOp(big, [embed_elem(c, big) for c in self.coeffs])
 
@@ -141,19 +138,6 @@ class AdditiveOp:
         bits = ["%r F^%d" % (list(c.coeffs), j)
                 for j, c in enumerate(self.coeffs) if c]
         return "AdditiveOp(%s)" % " + ".join(bits)
-
-
-_EMBED_LAST = [None, None, None]  # A, big, A.embed(big)
-
-
-def _embed_op(A, big):
-    """A.embed(big), remembered for the last A and big as
-    field.embed_poly remembers polynomials: a run of evaluations of one
-    operator over one field embeds it once."""
-    last = _EMBED_LAST
-    if last[0] is not A or last[1] is not big:
-        last[:] = A, big, A.embed(big)
-    return last[2]
 
 
 def frobenius_operator(ctx, k=1):
@@ -336,15 +320,80 @@ def palindromic_adjoint(f):
     return T * s_op.coeffs[s].inverse()
 
 
+@_memo_last
+def _shift_plan(f, big):
+    """What f(X + y) - f(X), p-th powers stripped, needs of y in big, all
+    packed: (product, Frobenius indices j, product steps, how many the
+    polynomial part needs, the constant's [(coefficient, slot), ...], the
+    polynomial part's [(m', [(coefficient, slot), ...]), ...]).  By Lucas,
+    (X + y)^k is the sum over m <=_p k of prod C(k_i, m_i) y^(k - m) X^m;
+    m = k cancels against -f(X), and m = p^r m' goes to X^m' with the
+    coefficient's p^r-th root, so y^(k - m) becomes prod (y^(p^(i - r)))^
+    (k_i - m_i), i - r mod big.e: the int D with that power in its w-bit
+    field j, made as D less one in its top field j, times y^(p^j).
+    """
+    p, E, fix, groups, seen = big.p, big.e, big._fix, {}, 0
+    digits = next(n for n in itertools.count() if p ** n > f.degree())
+    w = ((p - 1) * -(-digits // E)).bit_length()  # no field overflows
+    for k, c in f.terms:
+        c, level = embed_elem(c, big), [(0, 1, 0)]  # m, B, D
+        roots = [c.frobenius(-r).v for r in range(digits)]
+        for i in range(digits):
+            k, d = divmod(k, p)
+            level = [(m + b * p ** i, B * math.comb(d, b) % p,
+                      D + (d - b << i % E * w))
+                     for m, B, D in level for b in range(d + 1)]
+        for m, B, D in level[:-1]:  # the last is m = k
+            r = next(i for i in itertools.count() if m % p ** (i + 1) or not m)
+            m, t = m // p ** r, r % E * w
+            D = (D >> t) | (D & ((1 << t) - 1)) << (E * w - t)
+            seen |= D
+            groups[m, D] = fix(groups.get((m, D), 0)
+                               + big._reduce(roots[r] * B))
+    frobs = [j for j in range(E) if seen >> j * w & (1 << w) - 1]
+    slot = {1 << j * w: i for i, j in enumerate(frobs)}
+    steps, parts, n = [], {}, 0
+
+    def slot_of(D):
+        chain = []
+        while D not in slot:
+            chain.append(D)
+            D -= 1 << (D.bit_length() - 1) // w * w
+        for D in reversed(chain):
+            top = 1 << (D.bit_length() - 1) // w * w
+            steps.append((slot[D - top], slot[top]))
+            slot[D] = len(frobs) + len(steps) - 1
+        return slot[D]
+
+    for (m, D), v in sorted(groups.items(), key=lambda t: not t[0][0]):
+        if v:  # the constant m' = 0 comes last
+            parts.setdefault(m, []).append((v, slot_of(D)))
+            n = len(steps) if m else n
+    return _mul_fn(big), frobs, steps, n, parts.pop(0, []), list(parts.items())
+
+
+def _defect_terms(f, y, constant):
+    """(m', packed coefficient) of f(X + y) - f(X), p-th powers stripped,
+    zeros left out; the constant m' = 0 comes last, when asked for."""
+    mul, frobs, steps, n, const, parts = _shift_plan(f, y.ctx)
+    if not y:
+        return
+    vals, fix = [y.frobenius(j).v for j in frobs], y.ctx._fix
+    for a, b in steps if constant else steps[:n]:
+        vals.append(mul(vals[a], vals[b]))
+    for m, terms in parts + [(0, const)] if constant else parts:
+        v = 0
+        for c, i in terms:
+            v = fix(v + mul(c, vals[i]))
+        if v:
+            yield m, v
+
+
 def translation_defect(f, y):
     """Reduced form of f(X + y) - f(X): (polynomial part, constant)."""
-    if y.ctx is not f.ctx:
-        f = embed_poly(f, y.ctx)
-    ctx = f.ctx
-    shift = FqPoly(ctx, ((1, ctx.one), (0, y)))
-    delta = f.compose(shift) - f
-    red, const, _ = reduce_pth_powers(delta)
-    return red, const
+    acc = dict(_defect_terms(f, y, True))
+    const = acc.pop(0, 0)
+    return _packed_poly(y.ctx, acc), _elem(y.ctx, const)
 
 
 def translation_test(f, y, mode="geometric"):
@@ -357,9 +406,8 @@ def translation_test(f, y, mode="geometric"):
     """
     if mode not in ("geometric", "arithmetic"):
         raise BadParameters("mode must be geometric or arithmetic")
-    red, const = translation_defect(f, y)
-    if not red.is_zero():
-        return False
-    if mode == "geometric":
-        return True
-    return not frobenius_trace(const, 1)
+    const = 0
+    for m, const in _defect_terms(f, y, mode == "arithmetic"):
+        if m:
+            return False
+    return mode == "geometric" or not frobenius_trace(_elem(y.ctx, const))

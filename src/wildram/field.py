@@ -40,8 +40,8 @@ terms (exponent, int): _mul_terms gathers the products per exponent
 with a factor 1 passed through, the p^j-th powers of g behind g^k and
 the p-th roots apply Frobenius to the int, and FqElem objects are made
 once, when _packed_poly builds the result.
-embed_poly remembers its last result, so a run of calls on one f and one
-field (a translation test over many y) embeds f once.
+embed_poly keeps its last result (_memo_last, as additive keeps its shift
+plans), so evaluating one f at many points of one field embeds f once.
 """
 
 from __future__ import annotations
@@ -446,6 +446,8 @@ def extension_field(p, e):
 
 
 def field_from_json(obj):
+    if not isinstance(obj, dict):
+        raise TypeError("field must be an object, not %s" % type(obj).__name__)
     mod = obj.get("modulus")
     p, e, *_ = _check_integral([obj["p"], obj["e"]] + list(mod or []))
     ctx = make_field(p, e)
@@ -919,14 +921,18 @@ def _packed(f):
     return [(k, c.v) for k, c in f.terms]
 
 
+def _mul_fn(ctx):
+    """The product of nonzero packed elements, by log tables if any."""
+    tables = ctx._log_tables()
+    return ctx._mul if tables is None else (
+        lambda x, y, log=tables[0], exp=tables[1]: exp[log[x] + log[y]].v)
+
+
 def _mul_terms(ctx, xs, ys, acc):
     """Add the products of the nonzero packed terms xs and ys into acc,
     {exponent: packed sum}, and return it.  A factor 1 passes the other
-    through; fields with log tables multiply by them."""
-    tables = ctx._log_tables()
-    mul = ctx._mul if tables is None else (
-        lambda x, y, log=tables[0], exp=tables[1]: exp[log[x] + log[y]].v)
-    fix, get = ctx._fix, acc.get
+    through."""
+    mul, fix, get = _mul_fn(ctx), ctx._fix, acc.get
     for i, x in xs:
         for j, y in ys:
             z = y if x == 1 else x if y == 1 else mul(x, y)
@@ -1050,17 +1056,22 @@ def embed_elem(x, big):
     return _elem(big, big._reduce(z))
 
 
-_EMBED_LAST = [None, None, None]  # f, big, embed_poly(f, big)
+def _memo_last(build):
+    """build(x, big), kept for the last x and big (held, so their ids
+    stay theirs): calls on one x and one field build once."""
+    last = [None, None, None]
+
+    @functools.wraps(build)
+    def memo(x, big):
+        if last[0] is not x or last[1] is not big:
+            last[:] = x, big, build(x, big)
+        return last[2]
+    memo.last = last
+    return memo
 
 
+@_memo_last
 def embed_poly(f, big):
-    """Coefficient-wise canonical embedding of a polynomial.  The last
-    result is kept with f itself, so a run of calls on one f and one big
-    field embeds f once, and the memo never holds more than one image."""
-    if f.ctx is big:
-        return f
-    last = _EMBED_LAST
-    if last[0] is not f or last[1] is not big:
-        last[:] = f, big, _poly(big, [(exp, embed_elem(c, big))
-                                      for exp, c in f.terms])
-    return last[2]
+    """Coefficient-wise canonical embedding of a polynomial."""
+    return f if f.ctx is big else _poly(big, [(exp, embed_elem(c, big))
+                                              for exp, c in f.terms])

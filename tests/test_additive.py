@@ -6,6 +6,7 @@ import random
 
 import pytest
 from _split_reference import image_membership, solve_mod
+from hypothesis import given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -33,6 +34,7 @@ from wildram.field import (
     frobenius_trace,
     make_field,
     nullspace_mod,
+    reduce_pth_powers,
     rref_mod,
 )
 
@@ -328,6 +330,72 @@ def test_translation_defect_is_wp_exact():
     from wildram.field import reduce_pth_powers
     dr, dc, _ = reduce_pth_powers(diff)
     assert dr == red and dc == const
+
+
+def _compose_defect(f, y):
+    """The substitution route: f(X + y) - f(X) by compose, reduced."""
+    big = y.ctx
+    g = FqPoly(big, [(k, embed_elem(c, big)) for k, c in f.terms])
+    moved = g.compose(FqPoly(big, ((1, big.one), (0, y))))
+    return reduce_pth_powers(moved - g)[:2]
+
+
+def _elems(ctx):
+    return st.lists(st.integers(0, ctx.p - 1), min_size=ctx.e,
+                    max_size=ctx.e).map(ctx.elem)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_shift_plan_matches_compose(data):
+    # any f, not only X S(X) + cX: constants, multiples of p, the dense
+    # digits of p^3 - 1, repeated exponents that may cancel; y in f's own
+    # field or in an extension of degree 2 or 3 over it
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    ctx = make_field(p, data.draw(st.integers(1, 3)))
+    big = extension_field(p, ctx.e * data.draw(st.sampled_from([1, 2, 3])))
+    exps = st.one_of(st.just(0), st.just(p ** 3 - 1),
+                     st.integers(0, 3 * p ** 2 - 1).map(lambda k: k * p),
+                     st.integers(0, 3 * p ** 3 - 1))
+    f = FqPoly(ctx, data.draw(st.lists(st.tuples(exps, _elems(ctx)),
+                                       min_size=1, max_size=5)))
+    y = data.draw(_elems(data.draw(st.sampled_from([ctx, big]))))
+    red, const = _compose_defect(f, y)
+    assert translation_defect(f, y) == (red, const)
+    assert translation_test(f, y) == red.is_zero()
+    assert translation_test(f, y, "arithmetic") == (
+        red.is_zero() and not frobenius_trace(const))
+
+
+def test_shift_plan_memo_follows_its_arguments():
+    # interleaved calls: f1 over E1, f2 over E2, f1 over E1 again, and one
+    # f over two fields.  The memo holds one plan, the last call's, with
+    # f itself, and a run of calls on one f and one field builds it once
+    rng = random.Random(41)
+    ctx = make_field(3, 2)
+    E1, E2 = extension_field(3, 4), extension_field(3, 6)
+
+    def draw():
+        return FqPoly(ctx, [(rng.randrange(1, 60), _rand_elem(ctx, rng))
+                            for _ in range(4)] + [(10, ctx.one)])
+    f1, f2 = draw(), draw()
+    last = additive._shift_plan.last
+    for f, E in [(f1, E1), (f2, E2), (f1, E1), (f2, E1), (f2, E2)]:
+        plans = set()
+        for _ in range(4):
+            y = _rand_elem(E, rng)
+            red, const = _compose_defect(f, y)
+            assert translation_defect(f, y) == (red, const)
+            assert translation_test(f, y, "arithmetic") == (
+                red.is_zero() and not frobenius_trace(const))
+            assert len(last) == 3 and last[0] is f and last[1] is E
+            plans.add(id(last[2]))
+        assert len(plans) == 1
+    # a fresh copy of f builds a fresh plan with the same result
+    y = _rand_elem(E2, rng)
+    want = translation_defect(f2, y)
+    assert translation_defect(FqPoly(ctx, f2.terms), y) == want
+    assert last[0] is not f2 and last[0] == f2
 
 
 def test_inseparable_rejected():

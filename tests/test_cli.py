@@ -118,6 +118,25 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["cover-analyze", "basechange",
+                                     "adjoint"])
+@pytest.mark.parametrize("value", [3, "3", None, [], 1.5, True])
+def test_field_that_is_not_an_object_is_usage_error(tmp_path, capsys,
+                                                    command, value):
+    # the loader turns only KeyError, TypeError and ValueError into exit 2,
+    # so a field that is not an object must fail as one of those
+    obj = {"field": value, "operator": {"witt": 1}, "rhs": [[[3, [1]]]],
+           "poly": [[4, [1]]]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    sub = ["--sub", "[1,1]"] if command == "basechange" else []
+    assert cli.main([command, str(path)] + sub) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: malformed input")
+    assert "field must be an object" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_field_output(capsys):
     code, out = _run(["field", "--p", "5", "--e", "4"], capsys)
     assert code == 0
