@@ -44,7 +44,6 @@ from .cover import (
     family_build,
     normalized_witt_rhs,
     reduce_mod_wp,
-    splits_at,
     splits_everywhere,
     tower_compose,
     upper_filtration,

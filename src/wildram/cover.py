@@ -28,9 +28,11 @@ from it:
 * the splitting: by trace duality the image of A on any field E is cut
   out by Tr(l v) = 0 for the roots l in E, so a place x = y splits
   exactly when f(y) passes those d linear forms, and every rational
-  place splits exactly when x -> Tr(l_i f(x)) vanishes on F_q for each
-  i, which the trace criterion (`field._trace_vanishes`) reads off the
-  coefficients.
+  place splits exactly when each y^p - y = l_i f does.
+
+Whether every rational place of a Witt cover splits is read off the
+coefficients of its ghost component over GR(p^n, e), for every length n
+(`field._ghost_trace_is_zero`), without visiting a place.
 """
 
 from __future__ import annotations
@@ -47,22 +49,25 @@ from .errors import (
     ResourceLimit,
     ZeroCover,
 )
-from .field import (FqPoly, _check_integral, _fold, _trace_vanishes,
-                    _wp_preimage, embed_poly, field_from_json,
-                    frobenius_trace, reduce_pth_powers, rref_mod)
+from .field import (FqPoly, _check_integral, _ghost_trace_is_zero,
+                    embed_poly, field_from_json, frobenius_trace,
+                    reduce_pth_powers, rref_mod)
 from .additive import AdditiveOp, adjoint, linearize_kernel, wp_operator
 from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt_trace, witt2_sub
 
-# The length-2 criterion and the sweep of F_q, priced in coefficient
-# products of the witness's carries (`_carry_products`): a place test
-# costs one Witt trace, about 32 products, and about two more per term
-# of the right hand side (on 31 dense pairs with 2 <= p <= 13 and
-# q <= 3125, a place took 60-600 us and a carry product 1-9 us on a
-# 2-vCPU machine).  Deciding splitting may cost at most _PLACE_LIMIT
-# place tests; past that either way it is refused.
-_PLACE_PRODUCTS = 32
+# The ghost criterion and the sweep of F_q, priced in coefficient products
+# (`_ghost_products`): a place of a length-n vector costs about 8 n^2 for
+# its Teichmueller lifts and Witt trace, and two per right hand side term
+# (at n = 2 a place took 60-600 us and a product 1-9 us, on 31 dense pairs
+# with 2 <= p <= 13, q <= 3125, 2 vCPUs).  Past _PLACE_LIMIT place tests
+# either way, deciding splitting is refused.
+_PLACE_PRODUCTS = 8
 _PLACE_LIMIT = 2 ** 18
+# exponent-pn builds W_n(F_q) first: about n^2 e log2 p ring products of
+# about e slot products each (a slot product took 1.4-2.9 us at p = 2, 3
+# and 65537, and 5-13 us at p = 7, for n = 50-800 on 2 vCPUs)
+_RING_LIMIT = 2 ** 21
 
 
 class CoverSpec:
@@ -317,16 +322,6 @@ def _split_test(cover, E):
     return test
 
 
-def splits_at(cover, y):
-    """Whether the place x = y splits completely in the cover.
-
-    For Witt covers this is vanishing of the Witt trace of the evaluated
-    right hand side; for additive covers, solvability of A(w) = f(y) over
-    the residue field of y.
-    """
-    return _split_test(cover, y.ctx)(y)
-
-
 def base_change(cover, S, label=None):
     """Pull the cover back along x -> S(x) for a separable additive S."""
     if not isinstance(S, AdditiveOp) or S.ctx is not cover.ctx:
@@ -387,67 +382,51 @@ def tower_compose(items):
             "filtration": ladder_filtration(levels)}
 
 
-def _carry_products(terms, p, q):
-    """Bound on the coefficient products of the two carries,
-    psi(G, -G) and psi(G^p, -G), that witt2_sub((G^p, 0), (G, 0)) forms
-    for a witness G of `terms` terms and degree below q: a power of i of
-    them has at most comb(terms + i - 1, i) terms, and at most i q."""
-    n = {i: min(math.comb(terms + i - 1, i), i * q) for i in range(1, p)}
-    return 2 * sum(n[i] * n[p - i] for i in range(1, p))
+def _ghost_products(counts, p, q):
+    """Bound on the products of the ghost powers: coordinate i, of
+    counts[i] terms, takes n - 1 - i p-th powers.  Each is at most 2 log2 p
+    products of powers of g, none with more terms than g^p: at most
+    comb(k + p - 1, p) for a k-term g, and at most q once folded."""
+    total, n = 0, len(counts)
+    for i, k in enumerate(counts):
+        for _ in range(n - 1 - i if k else 0):
+            k = min(math.comb(k + p - 1, p), q) if k < q else q
+            total += 2 * p.bit_length() * k * k
+    return total
 
 
 def _splits_at_every_place(cover):
-    """Whether every rational place splits, decided exactly; None for
-    Witt covers of length 3 or more.
-
-    Additive covers: a place splits when Tr(l f(y)) = 0 for each root l
-    of adjoint(A) in F_q (`_split_test`), and that is linear in l, so a
-    basis of the roots is enough for the trace criterion
-    (`field._trace_vanishes`).  Witt length 1 is the case l = 1.
-    Witt length 2: the Witt trace of (f_0(y), f_1(y)) is first Tr f_0(y),
-    and when that vanishes everywhere f_0 = G^p - G on F_q for the
-    witness G (`field._wp_preimage`).  Then r = (f_0, f_1) - (w_0, w_1),
-    with (w_0, w_1) = wp((G, 0)) = (G^p, 0) - (G, 0), has r_0 = 0 on F_q,
-    so (f_0, f_1)(y) = wp((G(y), 0)) + V(r_1(y)); the Witt trace kills wp
-    and commutes with V, which leaves Tr r_1(y).  witt2_sub gives
-    r_1 = f_1 - w_1 + psi(f_0, -w_0) - psi(w_0, -w_0), and the two carries
-    agree on F_q because f_0 and w_0 do, so r_1 = f_1 - w_1 there.  G and
-    G^p are folded onto F_q, which keeps the carries of w_1 at degree
-    below p q.  A dense G at large p makes those carries cost about q^2
-    products; where they would cost more than testing every place of
-    F_q, the places are tested instead.  ResourceLimit when the cheaper
-    of the two exceeds _PLACE_LIMIT place tests.
-    """
+    """Whether every rational place splits, decided exactly by the ghost
+    component (`field._ghost_trace_is_zero`), on the length-1 truncation
+    first, which is cheap.  Additive covers: a place splits when
+    Tr(l f(y)) = 0 for each root l of adjoint(A) in F_q (`_split_test`),
+    linear in l, so n = 1 on l_i f for a basis of the roots decides it.
+    Where the ghost powers would cost more than testing every place of
+    F_q, the places are tested instead; ResourceLimit when the cheaper of
+    the two exceeds _PLACE_LIMIT place tests."""
+    ctx = cover.ctx
     if cover.kind == "additive":
         f = cover.rhs[0]
-        return all(_trace_vanishes(f * ell) for ell in
-                   linearize_kernel(adjoint(cover.op), cover.ctx.e).basis)
-    if cover.op == 1:
-        return _trace_vanishes(cover.rhs[0])
-    if cover.op > 2:
-        return None
-    f0, f1 = cover.rhs
-    if not _trace_vanishes(f0):
-        return False
-    G = _wp_preimage(f0)
-    ctx = cover.ctx
-    place = _PLACE_PRODUCTS + 2 * (len(f0.terms) + len(f1.terms))
-    carry = _carry_products(len(G.terms), ctx.p, ctx.q)
-    if min(carry, place * ctx.q) > place * _PLACE_LIMIT:
-        raise ResourceLimit(
-            "splitting over F_%d^%d: a %d-term witness costs more than "
-            "%d place tests" % (ctx.p, ctx.e, len(G.terms), _PLACE_LIMIT))
-    if carry > place * ctx.q:
+        return all(_ghost_trace_is_zero(ctx, ctx, [f * ell]) for ell in
+                   linearize_kernel(adjoint(cover.op), ctx.e).basis)
+    n, first = cover.op, _ghost_trace_is_zero(ctx, ctx, cover.rhs[:1])
+    if n == 1 or not first:
+        return first
+    place = _PLACE_PRODUCTS * n * n + 2 * sum(len(f.terms) for f in cover.rhs)
+    ghost = _ghost_products([len(f.terms) for f in cover.rhs], ctx.p, ctx.q)
+    if min(ghost, place * ctx.q) > place * _PLACE_LIMIT:
+        raise ResourceLimit("splitting over F_%d^%d at Witt length %d costs "
+                            "more than %d place tests"
+                            % (ctx.p, ctx.e, n, _PLACE_LIMIT))
+    if ghost > place * ctx.q:
         return all(map(_split_test(cover, ctx), ctx.elements()))
-    zero = FqPoly.zero(ctx)
-    w1 = witt2_sub((_fold(G.pth_power()), zero), (G, zero))[1]
-    return _trace_vanishes(f1 - w1)
+    return _ghost_trace_is_zero(ctx, witt_ring(ctx, n), cover.rhs)
 
 
 def _places(ctx):
-    """The places `splits_everywhere` counts: all of F_q up to q = 2048,
-    else 64 deterministic points, each coordinate from the high bits of
-    its own step of a 63-bit LCG."""
+    """The places `splits_everywhere` counts where not all places split:
+    all of F_q up to q = 2048, else 64 deterministic points, each
+    coordinate from the high bits of its own step of a 63-bit LCG."""
     if ctx.q <= 2048:
         return list(ctx.elements())
     state = 0x5eed
@@ -466,19 +445,16 @@ def splits_everywhere(cover):
     """Whether every rational place of the line splits in the cover.
 
     Returns (all_split, split_count, checked).  all_split is exact for
-    Witt length at most 2 and additive covers (`_splits_at_every_place`),
-    and when it holds the result is (True, q, q).  Otherwise the count
-    runs over `_places`: the whole field up to q = 2048, else a sample
-    of 64.  For Witt length 3 and more, all_split is whether every place
-    counted split, so above q = 2048 it rests on the sample.
+    every cover (`_splits_at_every_place`), and when it holds the result
+    is (True, q, q).  Otherwise the count runs over `_places`: the whole
+    field up to q = 2048, else a sample of 64.
     """
     ctx = cover.ctx
-    exact = _splits_at_every_place(cover)
-    if exact:
+    if _splits_at_every_place(cover):
         return True, ctx.q, ctx.q
     places = _places(ctx)
     hits = sum(map(_split_test(cover, ctx), places))
-    return exact is None and hits == len(places), hits, len(places)
+    return False, hits, len(places)
 
 
 def _gamma_kernel(ctx, s):
@@ -588,14 +564,13 @@ def family_build(ctx, kind, witt_len=2):
         s = e // 2
         r = p ** s
         n = witt_len
-        # length 3 and more tests places, each about n^2 e log2 p Witt
-        # products (0.6-0.9 times that, measured at n = 10-100, q <= 729)
-        work = len(_places(ctx)) * n * n * e * math.log2(p) if n > 2 else 0
-        if work > _PLACE_PRODUCTS * _PLACE_LIMIT:
+        # W_n(F_q) and the ghost powers of f_0 (2 n log2 p ring products)
+        work = (n * e + 2) * n * e * math.log2(p)
+        if work > _RING_LIMIT:
             raise ResourceLimit(
-                "Witt length %d over F_%d^%d: the place tests need about "
-                "%d products, over the limit of %d"
-                % (n, p, e, work, _PLACE_PRODUCTS * _PLACE_LIMIT))
+                "Witt length %d over F_%d^%d: building W_%d and its ghost "
+                "powers needs about %d slot products, over the limit of %d"
+                % (n, p, e, n, work, _RING_LIMIT))
         a = _least_gamma(ctx, s)
         rhs = [_monomials(ctx, [(1 + r, a)])] + \
               [FqPoly.zero(ctx) for _ in range(n - 1)]
@@ -607,14 +582,7 @@ def family_build(ctx, kind, witt_len=2):
 
     # how the family sits over the rational places: split everywhere is
     # what embeds it in the small-conductor ray class tower, and it can
-    # genuinely fail (p = 2), so it is decided rather than assumed; only
-    # Witt length 3 and more (exponent-pn) still tests places
-    def splits(cov):
-        exact = _splits_at_every_place(cov)
-        if exact is None:
-            return all(map(_split_test(cov, ctx), _places(ctx)))
-        return exact
-
-    split_all = all(splits(it.cover) for it in items)
+    # genuinely fail (p = 2), so it is decided rather than assumed
+    split_all = all(_splits_at_every_place(it.cover) for it in items)
     notes["splits_at_rational_places"] = split_all
     return {"kind": kind, "items": items, "notes": notes}

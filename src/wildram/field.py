@@ -312,6 +312,9 @@ class _KronRing:
         c = _unpack(v, len(rows), self._red_rows[0])
         return self._reduce(sum(map(operator.mul, c, rows)))
 
+    def _log_tables(self):  # none: products go through _mul
+        return None
+
 
 # ---------------------------------------------------------------------------
 # contexts
@@ -625,21 +628,28 @@ def elem_from_json(ctx, obj):
 
 
 # ---------------------------------------------------------------------------
-# the absolute trace of a polynomial, as a function on F_q
+# whether every place of a Witt cover splits: the ghost component
 #
-# x^q = x on F_q, so an exponent k >= 1 acts as ((k - 1) mod (q - 1)) + 1.
-# On 1..q - 1 the p-cyclotomic cosets of u -> ((u p - 1) mod (q - 1)) + 1
-# each have a least member v, the leader, and a size f_v dividing e.  A
-# member u = v p^t has Tr(c x^u) = Tr(c^(p^-t) x^v), so the trace of g
-# gathers into C_v = sum of c_u^(p^-t_u) over v's coset, and
+# Over F_q (n = 1) or GR(p^n, e) = W_n(F_q) (witt.py) let sigma be the
+# Frobenius, Tr the trace down to Z/p^n and T = [x] run over the q
+# Teichmueller points.  The place x of V(y) = (f_0, ..., f_{n-1}) splits
+# when the Witt trace of (f_0(x), ...), the ring trace of
+# sum_i p^i [f_i(x)^(p^-i)], vanishes.  Tr is sigma-invariant and
+# lift(f_i)(T)^(p^m) = [f_i(x)]^(p^m) mod p^(m+1), so that trace is Tr(P(T))
+# for the ghost component P = sum_i p^i lift(f_i)^(p^(n-1-i)).  T^q = T, so
+# an exponent k >= 1 acts as ((k - 1) mod (q - 1)) + 1.  On 1..q - 1 the
+# p-cyclotomic cosets of u -> ((u p - 1) mod (q - 1)) + 1 each have a least
+# member v, the leader, of size f_v dividing e.  If u p^s = v then
+# T^v = sigma^s(T^u) and Tr(c T^u) = Tr(sigma^s(c) T^v), so the trace of P
+# gathers into C_v = sum of those sigma^s(c_u):
 #
-#     Tr(g(x)) = 0 on all of F_q  <=>  Tr_{q/p}(c_0) = 0 and
-#                                      Tr_{q/p^f_v}(C_v) = 0 for every v:
+#     Tr(P(T)) = 0 at every T  <=>  Tr(c_0) = 0 and
+#                                   Tr_{e/f_v}(C_v) = 0 for every v:
 #
-# x^v lies in F_{p^f_v}, so Tr(C x^v) = Tr_{p^f_v/p}(x^v Tr_{q/p^f_v}(C)),
-# and the x^(v p^s), s < f_v, over all leaders are distinct monomials of
-# degree below q, hence independent functions on F_q (Lidl and
-# Niederreiter, Finite Fields, ch. 2).
+# sigma^f_v fixes T^v, so Tr(C T^v) = Tr_{f_v}(T^v Tr_{e/f_v}(C)), and the
+# T^(v p^s), s < f_v, over all leaders are distinct powers below q, so
+# independent functions: the Teichmueller Vandermonde is a unit, as
+# [x] - [y] reduces to x - y (Lidl and Niederreiter, Finite Fields, ch. 2).
 
 
 def cyclotomic_coset(u, p, n):
@@ -654,75 +664,45 @@ def cyclotomic_coset(u, p, n):
     return coset
 
 
-def _trace_parts(g):
-    """(c_0, {v: (walk of v, [(t, c^(p^-t)), ...])}): the folded terms
-    c X^u of g, u = v p^t, sorted under the leader v of their coset."""
-    ctx = g.ctx
-    c0, parts = ctx.zero, {}
-    for k, c in _fold(g).terms:
-        if k == 0:
-            c0 = c
-            continue
-        walk = cyclotomic_coset(k, ctx.p, ctx.q - 1)
-        s = walk.index(min(walk))
-        t = -s % len(walk)
-        part = parts.setdefault(walk[s], (walk[s:] + walk[:s], []))
-        part[1].append((t, c.frobenius(-t)))
-    return c0, parts
+def _ghost_trace_is_zero(ctx, ring, coords):
+    """Whether every place of V(y) = (f_0, ..., f_{n-1}), coords over ctx,
+    splits, by the ghost component over ring (ctx at n = 1, else
+    witt.witt_ring(ctx, n)).  The p-th powers are _power on term lists,
+    folded after every product so none outgrows q terms."""
+    p, e, n, bits = ctx.p, ctx.e, ctx.q - 1, ring._red_rows[0]
 
+    def fold(pairs):
+        acc = {}
+        for k, c in pairs:
+            k = (k - 1) % n + 1 if k else 0
+            acc[k] = ring._fix(acc.get(k, 0) + c)
+        return [t for t in acc.items() if t[1]]
 
-def _trace_vanishes(g):
-    """Whether x -> Tr_{q/p}(g(x)) is zero on all of F_q, decided on the
-    coefficients of g in O(#terms * e) field operations."""
-    c0, parts = _trace_parts(g)
-    return not frobenius_trace(c0) and not any(
-        frobenius_trace(sum((h for _, h in hs), g.ctx.zero), len(walk))
-        for walk, hs in parts.values())
+    def mul(a, b):  # _power starts from the int 1
+        return b if a == 1 else fold(_mul_terms(ring, a, b, {}).items())
 
-
-def _wp_preimage(g):
-    """G with exponents in 1..q - 1 plus a constant, and g = G^p - G as
-    functions on F_q; g must pass _trace_vanishes.
-
-    With wp(H) = H^p - H: a term c x^u, u = v p^t, is h^(p^t) for
-    h = c^(p^-t) x^v, so it is h + wp(sum_{i<t} h^(p^i)).  Each leader
-    then carries C_v x^v = wp(sum_{i<f} (b x^v)^(p^i)) with
-    b^(p^f) - b = C_v, f = f_v, solvable by additive Hilbert 90 as an
-    F_p linear system; the constant is the case f = 1.
-    """
-    ctx = g.ctx
-    c0, parts = _trace_parts(g)
-    terms = [(0, _frobenius_preimage(c0, 1))]
-    for walk, hs in parts.values():
-        for t, h in hs:
-            terms += [(walk[i], h.frobenius(i)) for i in range(t)]
-        b = _frobenius_preimage(sum((h for _, h in hs), ctx.zero), len(walk))
-        terms += [(w, b.frobenius(i)) for i, w in enumerate(walk)]
-    return FqPoly(ctx, terms)
-
-
-def _frobenius_preimage(c, f):
-    """One b with b^(p^f) - b = c, from the rows of frob_matrix(f) - I;
-    c must have Tr_{q/p^f}(c) = 0."""
-    ctx, e = c.ctx, c.ctx.e
-    M = ctx.frob_matrix(f)
-    # b M - b = c, transposed: one row per coordinate of c
-    R, pivots = rref_mod([[M[i][j] - (i == j) for i in range(e)]
-                          + [c.coeffs[j]] for j in range(e)], ctx.p)
-    if e in pivots:
-        raise AssertionError("no Artin-Schreier preimage: nonzero trace")
-    b = [0] * e
-    for row, col in zip(R, pivots):
-        b[col] = row[e]
-    return FqElem(ctx, tuple(b))
-
-
-def _fold(g):
-    """g with every exponent k >= 1 moved to ((k - 1) mod (q - 1)) + 1:
-    the same function on F_q."""
-    n = g.ctx.q - 1
-    return FqPoly(g.ctx, [((k - 1) % n + 1 if k else 0, c)
-                          for k, c in g.terms])
+    sums = {}  # leader v -> [f_v, C_v]; the constant is v = 0, f = 1
+    for i, f in enumerate(coords):
+        g = fold((k, _pack(c.coeffs, bits)) for k, c in f.terms)
+        for _ in range(len(coords) - 1 - i if g else 0):
+            g = _power(g, p, mul)
+        for k, c in g:
+            size, c = 1, ring._reduce(c * p ** i)
+            if k:
+                walk = cyclotomic_coset(k, p, n)
+                s = walk.index(min(walk))
+                k, size = walk[s], len(walk)
+                c = ring._apply(c, ring._frob_rows(s))
+            part = sums.setdefault(k, [size, 0])
+            part[1] = ring._fix(part[1] + c)
+    for size, c in sums.values():
+        rows, acc = ring._frob_rows(size % e), c
+        for _ in range(e // size - 1):
+            c = ring._apply(c, rows)
+            acc = ring._fix(acc + c)
+        if acc:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ to b.  After i peels x is only known mod p^(n-i), and so is [b] when it
 is computed with the exponent q^(n-1-i): a lift changed by p^j changes
 its p-th power by p^(j+1).
 
-The module also carries the closed forms used on polynomials: the carry
+The ring's Frobenius and trace also decide whether every place of a Witt
+cover splits, through its ghost component (field._ghost_trace_is_zero).
+The module carries the closed forms used on polynomials: the carry
 polynomial psi(a, b) = (a^p + b^p - (a+b)^p)/p reduced mod p, and exact
 length-2 Witt sums of polynomial pairs built from it.
 """
@@ -32,7 +34,7 @@ class WittRing(_KronRing):
     """Arithmetic context for W_n(F_q) = GR(p^n, e), the ring mod
     (M~, p^n); caches the packed Frobenius images sigma(X^i)."""
 
-    __slots__ = ("ctx", "n", "pn", "_frob_rows")
+    __slots__ = ("ctx", "n", "pn", "_frob")
 
     def __init__(self, ctx, n):
         if n < 1:
@@ -41,9 +43,18 @@ class WittRing(_KronRing):
         self.n = n
         self.pn = ctx.p ** n
         self._init_ring(ctx.modulus, self.pn)
-        gen = WittVec(self, _pack(ctx.gen.coeffs, self._red_rows[0])).coords
-        sigma_x = self.vec([c.frobenius() for c in gen]).x
-        self._frob_rows = _power_rows(sigma_x, ctx.e, self._mul)
+        x = _pack(ctx.gen.coeffs, self._red_rows[0])
+        sigma_x = self.vec([c.frobenius() for c in WittVec(self, x).coords]).x
+        self._frob = {0: _power_rows(x, ctx.e, self._mul)}
+        self._frob[1 % ctx.e] = _power_rows(sigma_x, ctx.e, self._mul)
+
+    def _frob_rows(self, k):
+        """The rows of sigma^k, 0 <= k < e: powers of sigma(sigma^(k-1)(X))."""
+        rows = self._frob.get(k)
+        if rows is None:
+            x = self._apply(self._frob_rows(k - 1)[1], self._frob[1])
+            rows = self._frob[k] = _power_rows(x, self.ctx.e, self._mul)
+        return rows
 
     def _teich(self, b, i=0):
         """[b] mod p^(n-i), packed, as lift(b)^(q^(n-1-i)) mod p^n."""
@@ -154,7 +165,7 @@ class WittVec:
 
     def frobenius(self):
         ring = self.ring
-        return WittVec(ring, ring._apply(self.x, ring._frob_rows))
+        return WittVec(ring, ring._apply(self.x, ring._frob[1 % ring.ctx.e]))
 
     def is_zero(self):
         return not self.x

@@ -1,6 +1,6 @@
 """Splitting of rational places by solving A(w) = f(y) outright.
 
-Kept as an independent reference for `cover.splits_at` and
+Kept as an independent reference for `cover._split_test` and
 `cover.splits_everywhere`, which read splitting off trace rows of the
 adjoint kernel instead: here an additive place splits when one linear
 system over F_p, the matrix of A on the residue field, has a solution,

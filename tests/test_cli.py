@@ -295,8 +295,9 @@ def test_family_build_refuses_unprintable_towers(capsys, monkeypatch):
 
 
 def test_family_build_refuses_long_witt_sweeps(capsys, monkeypatch):
-    # Witt length 800 at F_9 would test its 9 places for minutes: the
-    # estimate refuses it before the family is built; length 50 still runs
+    # Witt length 800 at F_9 would spend seconds building W_800 for the
+    # ghost criterion: the estimate refuses it before the family is built;
+    # length 50 still runs
     code, out = _run(["family-build", "--p", "3", "--e", "2", "--kind",
                       "exponent-pn", "--witt-len", "50"], capsys)
     assert code == 0
@@ -460,6 +461,19 @@ def test_splitting_over_large_field_is_exact(tmp_path, capsys):
            "rhs": [[[65, c.to_json()]]]}
     path = tmp_path / "cover.json"
     path.write_text(json.dumps(obj))
+    code, out = _run(["cover-analyze", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["splits"] == "all q places"
+
+
+def test_long_witt_splitting_over_large_field_is_exact(tmp_path, capsys):
+    # the length-3 exponent-pn cover over F_6561 splits at every place:
+    # the ghost criterion over GR(27, 8) proves it from the coefficients,
+    # where 64 sampled places could only suggest it
+    fam = cli.family_build(field.make_field(3, 8), "exponent-pn",
+                           witt_len=3)
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(fam["items"][0].cover.to_json()))
     code, out = _run(["cover-analyze", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["splits"] == "all q places"

@@ -1,5 +1,6 @@
 """Cover invariants, base change, and the built-in families."""
 
+import functools
 import random
 
 import _character_reference as reference
@@ -20,7 +21,6 @@ from wildram.cover import (
     family_build,
     normalized_witt_rhs,
     reduce_mod_wp,
-    splits_at,
     splits_everywhere,
     tower_compose,
     upper_filtration,
@@ -246,8 +246,9 @@ def test_splits_at_and_everywhere():
     ctx = make_field(2, 1)
     cov = _wp_cover(ctx, _mono(ctx, [(3, 1)]))
     # x = 0 gives y^2 - y = 0, split; x = 1 gives y^2 - y = 1, inert
-    assert splits_at(cov, ctx.zero)
-    assert not splits_at(cov, ctx.one)
+    splits = cover._split_test(cov, ctx)
+    assert splits(ctx.zero)
+    assert not splits(ctx.one)
     all_split, hits, total = splits_everywhere(cov)
     assert (all_split, hits, total) == (False, 1, 2)
 
@@ -287,8 +288,10 @@ def test_splitting_matches_reference():
             split = linearize_kernel(A, e).dim == d
             kinds["split" if split else "other"] += 1
         big = extension_field(p, 2 * e)
-        for y in [rand() for _ in range(4)] + [rand(big) for _ in range(4)]:
-            assert splits_at(cov, y) == _split_reference.splits_at(cov, y)
+        for E in (ctx, big):
+            splits = cover._split_test(cov, E)
+            for y in [rand(E) for _ in range(4)]:
+                assert splits(y) == _split_reference.splits_at(cov, y)
         want = _split_reference.splits_everywhere(cov)
         if ctx.q > 2048 and cover._splits_at_every_place(cov):
             # proved from the coefficients; the sample can only agree
@@ -404,6 +407,100 @@ def test_split_criterion_matches_sweep():
         assert split >= 20 and other >= 20, (kind, split, other)
 
 
+@functools.lru_cache(maxsize=None)
+def _teichmueller_difference(p, n):
+    """Integer rows d_0, ..., d_{n-1} with coordinate j of the Witt
+    vector [a] - [b] equal to sum_i d_j[i] a^i b^(p^j - i): the solution
+    of the ghost equations sum_{j<=k} p^j z_j^(p^(k-j)) = a^(p^k) - b^(p^k)
+    on forms homogeneous in a and b, index i the power of a."""
+    def mul(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        return out
+
+    def power(f, k):
+        out = [1]
+        while k:
+            if k & 1:
+                out = mul(out, f)
+            k >>= 1
+            if k:
+                f = mul(f, f)
+        return out
+
+    rows = []
+    for k in range(n):
+        ghost = [-1] + [0] * (p ** k - 1) + [1]
+        for j, z in enumerate(rows):
+            ghost = [g - p ** j * c
+                     for g, c in zip(ghost, power(z, p ** (k - j)))]
+        assert all(c % p ** k == 0 for c in ghost)
+        rows.append([c // p ** k for c in ghost])
+    return rows
+
+
+def _wp_teichmueller(ctx, n, k, c):
+    """The coordinates of [H^p] - [H] = wp([H]) for H = c x^k, length n:
+    the first is H^p - H, and the Witt trace of wp kills every place."""
+    p, out = ctx.p, []
+    for j, row in enumerate(_teichmueller_difference(p, n)):
+        m = [(p - 1) * i + p ** j for i in range(len(row))]
+        out.append(FqPoly(ctx, [(k * m[i], c ** m[i] * d)
+                                for i, d in enumerate(row) if d % p]))
+    return out
+
+
+def test_ghost_criterion_matches_sweep_at_lengths_3_and_4():
+    # the Galois-ring criterion against _split_test at every place, for
+    # Witt lengths 3 and 4 over q <= 125.  Half the covers are
+    # wp([H]) = [H^p] - [H] for a one-term H of exponent below 3q: the
+    # first coordinate is H^p - H, so the deeper levels decide.  They
+    # split as they are, with K^p - K added to the last coordinate (V^(n-1)
+    # of an Artin-Schreier image adds without carries), or with a pair of
+    # terms that vanishes on F_q added anywhere; one random term more in
+    # a coordinate past the first mostly makes them fail.  The other half
+    # are random, with exponents below 3q
+    rng = random.Random(62)
+    fields = [(2, 1), (2, 2), (2, 3), (2, 5), (2, 6), (3, 1), (3, 2),
+              (3, 4), (5, 1), (5, 2), (5, 3), (7, 2)]
+    tally = {n: [0, 0] for n in (3, 4)}
+    for trial in range(480):
+        p, e = fields[trial % len(fields)]
+        ctx = make_field(p, e)
+        q, n = ctx.q, 3 + trial % 2
+
+        def rand():
+            return ctx.elem([rng.randrange(p) for _ in range(e)])
+
+        if trial // len(fields) % 2:
+            k, c = rng.randrange(3 * q), rand() or ctx.one
+            rhs = _wp_teichmueller(ctx, n, k, c)
+            h = FqPoly(ctx, ((k, c),))
+            assert rhs[0] == h.pth_power() - h
+            shape = rng.randrange(4)
+            if shape == 1:
+                h = _random_poly(rng, ctx, 1, 3 * q)
+                rhs[-1] += h.pth_power() - h
+            elif shape == 2:
+                u, d = rng.randrange(1, 3 * q), rand()
+                rhs[rng.randrange(n)] += FqPoly(ctx, ((u + q - 1, d),
+                                                      (u, -d)))
+            elif shape == 3:
+                rhs[rng.randrange(1, n)] += _random_poly(rng, ctx, 1, 3 * q)
+        else:
+            rhs = [_random_poly(rng, ctx, rng.randint(1, 3), 3 * q)
+                   for _ in range(n)]
+        cov = CoverSpec(ctx, ("witt", n), rhs)
+        got = cover._splits_at_every_place(cov)
+        want = all(map(cover._split_test(cov, ctx), ctx.elements()))
+        assert got == want, cov.to_json()
+        tally[n][want] += 1
+    for n, (other, split) in tally.items():
+        assert split >= 20 and other >= 20, (n, split, other)
+
+
 def _counting_split_test(monkeypatch):
     """Patch cover._split_test to count the places it is asked about."""
     visited = []
@@ -433,7 +530,7 @@ def test_dense_pair_is_decided_by_the_sweep(monkeypatch):
 
 def test_sweep_above_sampled_fields_is_exact(monkeypatch):
     # over F_3125 the places splits_everywhere counts are a sample of 64,
-    # but a witness priced past the sweep must still be decided on all q
+    # but ghost powers priced past the sweep must still be decided on all q
     # places: a pair wp((H, K)) splits everywhere, and adding (0, d) with
     # Tr(d) != 0 leaves no place split
     ctx = make_field(5, 5)
@@ -442,7 +539,7 @@ def test_sweep_above_sampled_fields_is_exact(monkeypatch):
                   _random_poly(rng, ctx, 1, 3 * ctx.q))
     d = next(c for c in (ctx.gen ** i for i in range(ctx.e))
              if frobenius_trace(c))
-    monkeypatch.setattr(cover, "_carry_products", lambda *args: 10 ** 9)
+    monkeypatch.setattr(cover, "_ghost_products", lambda *args: 10 ** 9)
     visited = _counting_split_test(monkeypatch)
     split = CoverSpec(ctx, ("witt", 2), [f0, f1])
     assert splits_everywhere(split) == (True, ctx.q, ctx.q)
@@ -461,18 +558,26 @@ def test_splitting_past_the_place_limit_is_refused():
         splits_everywhere(cov)
 
 
-@pytest.mark.parametrize("p, e, kind", [
-    (5, 4, "table-full"), (5, 4, "jump2-even"), (5, 4, "exponent-pn"),
-    (3, 3, "jump2-odd"), (7, 8, "table-full"), (3, 8, "jump2-even"),
-    (2, 12, "jump2-even")])
-def test_family_splitting_visits_no_place(monkeypatch, p, e, kind):
-    # every family cover has Witt length at most 2, so the verdict comes
-    # from the trace criterion alone; (2, 12) jump2-even does not split
+_NO_PLACE_FAMILIES = [
+    (5, 4, "table-full", 2), (5, 4, "jump2-even", 2),
+    (5, 4, "exponent-pn", 2), (3, 3, "jump2-odd", 2),
+    (7, 8, "table-full", 2), (3, 8, "jump2-even", 2),
+    (2, 12, "jump2-even", 2), (3, 8, "exponent-pn", 3),
+    (7, 4, "exponent-pn", 3), (2, 12, "exponent-pn", 4)]
+
+
+@pytest.mark.parametrize("p, e, kind, n", _NO_PLACE_FAMILIES, ids=[
+    "%d-%d-%s" % args[:3] + ("-%d" % args[3] if args[3] > 2 else "")
+    for args in _NO_PLACE_FAMILIES])
+def test_family_splitting_visits_no_place(monkeypatch, p, e, kind, n):
+    # the verdict comes from the trace criterion alone, at every Witt
+    # length, including those above q = 2048 that once swept 64 sampled
+    # places; over F_4096 neither family splits
     def refuse(*args):
         raise AssertionError("places swept")
 
     monkeypatch.setattr(cover, "_split_test", refuse)
-    fam = family_build(make_field(p, e), kind)
+    fam = family_build(make_field(p, e), kind, witt_len=n)
     assert fam["notes"]["splits_at_rational_places"] == ((p, e) != (2, 12))
 
 
