@@ -212,8 +212,9 @@ def operator_matrix(A, E):
         raise NotASubfieldDegree(
             "operator field F_%d^%d does not embed in degree %d"
             % (A.ctx.p, A.ctx.e, E.e))
-    B = A.embed(E)
-    return [list(B(E.elem((0,) * i + (1,))).coeffs) for i in range(E.e)]
+    rows = E._linear_rows([(c.v, j) for j, c in enumerate(A.embed(E).coeffs)
+                           if c])
+    return [list(_elem(E, row).coeffs) for row in rows]
 
 
 def linearize_kernel(A, N):
@@ -283,7 +284,8 @@ def xsx_parts(f):
         if exp == 1:
             c = coeff
             continue
-        j = _p_power_index(exp - 1, p)
+        j = next((j for j in range(exp.bit_length()) if p ** j == exp - 1),
+                 None)
         if j is None:
             raise NotInXSXForm("exponent %d is not 1 + p^j" % exp)
         s_coeffs[j] = coeff
@@ -292,16 +294,6 @@ def xsx_parts(f):
     s_op = AdditiveOp(ctx, [s_coeffs.get(j, 0)
                             for j in range(max(s_coeffs) + 1)])
     return s_op, c
-
-
-def _p_power_index(n, p):
-    if n < 1:
-        return None
-    j = 0
-    while n % p == 0:
-        n //= p
-        j += 1
-    return j if n == 1 else None
 
 
 def palindromic_adjoint(f):
@@ -324,14 +316,14 @@ def palindromic_adjoint(f):
 def _shift_plan(f, big):
     """What f(X + y) - f(X), p-th powers stripped, needs of y in big, all
     packed: (product, Frobenius indices j, product steps, how many the
-    polynomial part needs, the constant's [(coefficient, slot), ...], the
-    polynomial part's [(m', [(coefficient, slot), ...]), ...]).  By Lucas,
-    (X + y)^k is the sum over m <=_p k of prod C(k_i, m_i) y^(k - m) X^m;
-    m = k cancels against -f(X), and m = p^r m' goes to X^m' with the
-    coefficient's p^r-th root, so y^(k - m) becomes prod (y^(p^(i - r)))^
-    (k_i - m_i), i - r mod big.e: the int D with that power in its w-bit
-    field j, made as D less one in its top field j, times y^(p^j).
-    """
+    polynomial part needs, the constant's (0, rows, products), the
+    polynomial part's [(m', rows, products), ...]).  By Lucas, (X + y)^k is
+    the sum over m <=_p k of prod C(k_i, m_i) y^(k - m) X^m; m = k cancels
+    against -f(X), and m = p^r m' goes to X^m' with the coefficient's
+    p^r-th root, so y^(k - m) becomes prod (y^(p^(i - r)))^(k_i - m_i),
+    i - r mod big.e: the int D with that power in its w-bit field j.  Terms
+    c y^(p^j) fold into the part's F_p-linear rows; any other D is a product
+    (c, slot), D less one in its top field j times y^(p^j)."""
     p, E, fix, groups, seen = big.p, big.e, big._fix, {}, 0
     digits = next(n for n in itertools.count() if p ** n > f.degree())
     w = ((p - 1) * -(-digits // E)).bit_length()  # no field overflows
@@ -365,26 +357,37 @@ def _shift_plan(f, big):
             slot[D] = len(frobs) + len(steps) - 1
         return slot[D]
 
-    for (m, D), v in sorted(groups.items(), key=lambda t: not t[0][0]):
-        if v:  # the constant m' = 0 comes last
-            parts.setdefault(m, []).append((v, slot_of(D)))
+    ones = {1 << j * w: j for j in range(E)}  # the D of y^(p^j)
+    for (m, D), v in sorted((t for t in groups.items() if t[1]),
+                            key=lambda t: not t[0][0]):
+        lin, prods = parts.setdefault(m, ([], []))
+        if D in ones:
+            lin.append((v, ones[D]))
+        else:
+            prods.append((v, slot_of(D)))
             n = len(steps) if m else n
-    return _mul_fn(big), frobs, steps, n, parts.pop(0, []), list(parts.items())
+    parts.setdefault(0, ([], []))  # the constant m' = 0 comes last
+    *parts, const = [(m, lin and big._linear_rows(lin), prods)
+                     for m, (lin, prods) in parts.items()]
+    return _mul_fn(big), frobs, steps, n, const, parts
 
 
 def _defect_terms(f, y, constant):
     """(m', packed coefficient) of f(X + y) - f(X), p-th powers stripped,
-    zeros left out; the constant m' = 0 comes last, when asked for."""
+    zeros left out; the constant m' = 0 comes last, when asked for.  A part
+    is one _apply of its rows plus its products, vals made only for those."""
     mul, frobs, steps, n, const, parts = _shift_plan(f, y.ctx)
     if not y:
         return
-    vals, fix = [y.frobenius(j).v for j in frobs], y.ctx._fix
-    for a, b in steps if constant else steps[:n]:
-        vals.append(mul(vals[a], vals[b]))
-    for m, terms in parts + [(0, const)] if constant else parts:
-        v = 0
-        for c, i in terms:
-            v = fix(v + mul(c, vals[i]))
+    big, vals = y.ctx, None
+    for m, rows, prods in parts + [const] if constant else parts:
+        v = big._apply(y.v, rows) if rows else 0
+        if prods and vals is None:
+            vals = [y.frobenius(j).v for j in frobs]
+            for a, b in steps if constant else steps[:n]:
+                vals.append(mul(vals[a], vals[b]))
+        for c, i in prods:
+            v = big._fix(v + mul(c, vals[i]))
         if v:
             yield m, v
 

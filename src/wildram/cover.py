@@ -50,8 +50,8 @@ from .errors import (
     ZeroCover,
 )
 from .field import (FqPoly, _check_integral, _ghost_trace_is_zero,
-                    embed_poly, field_from_json, frobenius_trace,
-                    reduce_pth_powers, rref_mod)
+                    _reduces_slotwise, embed_poly, field_from_json,
+                    frobenius_trace, reduce_pth_powers, rref_mod)
 from .additive import AdditiveOp, adjoint, linearize_kernel, wp_operator
 from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt_trace, witt2_sub
@@ -65,8 +65,9 @@ from .witt import witt_ring, witt_trace, witt2_sub
 _PLACE_PRODUCTS = 8
 _PLACE_LIMIT = 2 ** 18
 # exponent-pn builds W_n(F_q) first: about n^2 e log2 p ring products of
-# about e slot products each (a slot product took 1.4-2.9 us at p = 2, 3
-# and 65537, and 5-13 us at p = 7, for n = 50-800 on 2 vCPUs)
+# about e slot products each, e + e^2 if its reducer goes slot by slot.
+# So priced, whole runs took 1-4 us per slot product for 2 <= p <= 65537,
+# e = 2, 4, 12 and n = 50-574 (2 vCPUs).
 _RING_LIMIT = 2 ** 21
 
 
@@ -566,6 +567,8 @@ def family_build(ctx, kind, witt_len=2):
         n = witt_len
         # W_n(F_q) and the ghost powers of f_0 (2 n log2 p ring products)
         work = (n * e + 2) * n * e * math.log2(p)
+        if work <= _RING_LIMIT and _reduces_slotwise(ctx.modulus, p ** n):
+            work *= 1 + e
         if work > _RING_LIMIT:
             raise ResourceLimit(
                 "Witt length %d over F_%d^%d: building W_%d and its ghost "

@@ -248,7 +248,7 @@ def _slot_reducer(r, e, bits, top):
         k = min(range(h, bits, h), default=0,
                 key=lambda k: (top >> k) + (1 << k))
         if not k or (top >> k) + (1 << k) - 1 >= top:
-            return lambda z: _pack([v % r for v in _unpack(z, e, bits)], bits)
+            return functools.partial(_mod_each_slot, r, e, bits)
         top = (top >> k) + (1 << k) - 1
         folds.append((((1 << k) - 1) * ones, k))
     quot = ((1 << (bits - s)) - 1) * ones
@@ -259,6 +259,18 @@ def _slot_reducer(r, e, bits, top):
             z = lo + ((z ^ lo) >> k)
         return z - ((z * m >> s) & quot) * r
     return reduce
+
+
+def _mod_each_slot(r, e, bits, z):
+    return _pack([v % r for v in _unpack(z, e, bits)], bits)
+
+
+def _reduces_slotwise(f, r):
+    """Whether _slot_reducer takes products mod (f, r) slot by slot, as
+    for Witt rings at odd p once r = p^n is long."""
+    e = len(f) - 1
+    red = _slot_reducer(r, e, _reduction_rows(f, r)[0], _fold_bound(e, r))
+    return getattr(red, "func", None) is _mod_each_slot
 
 
 def _power(x, k, mul):
@@ -373,6 +385,15 @@ class FieldCtx(_KronRing):
         if rows is None:
             xk = _power(self.gen.v, self.p ** k, self._mul)
             rows = self._frob[k] = _power_rows(xk, self.e, self._mul)
+        return rows
+
+    def _linear_rows(self, pairs):
+        """Rows, as in _frob_rows, of x -> sum c x^(p^j) over the pairs
+        (packed c != 0, j), each reduced so that one _apply evaluates it."""
+        mul, rows = _mul_fn(self), [0] * self.e
+        for c, j in pairs:
+            for i, r in enumerate(self._frob_rows(j % self.e)):
+                rows[i] = self._fix(rows[i] + mul(c, r))
         return rows
 
     def _log_tables(self):

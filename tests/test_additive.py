@@ -28,6 +28,7 @@ from wildram.additive import (
 )
 from wildram.errors import InseparableOperator, NotInXSXForm
 from wildram.field import (
+    FqElem,
     FqPoly,
     embed_elem,
     extension_field,
@@ -122,22 +123,41 @@ def test_wp_operator_kernel_is_prime_field():
     assert vals == {(0, 0), (1, 0), (2, 0)}
 
 
+def _evaluate_by_powers(A, x):
+    """A(x) from the powers x^(p^j), not from the Frobenius rows."""
+    acc = x.ctx.zero
+    for j, c in enumerate(A.embed(x.ctx).coeffs):
+        acc = acc + c * x ** (x.ctx.p ** j)
+    return acc
+
+
 def test_operator_matrix_matches_evaluation():
+    # F_9 -> F_81 keeps log tables; F_5 and F_7 -> F_343 have e = 1;
+    # F_27 -> F_3^9 and F_2 -> F_2^13 are past TABLE_LIMIT; F-degrees at
+    # and past E make the Frobenius indices wrap mod E
     rng = random.Random(23)
-    ctx = make_field(3, 2)
-    big = extension_field(3, 4)
-    for _ in range(15):
-        A = _rand_op(ctx, rng, 2)
-        M = operator_matrix(A, big)
-        basis = [big.elem([1 if i == j else 0 for j in range(4)])
-                 for i in range(4)]
-        for i, bi in enumerate(basis):
-            want = A.evaluate(bi)
-            got = big.zero
-            for j, bj in enumerate(basis):
-                got = got + big.elem([int(M[i][j]) if k == 0 else 0
-                                      for k in range(4)]) * bj
-            assert got == want
+    for p, e, N, degrees, draws in [(3, 2, 4, (2,), 15), (3, 2, 4, (4, 7), 4),
+                                    (5, 1, 1, (0, 1, 3), 4),
+                                    (7, 1, 3, (2, 3, 5), 4),
+                                    (3, 3, 9, (2, 9, 11), 3),
+                                    (2, 1, 13, (3, 13, 15), 3)]:
+        ctx = make_field(p, e)
+        big = extension_field(p, N)
+        basis = [big.elem([1 if i == j else 0 for j in range(N)])
+                 for i in range(N)]
+        for deg in degrees:
+            for _ in range(draws):
+                A = _rand_op(ctx, rng, deg)
+                M = operator_matrix(A, big)
+                assert _all_ints(M) and len(M) == N
+                for i, bi in enumerate(basis):
+                    want = _evaluate_by_powers(A, bi)
+                    assert A.evaluate(bi) == want
+                    got = big.zero
+                    for j, bj in enumerate(basis):
+                        got = got + big.elem([int(M[i][j]) if k == 0 else 0
+                                              for k in range(N)]) * bj
+                    assert got == want
 
 
 def test_kernel_elements_in_digit_order():
@@ -365,6 +385,44 @@ def test_shift_plan_matches_compose(data):
     assert translation_test(f, y) == red.is_zero()
     assert translation_test(f, y, "arithmetic") == (
         red.is_zero() and not frobenius_trace(const))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_linear_rows_at_their_bound(p, monkeypatch):
+    # f = X S(X) + cX over F_(p^2), S of F-degree 5 >= E = 4, y in F_(p^4):
+    # the X^1 part of the defect has a term y^(p^j) at every j < E, so its
+    # rows each sum products for every Frobenius index, and S's indices
+    # wrap mod E; at p = 7 rows left unreduced would overrun _apply's
+    # bound.  Once the plan is built, geometric tests read those rows
+    # alone: no Frobenius image of y and no product
+    rng = random.Random(70 + p)
+    ctx, E = make_field(p, 2), 4
+    big = extension_field(p, E)
+    coeffs = [_rand_elem(ctx, rng) for _ in range(6)]
+    coeffs = [a if a else ctx.one for a in coeffs]
+    f = FqPoly(ctx, [(1 + p ** j, a) for j, a in enumerate(coeffs)]
+               + [(1, _rand_elem(ctx, rng))])
+    *_, parts = additive._shift_plan(f, big)
+    assert [(m, bool(rows), prods) for m, rows, prods in parts] == \
+        [(1, True, [])]
+    for y in big.elements():
+        red, const = _compose_defect(f, y)
+        assert translation_defect(f, y) == (red, const)
+        assert translation_test(f, y) == red.is_zero()
+        assert translation_test(f, y, "arithmetic") == (
+            red.is_zero() and not frobenius_trace(const))
+    calls = []
+    frobenius = FqElem.frobenius
+
+    def counted(x, k=1):
+        calls.append(k)
+        return frobenius(x, k)
+
+    monkeypatch.setattr(FqElem, "frobenius", counted)
+    fixed = [y for y in big.elements() if translation_test(f, y)]
+    assert calls == [] and fixed
+    kernel = linearize_kernel(palindromic_adjoint(f), E)
+    assert {y.coeffs for y in fixed} == {y.coeffs for y in kernel.elements()}
 
 
 def test_shift_plan_memo_follows_its_arguments():

@@ -1,6 +1,7 @@
 """Cover invariants, base change, and the built-in families."""
 
 import functools
+import math
 import random
 
 import _character_reference as reference
@@ -556,6 +557,24 @@ def test_splitting_past_the_place_limit_is_refused():
     cov = CoverSpec(ctx, ("witt", 2), [h.pth_power() - h, FqPoly.zero(ctx)])
     with pytest.raises(ResourceLimit):
         splits_everywhere(cov)
+
+
+def test_slot_by_slot_witt_ring_is_priced_as_such(monkeypatch):
+    # mod 7^n the ring takes each slot mod r apart, and W_150 over F_7^4
+    # passed the price of a folded ring and then ran for half a minute:
+    # priced by its reducer it is refused before anything is built
+    ctx = make_field(7, 4)
+    assert (150 * 4 + 2) * 150 * 4 * math.log2(7) <= cover._RING_LIMIT
+    assert field._reduces_slotwise(ctx.modulus, 7 ** 150)
+    assert not field._reduces_slotwise(make_field(2, 4).modulus, 2 ** 150)
+
+    def refuse(*args):
+        raise AssertionError("built before the work estimate")
+
+    monkeypatch.setattr(cover, "witt_ring", refuse)
+    monkeypatch.setattr(cover, "_least_gamma", refuse)
+    with pytest.raises(ResourceLimit):
+        family_build(ctx, "exponent-pn", witt_len=150)
 
 
 _NO_PLACE_FAMILIES = [
