@@ -15,7 +15,6 @@ from .additive import (
     linearize_kernel,
     operator_matrix,
     palindromic_adjoint,
-    splits_over,
     splitting_degree,
     translation_defect,
     translation_test,
@@ -34,7 +33,6 @@ from .bigaction import (
 from .cover import (
     CoverSpec,
     FamilyItem,
-    ReducedForm,
     additive_characters,
     base_change,
     character_levels,
@@ -43,7 +41,6 @@ from .cover import (
     cover_genus,
     family_build,
     normalized_witt_rhs,
-    reduce_mod_wp,
     splits_everywhere,
     tower_compose,
     upper_filtration,
@@ -86,7 +83,6 @@ from .witt import (
     witt2_sub,
     witt_ring,
     witt_trace,
-    witt_wp,
 )
 
 __version__ = "0.1.0"

@@ -262,11 +262,6 @@ def splitting_degree(A, cap=48):
     return None
 
 
-def splits_over(A, N):
-    deg = splitting_degree(A, cap=N)
-    return deg is not None and N % deg == 0
-
-
 # ---------------------------------------------------------------------------
 # palindromic adjoint and translation tests
 
@@ -327,6 +322,7 @@ def _shift_plan(f, big):
     p, E, fix, groups, seen = big.p, big.e, big._fix, {}, 0
     digits = next(n for n in itertools.count() if p ** n > f.degree())
     w = ((p - 1) * -(-digits // E)).bit_length()  # no field overflows
+    ones = {1 << j * w: j for j in range(E)}  # the D of y^(p^j)
     for k, c in f.terms:
         c, level = embed_elem(c, big), [(0, 1, 0)]  # m, B, D
         roots = [c.frobenius(-r).v for r in range(digits)]
@@ -339,7 +335,7 @@ def _shift_plan(f, big):
             r = next(i for i in itertools.count() if m % p ** (i + 1) or not m)
             m, t = m // p ** r, r % E * w
             D = (D >> t) | (D & ((1 << t) - 1)) << (E * w - t)
-            seen |= D
+            seen |= 0 if D in ones else D  # what the products read
             groups[m, D] = fix(groups.get((m, D), 0)
                                + big._reduce(roots[r] * B))
     frobs = [j for j in range(E) if seen >> j * w & (1 << w) - 1]
@@ -357,7 +353,6 @@ def _shift_plan(f, big):
             slot[D] = len(frobs) + len(steps) - 1
         return slot[D]
 
-    ones = {1 << j * w: j for j in range(E)}  # the D of y^(p^j)
     for (m, D), v in sorted((t for t in groups.items() if t[1]),
                             key=lambda t: not t[0][0]):
         lin, prods = parts.setdefault(m, ([], []))

@@ -50,8 +50,8 @@ from .errors import (
     ZeroCover,
 )
 from .field import (FqPoly, _check_integral, _ghost_trace_is_zero,
-                    _reduces_slotwise, embed_poly, field_from_json,
-                    frobenius_trace, reduce_pth_powers, rref_mod)
+                    embed_poly, field_from_json, frobenius_trace,
+                    reduce_pth_powers, rref_mod)
 from .additive import AdditiveOp, adjoint, linearize_kernel, wp_operator
 from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt_trace, witt2_sub
@@ -64,10 +64,10 @@ from .witt import witt_ring, witt_trace, witt2_sub
 # either way, deciding splitting is refused.
 _PLACE_PRODUCTS = 8
 _PLACE_LIMIT = 2 ** 18
-# exponent-pn builds W_n(F_q) first: about n^2 e log2 p ring products of
-# about e slot products each, e + e^2 if its reducer goes slot by slot.
-# So priced, whole runs took 1-4 us per slot product for 2 <= p <= 65537,
-# e = 2, 4, 12 and n = 50-574 (2 vCPUs).
+# exponent-pn builds W_n(F_q) and the ghost powers of f_0, priced at
+# (n e + 2) n e log2 p slot products.  The ring takes about
+# (n + 1) e log2 p + e^2 ring products, so the n^2 term is a conservative
+# bound, kept so that the refusals do not move.
 _RING_LIMIT = 2 ** 21
 
 
@@ -125,35 +125,6 @@ class CoverSpec:
 
     def __repr__(self):
         return "CoverSpec(%s, %s, label=%r)" % (self.kind, self.op, self.label)
-
-
-class ReducedForm:
-    """Result of stripping p-th power monomials from one equation side."""
-
-    __slots__ = ("poly", "constant", "witness", "mode")
-
-    def __init__(self, poly, constant, witness, mode):
-        self.poly = poly
-        self.constant = constant
-        self.witness = witness
-        self.mode = mode
-
-    @property
-    def degree(self):
-        return self.poly.degree()
-
-    def __repr__(self):
-        return "ReducedForm(deg=%d, mode=%s)" % (self.degree, self.mode)
-
-
-def reduce_mod_wp(f, mode="geometric"):
-    """Reduced form of f modulo p-th powers (and constants, geometrically)."""
-    if mode not in ("geometric", "arithmetic"):
-        raise BadParameters("mode must be geometric or arithmetic")
-    red, const, wit = reduce_pth_powers(f)
-    if mode == "geometric":
-        return ReducedForm(red, const, wit, mode)
-    return ReducedForm(red + FqPoly(f.ctx, ((0, const),)), const, wit, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +538,6 @@ def family_build(ctx, kind, witt_len=2):
         n = witt_len
         # W_n(F_q) and the ghost powers of f_0 (2 n log2 p ring products)
         work = (n * e + 2) * n * e * math.log2(p)
-        if work <= _RING_LIMIT and _reduces_slotwise(ctx.modulus, p ** n):
-            work *= 1 + e
         if work > _RING_LIMIT:
             raise ResourceLimit(
                 "Witt length %d over F_%d^%d: building W_%d and its ghost "

@@ -28,9 +28,11 @@ _slot_reducer then takes every slot mod r.
 Linear algebra over F_p runs on rows of Python ints, the same vectors as
 FqElem.coeffs, so no result has a word size: rref_mod and nullspace_mod
 are plain row reductions, and every matrix of the powers of one element
-is _power_rows on the Kronecker product.  That covers Frobenius
-(frob_matrix, applied to a packed element as one row sum, _apply),
-Berlekamp's Q in the modulus scan and the Witt Frobenius.
+is _power_rows on the Kronecker product.  That covers Berlekamp's Q in
+the modulus scan and Frobenius (frob_matrix, applied to a packed element
+as one row sum, _apply): _KronRing._frob_rows, the powers of X^(p^k),
+serves F_q and the Witt ring alike, whose X is a Teichmueller element
+(witt.py), and so is the Witt Frobenius.
 
 Polynomials are the sparse FqPoly (trusted constructor _poly), whose
 division and modular powers run the root finding behind subfield
@@ -236,19 +238,21 @@ def _slot_reducer(r, e, bits, top):
     ones = _pack((1,) * e, bits)
     if r & (r - 1) == 0 or e == 1:
         return ((r - 1) * ones).__and__ if r & (r - 1) == 0 else r.__rmod__
-    h = next((h for h in range(1, bits) if pow(2, h, r) == 1), bits)
-    folds = []
+    h, v, folds = 1, 2, []  # h: the order of 2 mod r, or bits if longer
+    while v != 1 and h < bits:
+        h, v = h + 1, 2 * v % r
     while True:
-        t = top.bit_length()  # m r - 2^s is 1 to r - 1: 2^s > top r will do
-        s = next(s for s in range(t, t + r.bit_length() + 1)
-                 if top * (-(-(1 << s) // r) * r - (1 << s)) < 1 << s)
-        m = -(-(1 << s) // r)
+        # c = m r - 2^s = -2^s mod r is 1 to r - 1: 2^s > top r will do
+        s, c = top.bit_length(), -(1 << top.bit_length()) % r
+        while top * c >= 1 << s:
+            s, c = s + 1, 2 * c % r
+        m = ((1 << s) + c) // r
         if top * m < 1 << bits:
             break
         k = min(range(h, bits, h), default=0,
                 key=lambda k: (top >> k) + (1 << k))
         if not k or (top >> k) + (1 << k) - 1 >= top:
-            return functools.partial(_mod_each_slot, r, e, bits)
+            return lambda z: _pack([v % r for v in _unpack(z, e, bits)], bits)
         top = (top >> k) + (1 << k) - 1
         folds.append((((1 << k) - 1) * ones, k))
     quot = ((1 << (bits - s)) - 1) * ones
@@ -259,18 +263,6 @@ def _slot_reducer(r, e, bits, top):
             z = lo + ((z ^ lo) >> k)
         return z - ((z * m >> s) & quot) * r
     return reduce
-
-
-def _mod_each_slot(r, e, bits, z):
-    return _pack([v % r for v in _unpack(z, e, bits)], bits)
-
-
-def _reduces_slotwise(f, r):
-    """Whether _slot_reducer takes products mod (f, r) slot by slot, as
-    for Witt rings at odd p once r = p^n is long."""
-    e = len(f) - 1
-    red = _slot_reducer(r, e, _reduction_rows(f, r)[0], _fold_bound(e, r))
-    return getattr(red, "func", None) is _mod_each_slot
 
 
 def _power(x, k, mul):
@@ -294,15 +286,19 @@ def _power_rows(x, n, mul):
 
 
 class _KronRing:
-    """Z/r[X]/(f) on ints packed in the Kronecker slots: the slot
-    reductions, the SWAR fix-up and the product that FieldCtx (r = p) and
-    witt.WittRing (r = p^n) share."""
+    """Z/r[X]/(f) on ints packed in the Kronecker slots, for f monic of
+    degree e with X a root of T^q = T, q = p^e: the slot reductions, the
+    SWAR fix-up, the product and the Frobenius that FieldCtx (r = p) and
+    witt.WittRing (r = p^n) share.  sigma(X) = X^p there, so sigma^k maps
+    X^i to X^(i p^k) and is fixed by those images (_frob_rows)."""
 
-    __slots__ = ("_red_rows", "_reduce", "_reduce_fold", "_fix", "_pr")
+    __slots__ = ("p", "e", "_frob", "_red_rows", "_reduce", "_reduce_fold",
+                 "_fix", "_pr")
 
-    def _init_ring(self, f, r):
+    def _init_ring(self, p, f, r):
+        self.p, self.e, self._frob = p, len(f) - 1, {}
         self._red_rows = _reduction_rows(f, r)
-        bits, e = self._red_rows[0], len(f) - 1
+        bits, e = self._red_rows[0], self.e
         ones = _pack((1,) * e, bits)
         # _reduce covers a row sum, e (r - 1)^2, _reduce_fold a product
         self._reduce = _slot_reducer(r, e, bits, e * (r - 1) ** 2)
@@ -312,6 +308,16 @@ class _KronRing:
         k, hi = ((1 << t) - r) * ones, ones << t
         self._fix = lambda z: z - (((z + k) & hi) >> t) * r
         self._pr = r * ones
+
+    def _frob_rows(self, k):
+        """The rows of sigma^k, 0 <= k < e, cached and packed in the
+        product's b-bit slots: the powers of X^(p^k) (X is 0 when f = X)."""
+        rows = self._frob.get(k)
+        if rows is None:
+            x = (self.e >= 2) << self._red_rows[0]
+            xk = _power(x, self.p ** k, self._mul)
+            rows = self._frob[k] = _power_rows(xk, self.e, self._mul)
+        return rows
 
     def _mul(self, x, y):
         """Product of two packed elements, by Kronecker substitution."""
@@ -341,13 +347,11 @@ class FieldCtx(_KronRing):
     (p, e), so element operations may compare contexts by identity.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "zero", "one", "gen", "_frob",
-                 "_tables")
+    __slots__ = ("q", "modulus", "zero", "one", "gen", "_tables")
 
     def __init__(self, p, e, modulus):
-        self.p, self.e, self.q, self.modulus = p, e, p ** e, tuple(modulus)
-        self._init_ring(self.modulus, p)
-        self._frob, self._tables = {}, None
+        self.q, self.modulus, self._tables = p ** e, tuple(modulus), None
+        self._init_ring(p, self.modulus, p)
         self.zero, self.one = _elem(self, 0), _elem(self, 1)
         self.gen = _elem(self, (e >= 2) << self._red_rows[0])  # X; 0 at e = 1
 
@@ -377,15 +381,6 @@ class FieldCtx(_KronRing):
         bits = self._red_rows[0]
         return tuple(tuple(_unpack(row, self.e, bits))
                      for row in self._frob_rows(k % self.e))
-
-    def _frob_rows(self, k):
-        """frob_matrix(k), 0 <= k < e, cached with its rows packed in the
-        product's b-bit slots: the powers of X^(p^k)."""
-        rows = self._frob.get(k)
-        if rows is None:
-            xk = _power(self.gen.v, self.p ** k, self._mul)
-            rows = self._frob[k] = _power_rows(xk, self.e, self._mul)
-        return rows
 
     def _linear_rows(self, pairs):
         """Rows, as in _frob_rows, of x -> sum c x^(p^j) over the pairs
@@ -582,10 +577,6 @@ class FqElem:
         if i is not None:
             return tables[1][i * pow(ctx.p, k, ctx.q - 1) % (ctx.q - 1)]
         return _elem(ctx, ctx._apply(self.v, ctx._frob_rows(k)))
-
-    def pth_root(self):
-        # Frobenius is a bijection, so the root is x^(p^(e-1))
-        return self.frobenius(self.ctx.e - 1)
 
     def is_zero(self):
         return not self.v

@@ -1,15 +1,21 @@
 """Witt vectors of finite length over F_q, stored as Galois-ring elements.
 
-W_n(F_q) is the Galois ring GR(p^n, e) = (Z/p^n)[X] / (M~), where M~
-lifts the field modulus coefficient by coefficient (Serre, Local Fields,
-II 4-6; Wan, Lectures on Finite Fields and Galois Rings): the vector
-(a_0, ..., a_{n-1}) is the ring element x = sum_i p^i [a_i^(p^-i)], with
-the Teichmueller lift [b] = lift(b)^(q^(n-1)) mod p^n, the root of
-T^q = T over b.  So a WittVec holds one packed int, its e coefficients
-mod p^n in Kronecker slots as for field elements: sums are SWAR, a
-product is one Kronecker product mod (M~, p^n), and the Witt Frobenius
-is the ring automorphism sigma with sigma([b]) = [b^p], a Z/p^n-linear
-map fixed by the images sigma(X^i).
+W_n(F_q) is the Galois ring GR(p^n, e) = (Z/p^n)[X] / (M_T(X)) over the
+Teichmueller modulus M_T(Y) = prod_{j<e} (Y - T^(p^j)), the Hensel lift of
+the field modulus m that divides X^q - X (Wan, Lectures on Finite Fields
+and Galois Rings, ch. 14; Serre, Local Fields, II 4-6).  T is the
+Teichmueller point of X over the coefficientwise lift M~ of m, so M_T = m
+mod p, its coefficients are sigma-fixed and lie in Z/p^n, and X is itself
+a Teichmueller element: X^q = X, and the Witt Frobenius sigma, the ring
+automorphism with sigma([b]) = [b^p], maps X^i to X^(i p).  That is the
+field's Frobenius, and _KronRing keeps it for both rings.
+
+The vector (a_0, ..., a_{n-1}) is the ring element x = sum_i p^i
+[a_i^(p^-i)], with the Teichmueller lift [b] = lift(b)^(q^(n-1)) mod p^n,
+the root of T^q = T over b.  So a WittVec holds one packed int, its e
+coefficients mod p^n in Kronecker slots as for field elements: sums are
+SWAR, a product is one Kronecker product mod (M_T, p^n), and sigma is one
+Z/p^n-linear map on the slots.
 
 The coordinates are read back by peeling Teichmueller digits: b = x mod p
 is a_i^(p^-i), and x - [b] is exactly divisible by p because [b] reduces
@@ -27,34 +33,30 @@ length-2 Witt sums of polynomial pairs built from it.
 from __future__ import annotations
 
 from .errors import BadParameters, ContextMismatch, LengthMismatch
-from .field import FqPoly, _KronRing, _pack, _power, _power_rows, _unpack
+from .field import FqPoly, _KronRing, _pack, _power, _unpack
 
 
 class WittRing(_KronRing):
     """Arithmetic context for W_n(F_q) = GR(p^n, e), the ring mod
-    (M~, p^n); caches the packed Frobenius images sigma(X^i)."""
+    (M_T, p^n).  Built over M~ first, for the Teichmueller point T of X
+    and the e products of (Y - T^(p^j)); about (n + 1) e log2 p + e^2
+    products in all."""
 
-    __slots__ = ("ctx", "n", "pn", "_frob")
+    __slots__ = ("ctx", "n", "pn")
 
     def __init__(self, ctx, n):
         if n < 1:
             raise BadParameters("Witt length must be at least 1")
-        self.ctx = ctx
-        self.n = n
-        self.pn = ctx.p ** n
-        self._init_ring(ctx.modulus, self.pn)
-        x = _pack(ctx.gen.coeffs, self._red_rows[0])
-        sigma_x = self.vec([c.frobenius() for c in WittVec(self, x).coords]).x
-        self._frob = {0: _power_rows(x, ctx.e, self._mul)}
-        self._frob[1 % ctx.e] = _power_rows(sigma_x, ctx.e, self._mul)
-
-    def _frob_rows(self, k):
-        """The rows of sigma^k, 0 <= k < e: powers of sigma(sigma^(k-1)(X))."""
-        rows = self._frob.get(k)
-        if rows is None:
-            x = self._apply(self._frob_rows(k - 1)[1], self._frob[1])
-            rows = self._frob[k] = _power_rows(x, self.ctx.e, self._mul)
-        return rows
+        self.ctx, self.n, self.pn = ctx, n, ctx.p ** n
+        self._init_ring(ctx.p, ctx.modulus, self.pn)
+        mul, bits, t = self._mul, self._red_rows[0], self._teich(ctx.gen)
+        m = [1]  # M_T, constant first, times Y - T^(p^j) for each j < e
+        for _ in range(ctx.e):
+            m = [self._fix(a + self._pr - mul(t, b))
+                 for a, b in zip([0] + m, m + [0])]
+            t = _power(t, ctx.p, mul)
+        assert all(c >> bits == 0 for c in m), "M_T not over Z/p^n"
+        self._init_ring(ctx.p, m, self.pn)
 
     def _teich(self, b, i=0):
         """[b] mod p^(n-i), packed, as lift(b)^(q^(n-1-i)) mod p^n."""
@@ -82,9 +84,6 @@ class WittRing(_KronRing):
     @property
     def one(self):
         return WittVec(self, 1)
-
-    def teichmueller(self, x):
-        return WittVec(self, self._teich(self.ctx.elem(x)))
 
     def from_json(self, obj):
         return self.vec(obj)
@@ -165,7 +164,7 @@ class WittVec:
 
     def frobenius(self):
         ring = self.ring
-        return WittVec(ring, ring._apply(self.x, ring._frob[1 % ring.ctx.e]))
+        return WittVec(ring, ring._apply(self.x, ring._frob_rows(1 % ring.e)))
 
     def is_zero(self):
         return not self.x
@@ -186,11 +185,6 @@ class WittVec:
     def __repr__(self):
         return "WittVec(%s)" % ", ".join(repr(list(c.coeffs))
                                          for c in self.coords)
-
-
-def witt_wp(u):
-    """The Witt Artin-Schreier operator F(u) - u."""
-    return u.frobenius() - u
 
 
 def witt_trace(u):

@@ -19,7 +19,6 @@ from wildram.additive import (
     linearize_kernel,
     operator_matrix,
     palindromic_adjoint,
-    splits_over,
     splitting_degree,
     translation_defect,
     translation_test,
@@ -218,23 +217,24 @@ def test_image_membership_and_splitting():
     assert w is not None
     assert wp.evaluate(w) == embed_elem(ctx.one, w.ctx)
     assert splitting_degree(wp) == 1
-    assert splits_over(wp, 2)
+    assert 2 % splitting_degree(wp, cap=2) == 0
     rng = random.Random(24)
     for _ in range(10):
         A = _rand_op(make_field(3, 1), rng, 2)
         if not A.separable:
             continue
         d = splitting_degree(A, cap=24)
-        assert splits_over(A, d)
+        assert d % splitting_degree(A, cap=d) == 0
         assert linearize_kernel(A, d).dim == A.f_degree
         # d is the least such degree
         for N in range(1, d):
             assert linearize_kernel(A, N).dim < A.f_degree
-    # splitting degree 52, above splits_over's former fixed cap of 48
+    # splitting degree 52, above a former fixed cap of 48
     A = AdditiveOp(make_field(5, 2), [[1, 0], [1, 4], [2, 4], [4, 1], [1, 0]])
     assert splitting_degree(A, cap=60) == 52
-    assert splits_over(A, 52) and splits_over(A, 104)
-    assert not splits_over(A, 26)
+    assert 52 % splitting_degree(A, cap=52) == 0
+    assert 104 % splitting_degree(A, cap=104) == 0
+    assert splitting_degree(A, cap=26) is None
     assert linearize_kernel(A, 52).dim == 4
     # the kernel lies in F_{5^N} only when 52 | N, so the even proper
     # divisors of 52 cover minimality
@@ -275,7 +275,8 @@ def test_operator_adjoint_is_trace_transpose():
                 continue
             dim = linearize_kernel(adj, e).dim
             assert dim == linearize_kernel(A, e).dim
-            assert (dim == d) == splits_over(A, e)
+            deg = splitting_degree(A, cap=e)
+            assert (dim == d) == (deg is not None and e % deg == 0)
 
 
 def test_adjoint_degree_and_normalization():
@@ -423,6 +424,23 @@ def test_linear_rows_at_their_bound(p, monkeypatch):
     assert calls == [] and fixed
     kernel = linearize_kernel(palindromic_adjoint(f), E)
     assert {y.coeffs for y in fixed} == {y.coeffs for y in kernel.elements()}
+
+
+def test_shift_plan_takes_only_the_frobenius_images_products_read():
+    # f = g X^2 + g X^4 + g X^10 + X over F_9, y in F_(3^12): the degree-1
+    # terms y^(p^j) of X^4 and X^10 shift to j = 11 and 10, but they fold
+    # into linear rows; the products y^2, y^4 and y^10 read j = 0, 1, 2
+    ctx, big = make_field(3, 2), extension_field(3, 12)
+    g = ctx.gen
+    f = FqPoly(ctx, [(2, g), (4, g), (10, g), (1, ctx.one)])
+    assert additive._shift_plan(f, big)[1] == [0, 1, 2]
+    rng = random.Random(42)
+    for _ in range(20):
+        y = _rand_elem(big, rng)
+        red, const = _compose_defect(f, y)
+        assert translation_defect(f, y) == (red, const)
+        assert translation_test(f, y, "arithmetic") == (
+            red.is_zero() and not frobenius_trace(const))
 
 
 def test_shift_plan_memo_follows_its_arguments():

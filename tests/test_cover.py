@@ -21,7 +21,6 @@ from wildram.cover import (
     cover_genus,
     family_build,
     normalized_witt_rhs,
-    reduce_mod_wp,
     splits_everywhere,
     tower_compose,
     upper_filtration,
@@ -63,10 +62,10 @@ def test_reduce_mod_wp_identity():
                 if not c.is_zero():
                     terms.append((exp, c))
             f = FqPoly(ctx, tuple(terms))
-            red = reduce_mod_wp(f)
-            assert all(exp % p for exp, _ in red.poly.terms)
-            back = red.poly + FqPoly(ctx, ((0, red.constant),)) \
-                + red.witness.pth_power() - red.witness
+            red, const, wit = reduce_pth_powers(f)
+            assert all(exp % p for exp, _ in red.terms)
+            back = red + FqPoly(ctx, ((0, const),)) \
+                + wit.pth_power() - wit
             assert back == f
 
 
@@ -111,8 +110,8 @@ def test_cubic_base_change():
     S = AdditiveOp(ctx, [ctx.one, ctx.one])
     pulled = base_change(cov, S)
     assert {exp for exp, _ in pulled.rhs[0].terms} == {3, 4, 5, 6}
-    red = reduce_mod_wp(pulled.rhs[0])
-    assert red.poly.terms == ((1, ctx.one), (5, ctx.one))
+    red = reduce_pth_powers(pulled.rhs[0])[0]
+    assert red.terms == ((1, ctx.one), (5, ctx.one))
     assert conductor(pulled) == 6
     assert cover_genus(pulled) == 2
     assert pulled.label.endswith("pullback")
@@ -559,14 +558,11 @@ def test_splitting_past_the_place_limit_is_refused():
         splits_everywhere(cov)
 
 
-def test_slot_by_slot_witt_ring_is_priced_as_such(monkeypatch):
-    # mod 7^n the ring takes each slot mod r apart, and W_150 over F_7^4
-    # passed the price of a folded ring and then ran for half a minute:
-    # priced by its reducer it is refused before anything is built
+def test_witt_ring_past_the_work_budget_is_refused(monkeypatch):
+    # W_250 over F_7^4 is priced at (n e + 2) n e log2 p slot products,
+    # over the limit: it is refused before anything is built
     ctx = make_field(7, 4)
-    assert (150 * 4 + 2) * 150 * 4 * math.log2(7) <= cover._RING_LIMIT
-    assert field._reduces_slotwise(ctx.modulus, 7 ** 150)
-    assert not field._reduces_slotwise(make_field(2, 4).modulus, 2 ** 150)
+    assert (250 * 4 + 2) * 250 * 4 * math.log2(7) > cover._RING_LIMIT
 
     def refuse(*args):
         raise AssertionError("built before the work estimate")
@@ -574,7 +570,7 @@ def test_slot_by_slot_witt_ring_is_priced_as_such(monkeypatch):
     monkeypatch.setattr(cover, "witt_ring", refuse)
     monkeypatch.setattr(cover, "_least_gamma", refuse)
     with pytest.raises(ResourceLimit):
-        family_build(ctx, "exponent-pn", witt_len=150)
+        family_build(ctx, "exponent-pn", witt_len=250)
 
 
 _NO_PLACE_FAMILIES = [
@@ -582,7 +578,8 @@ _NO_PLACE_FAMILIES = [
     (5, 4, "exponent-pn", 2), (3, 3, "jump2-odd", 2),
     (7, 8, "table-full", 2), (3, 8, "jump2-even", 2),
     (2, 12, "jump2-even", 2), (3, 8, "exponent-pn", 3),
-    (7, 4, "exponent-pn", 3), (2, 12, "exponent-pn", 4)]
+    (7, 4, "exponent-pn", 3), (2, 12, "exponent-pn", 4),
+    (7, 4, "exponent-pn", 150)]
 
 
 @pytest.mark.parametrize("p, e, kind, n", _NO_PLACE_FAMILIES, ids=[
@@ -735,7 +732,7 @@ def test_characters_match_reference():
         assert character_levels(cov) == levels, (p, e, A, f)
         ladders += len(set(levels)) > 1
         unramified = [lam for lam, sub in got
-                      if not reduce_mod_wp(sub.rhs[0]).poly]
+                      if not reduce_pth_powers(sub.rhs[0])[0]]
         partial += bool(unramified) and len(unramified) < len(got)
     assert partial >= 12 and ladders >= 8 and deepest == 5
 

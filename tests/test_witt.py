@@ -6,15 +6,15 @@ import random
 import pytest
 
 from wildram.errors import LengthMismatch
-from wildram.field import FqPoly, make_field
+from wildram.field import FqPoly, _KronRing, _power, make_field
 from wildram.witt import (
+    WittRing,
     psi_carry,
     witt2_add,
     witt2_neg,
     witt2_sub,
     witt_ring,
     witt_trace,
-    witt_wp,
 )
 
 CONFIGS = [(2, 1, 2), (2, 2, 3), (3, 1, 2), (3, 2, 2), (5, 1, 3), (5, 2, 2),
@@ -102,8 +102,8 @@ def test_teichmueller_is_multiplicative():
     ring = witt_ring(ctx, 3)
     for a in ctx.elements():
         for b in list(ctx.elements())[:4]:
-            assert ring.teichmueller(a) * ring.teichmueller(b) \
-                == ring.teichmueller(a * b)
+            assert ring.vec([a, 0, 0]) * ring.vec([b, 0, 0]) \
+                == ring.vec([a * b, 0, 0])
 
 
 def test_frobenius_and_wp():
@@ -116,10 +116,42 @@ def test_frobenius_and_wp():
             b = _rand_vec(ring, ctx, rng)
             assert a.frobenius() == ring.vec([x.frobenius() for x in a.coords])
             # wp = F - 1 is additive
-            assert witt_wp(a + b) == witt_wp(a) + witt_wp(b)
+            assert (a + b).frobenius() - (a + b) \
+                == (a.frobenius() - a) + (b.frobenius() - b)
             t = witt_trace(a)
             # trace lands in the F-fixed subring
             assert t.frobenius() == t
+
+
+@pytest.mark.parametrize("p, e, n", [(7, 4, 150), (2, 12, 100)])
+def test_ring_is_built_in_linear_products(monkeypatch, p, e, n):
+    # the Teichmueller point of X and the e factors of M_T: about
+    # (n + 1) e log2 p + e^2 products, not n^2 e log2 p
+    ctx, calls = make_field(p, e), []
+    mul = _KronRing._mul
+
+    def counted(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(_KronRing, "_mul", counted)
+    WittRing(ctx, n)
+    assert len(calls) <= 2 * (n * e * math.log2(p) + e * e)
+
+
+@pytest.mark.parametrize("p, e, n", [(7, 4, 40), (2, 12, 30), (65537, 2, 8)])
+def test_ring_generator_is_teichmueller(p, e, n):
+    # over M_T the generator X is its own Teichmueller point, so sigma is
+    # X -> X^p, the field's Frobenius, at every length
+    ctx = make_field(p, e)
+    ring = witt_ring(ctx, n)
+    gen = 1 << ring._red_rows[0]
+    assert _power(gen, ctx.q, ring._mul) == gen
+    assert ring._frob_rows(1)[1] == _power(gen, p, ring._mul)
+    rng = random.Random(35)
+    for _ in range(2):
+        a = _rand_vec(ring, ctx, rng)
+        assert a.frobenius() == ring.vec([x.frobenius() for x in a.coords])
 
 
 def test_psi_carry_p2_is_product():
