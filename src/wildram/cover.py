@@ -435,9 +435,11 @@ def _gamma_kernel(ctx, s):
 
 
 def _least_gamma(ctx, s):
-    """The least nonzero element of ker(F^s + 1) inside F_{p^e}."""
-    return min((x for x in _gamma_kernel(ctx, s).elements() if x),
-               key=lambda x: x.coeffs)
+    """The least nonzero element of ker(F^s + 1) inside F_{p^e}: the last
+    row of its reduced echelon form; any other leads earlier or higher."""
+    kernel = _gamma_kernel(ctx, s)
+    rows, pivots = rref_mod([b.coeffs for b in kernel.basis], ctx.p)
+    return kernel.field.elem(rows[len(pivots) - 1])
 
 
 def _monomials(ctx, pairs):

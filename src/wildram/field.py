@@ -28,15 +28,16 @@ _slot_reducer then takes every slot mod r.
 Linear algebra over F_p runs on rows of Python ints, the same vectors as
 FqElem.coeffs, so no result has a word size: rref_mod and nullspace_mod
 are plain row reductions, and every matrix of the powers of one element
-is _power_rows on the Kronecker product.  That covers Berlekamp's Q in
-the modulus scan and Frobenius (frob_matrix, applied to a packed element
-as one row sum, _apply): _KronRing._frob_rows, the powers of X^(p^k),
-serves F_q and the Witt ring alike, whose X is a Teichmueller element
-(witt.py), and so is the Witt Frobenius.
+is _power_rows on the Kronecker product.  That covers Frobenius
+(frob_matrix, applied to a packed element as one row sum, _apply):
+_KronRing._frob_rows, the powers of X^(p^k), serves F_q and the Witt
+ring alike, whose X is a Teichmueller element (witt.py), and so is the
+Witt Frobenius; the modulus scan runs Rabin's test on those rows.
 
 Polynomials are the sparse FqPoly (trusted constructor _poly), whose
 division and modular powers run the root finding behind subfield
-embeddings; additive polynomials are additive.AdditiveOp.  Products,
+embeddings, equal-degree splitting inside the subfield that holds the
+roots; additive polynomials are additive.AdditiveOp.  Products,
 powers, substitution, differences and reduce_pth_powers run on packed
 terms (exponent, int): _mul_terms gathers the products per exponent
 with a factor 1 passed through, the p^j-th powers of g behind g^k and
@@ -142,22 +143,25 @@ def nullspace_mod(M, p):
 
 
 def _is_irreducible(f, p):
-    """Berlekamp: X^(p^e) = X mod f makes f squarefree, and then the
-    nullity of Q - I counts its distinct irreducible factors, where Q's
-    row i is X^(ip) mod f.  The first test is e packed products and turns
-    most candidates away; only survivors pay for the echelon form."""
+    """Rabin's test (SIAM J. Comput. 9, 1980): f of degree e is
+    irreducible iff X^(p^e) = X mod f and gcd(X^(p^(e/l)) - X, f) = 1 for
+    every prime l | e.  The powers X^(p^k) are e packed Frobenius steps,
+    and the first test turns most candidates away.  Past it, F_p[X]/(f) is
+    a product of fields F_(p^d), d | e, so the gcds are 1 iff the product
+    h of the X^(p^(e/l)) - X is a unit there: iff h^(p^e - 1) = 1."""
     e = len(f) - 1
     if e == 1:
         return True
     ring = FieldCtx(p, e, f)  # F_p[X]/(f), a field when f is irreducible
-    x = y = ring.gen.v
+    powers = [ring.gen.v]  # X^(p^k) for k = 0, ..., e
     for _ in range(e):
-        y = ring._apply(y, ring._frob_rows(1))
-    if y != x:
+        powers.append(ring._apply(powers[-1], ring._frob_rows(1)))
+    if powers[e] != powers[0]:
         return False
-    shifted = [[a - (i == j) for j, a in enumerate(row)]
-               for i, row in enumerate(ring.frob_matrix())]
-    return len(rref_mod(shifted, p)[1]) == e - 1
+    h = functools.reduce(ring._mul, [
+        ring._fix(powers[e // ell] + ring._pr - powers[0])
+        for ell in range(2, e + 1) if e % ell == 0 and _is_prime(ell)])
+    return _power(h, ring.q - 1, ring._mul) == 1
 
 
 def _least_irreducible(p, e):
@@ -165,7 +169,7 @@ def _least_irreducible(p, e):
         return (0, 1)
     # candidates: the base-p digits, c_0 first, of successive integers
     # from p^(e-1) (c_0 = 0 would make X a factor); a root x < 16, by
-    # Horner from the top, turns most away cheaper than Berlekamp can
+    # Horner from the top, turns most away cheaper than e Frobenius steps
     points = range(1, min(p, 16))
     for n in range(p ** (e - 1), p ** e):
         cand = [1]
@@ -266,15 +270,14 @@ def _slot_reducer(r, e, bits, top):
 
 
 def _power(x, k, mul):
-    """x^k for k >= 0, square-and-multiply on mul starting from the int 1:
-    packed elements, or polynomials under a product mod m."""
-    result = 1
-    while k:
-        if k & 1:
+    """x^k for k >= 0, left-to-right square-and-multiply on mul, so that
+    every multiply takes x itself (cheap for a sparse x): packed elements,
+    or polynomials under a product mod m.  k = 0 gives the int 1."""
+    result = x if k else 1
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == "1":
             result = mul(result, x)
-        k >>= 1
-        if k:
-            x = mul(x, x)
     return result
 
 
@@ -690,8 +693,8 @@ def _ghost_trace_is_zero(ctx, ring, coords):
             acc[k] = ring._fix(acc.get(k, 0) + c)
         return [t for t in acc.items() if t[1]]
 
-    def mul(a, b):  # _power starts from the int 1
-        return b if a == 1 else fold(_mul_terms(ring, a, b, {}).items())
+    def mul(a, b):
+        return fold(_mul_terms(ring, a, b, {}).items())
 
     sums = {}  # leader v -> [f_v, C_v]; the constant is v = 0, f = 1
     for i, f in enumerate(coords):
@@ -799,8 +802,8 @@ class FqPoly:
         if modulo is None:
             return _packed_poly(self.ctx,
                                 dict(_pow_terms(self.ctx, k, [_packed(self)])))
-        # square-and-multiply: base-p digits would cost e(p - 1)/2
-        # products at the Cantor-Zassenhaus exponent (q - 1)/2
+        # square-and-multiply: base-p digits would cost d(p - 1)/2
+        # products at the splitting exponent (p^d - 1)/2 of _one_root
         power = _power(self % modulo, k, lambda a, b: a * b % modulo)
         return power if k else FqPoly(self.ctx, ((0, 1),)) % modulo
 
@@ -982,37 +985,37 @@ _EMBED_ROOTS = {}
 _EMBED_ROWS = {}
 
 
-def _split_roots(g, rng, out):
-    """All roots of monic g, assuming g splits into distinct linears
-    (Cantor-Zassenhaus: a random gcd splits g, then each part in turn)."""
+def _one_root(g, d, rng):
+    """A root of monic g, whose distinct roots lie in the degree-d subfield
+    K: equal-degree splitting in K (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 14) by gcd(g, (Y + delta)^((p^d - 1)/2) - 1), or
+    with Tr_{K/F_2}(delta Y) at p = 2, for delta = Tr_{big/K}(random z),
+    keeping the smaller part of each split down to a linear factor."""
     ctx = g.ctx
-    if g.degree() == 1:
-        out.append(-g.coeff(0))
-        return
-    while True:
-        delta = ctx.elem([rng.randrange(ctx.p) for _ in range(ctx.e)])
+    while g.degree() > 1:
+        delta = frobenius_trace(
+            ctx.elem([rng.randrange(ctx.p) for _ in range(ctx.e)]), d)
         if ctx.p == 2:
-            # additive splitting: gcd with the trace polynomial of delta*X
             term = h = FqPoly(ctx, ((1, delta),)) % g
-            for _ in range(ctx.e - 1):
+            for _ in range(d - 1):
                 term = term.pth_power() % g
                 h = h + term
         else:
             shifted = FqPoly(ctx, ((1, ctx.one), (0, delta)))
-            h = pow(shifted, (ctx.q - 1) // 2, g) - FqPoly(ctx, ((0, 1),))
+            h = pow(shifted, (ctx.p ** d - 1) // 2, g) - FqPoly(ctx, ((0, 1),))
         a, b = g, h
         while b:
             a, b = b, a % b
         if 0 < a.degree() < g.degree():
-            d1 = a * a.terms[-1][1].inverse()
-            _split_roots(d1, rng, out)
-            _split_roots(divmod(g, d1)[0], rng, out)
-            return
+            a = a * a.terms[-1][1].inverse()
+            g = a if 2 * a.degree() <= g.degree() else divmod(g, a)[0]
+    return -g.coeff(0)
 
 
 def subfield_root(small, big):
-    """Least root in big of the modulus of small; the anchor of the
-    canonical embedding F_{p^d} -> F_{p^e}."""
+    """Least root in big of the modulus of small, the anchor of the
+    canonical embedding F_{p^d} -> F_{p^e}: the least conjugate a^(p^i),
+    i < d, of the root a that _one_root finds."""
     if small.p != big.p or big.e % small.e:
         raise NotASubfieldDegree(
             "no embedding of degree %d into degree %d" % (small.e, big.e))
@@ -1022,13 +1025,12 @@ def subfield_root(small, big):
         if small.e == 1:
             root = big.zero  # modulus X, root 0; constants embed directly
         else:
-            g = FqPoly(big, enumerate(small.modulus))
-            roots = []
             # the seed only affects how fast the split lands, never the
             # answer: we always return the least root
-            _split_roots(g, random.Random(11), roots)
-            if len(roots) != small.e:
-                raise AssertionError("modulus must split in the big field")
+            roots = [_one_root(FqPoly(big, enumerate(small.modulus)),
+                               small.e, random.Random(11))]
+            for _ in range(small.e - 1):
+                roots.append(roots[-1].frobenius())
             root = min(roots, key=lambda r: r.coeffs)
         _EMBED_ROOTS[key] = root
     return root

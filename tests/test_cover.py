@@ -9,7 +9,8 @@ import _split_reference
 import pytest
 
 from wildram import _expected, cover, field
-from wildram.additive import AdditiveOp, adjoint, linearize_kernel
+from wildram.additive import (AdditiveOp, KernelBasis, adjoint,
+                              linearize_kernel)
 from wildram.cover import (
     CoverSpec,
     FamilyItem,
@@ -240,6 +241,22 @@ def test_family_table_full_shape():
     pair_conductors = [max(m for m, _ in it.levels())
                        for it in fam["items"] if it.marginal]
     assert pair_conductors == [131, 131]
+
+
+def test_least_gamma_is_the_least_kernel_element(monkeypatch):
+    # brute force over the field: x^(p^s) = -x, least coefficient tuple
+    for p, e in [(2, 4), (2, 6), (3, 2), (3, 4), (5, 2), (5, 4), (7, 2)]:
+        ctx, s = make_field(p, e), e // 2
+        want = min((x for x in ctx.elements()
+                    if x and x.frobenius(s) == -x), key=lambda x: x.coeffs)
+        assert cover._least_gamma(ctx, s) == want
+
+    # at (65537, 2) the kernel has 65537 elements: none is listed
+    def no_listing(self):
+        raise AssertionError("kernel elements enumerated")
+
+    monkeypatch.setattr(KernelBasis, "elements", no_listing)
+    assert cover._least_gamma(make_field(65537, 2), 1).coeffs == (1, 2)
 
 
 def test_splits_at_and_everywhere():

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.polys.domains import GF
 
+from wildram import field
 from wildram.additive import AdditiveOp, linearize_kernel
 from wildram.errors import (
     DegreeOutOfRange,
@@ -19,6 +20,7 @@ from wildram.errors import (
 )
 from wildram.field import (
     FqPoly,
+    _KronRing,
     _is_irreducible,
     _is_prime,
     _kron_fold,
@@ -78,11 +80,14 @@ def test_moduli_irreducible_and_canonical():
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-# one distinct irreducible factor passes the nullity test; only
 # X^(p^e) = X mod f rules out these prime powers
 @example((2, [1, 0, 1, 0]))  # (X^2 + X + 1)^2
 @example((3, [1, 0, 2, 0]))  # (X^2 + 1)^2
 @example((5, [0, 0, 0]))     # X^3
+# distinct irreducibles of degrees dividing e pass it: only the gcd with
+# X^(p^(e/l)) - X turns these away
+@example((2, [1, 1, 1, 1, 1, 1]))  # (X^3 + X + 1)(X^3 + X^2 + 1)
+@example((3, [2, 1, 0, 1]))        # (X^2 + 1)(X^2 + X + 2)
 @given(st.sampled_from([2, 3, 5, 7]).flatmap(
     lambda p: st.tuples(st.just(p), st.lists(
         st.integers(0, p - 1), min_size=1, max_size=9))))
@@ -92,6 +97,22 @@ def test_scan_agrees_with_sympy(case):
     z = sympy.Symbol("z")
     want = sympy.Poly(list(reversed(coeffs)), z, domain=GF(p)).is_irreducible
     assert _is_irreducible(coeffs, p) == want
+
+
+def _mobius(k):
+    powers = sympy.factorint(k).values()
+    return 0 if any(a > 1 for a in powers) else (-1) ** len(powers)
+
+
+@pytest.mark.parametrize("p,top", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_scan_counts_match_gauss(p, top):
+    # the monic irreducibles of degree n over F_p number
+    # (1/n) sum_{k | n} mu(k) p^(n/k)
+    for n in range(1, top + 1):
+        got = sum(_is_irreducible(low + (1,), p)
+                  for low in itertools.product(range(p), repeat=n))
+        assert n * got == sum(_mobius(k) * p ** (n // k)
+                              for k in range(1, n + 1) if n % k == 0)
 
 
 def _sympy_pow(pa, k, mod):
@@ -279,7 +300,9 @@ def test_subfield_root_is_least_root():
     # ones enumerate the fixed field as the kernel of F^d - 1
     small_cases = [(p, d, e) for p in (2, 3, 5, 7) for e in range(3, 13)
                    for d in range(2, e) if e % d == 0 and p ** e <= 4096]
-    large_cases = [(2, 2, 36), (3, 2, 24), (5, 2, 26), (2, 8, 16)]
+    large_cases = [(2, 2, 36), (3, 2, 24), (5, 2, 26), (2, 8, 16),
+                   (2, 9, 18), (2, 6, 36), (3, 4, 12), (3, 6, 12), (5, 3, 9),
+                   (7, 3, 6)]
     for p, d, e in small_cases + large_cases:
         small, big = make_field(p, d), extension_field(p, e)
         if big.q <= 4096:
@@ -291,6 +314,39 @@ def test_subfield_root_is_least_root():
         g = FqPoly(big, enumerate(small.modulus))
         roots = [x for x in fixed if not g.evaluate(x)]
         assert subfield_root(small, big) == min(roots, key=lambda x: x.coeffs)
+
+
+def _count_products(monkeypatch):
+    calls, mul = [], _KronRing._mul
+
+    def counted(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+    monkeypatch.setattr(_KronRing, "_mul", counted)
+    return calls
+
+
+def test_subfield_root_splits_inside_the_subfield(monkeypatch):
+    # exponent (3^18 - 1)/2, not (3^36 - 1)/2: 91 749 products when the
+    # split ran in the big field, about 15 500 now (cold Frobenius rows in)
+    small, big = extension_field(3, 18), extension_field(3, 36)
+    monkeypatch.setattr(field, "_EMBED_ROOTS", {})
+    monkeypatch.setattr(big, "_frob", {})
+    calls = _count_products(monkeypatch)
+    root = subfield_root(small, big)
+    assert len(calls) <= 30000
+    assert root.frobenius(18) == root
+    assert not FqPoly(big, enumerate(small.modulus)).evaluate(root)
+
+
+def test_subfield_root_refuses_non_subfields_at_once(monkeypatch):
+    pairs = [(make_field(3, 3), extension_field(3, 4)),
+             (make_field(2, 2), extension_field(3, 4))]
+    calls = _count_products(monkeypatch)
+    for small, big in pairs:
+        with pytest.raises(NotASubfieldDegree):
+            subfield_root(small, big)
+    assert not calls
 
 
 # e = 1, table fields and Kronecker fields
