@@ -82,7 +82,6 @@ from .witt import (
     witt2_neg,
     witt2_sub,
     witt_ring,
-    witt_trace,
 )
 
 __version__ = "0.1.0"

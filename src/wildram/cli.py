@@ -200,12 +200,12 @@ def _emit_json(payload, out):
 
 
 def _load(path, build):
-    """build(parsed JSON of the file at path); malformed content is a
-    usage error, an unreadable file an OSError."""
+    """build(parsed JSON of the file at path); malformed content (1e400
+    overflows int()) is a usage error, an unreadable file an OSError."""
     with open(path) as fh:
         try:
             return build(json.load(fh))
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise UsageError("malformed input %s: %s: %s"
                              % (path, type(err).__name__, err))
 
@@ -386,7 +386,7 @@ def _exec_basechange(plan):
         raise UsageError("--sub must be a nonempty JSON array")
     try:
         S = AdditiveOp.from_json(cover.ctx, coeffs)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise UsageError("--sub: %s: %s" % (type(err).__name__, err))
     pulled = base_change(cover, S, label=plan.params["label"])
     _emit_json({

@@ -30,9 +30,9 @@ from it:
   exactly when f(y) passes those d linear forms, and every rational
   place splits exactly when each y^p - y = l_i f does.
 
-Whether every rational place of a Witt cover splits is read off the
-coefficients of its ghost component over GR(p^n, e), for every length n
-(`field._ghost_trace_is_zero`), without visiting a place.
+Whether every rational place of a Witt cover splits is read off its ghost
+component over GR(p^n, e) without visiting a place, and on the constants
+f_i(y) so is whether x = y splits (`field._ghost_trace_is_zero`).
 """
 
 from __future__ import annotations
@@ -54,19 +54,19 @@ from .field import (FqPoly, _check_integral, _ghost_trace_is_zero,
                     reduce_pth_powers, rref_mod)
 from .additive import AdditiveOp, adjoint, linearize_kernel, wp_operator
 from .ramify import ladder_filtration, tower_genus
-from .witt import witt_ring, witt_trace, witt2_sub
+from .witt import witt_ring, witt2_sub
 
 # The ghost criterion and the sweep of F_q, priced in coefficient products
-# (`_ghost_products`): a place of a length-n vector costs about 8 n^2 for
-# its Teichmueller lifts and Witt trace, and two per right hand side term
-# (at n = 2 a place took 60-600 us and a product 1-9 us, on 31 dense pairs
-# with 2 <= p <= 13, q <= 3125, 2 vCPUs).  Past _PLACE_LIMIT place tests
-# either way, deciding splitting is refused.
+# (`_ghost_products`): a place of a length-n vector costs 8 n^2 for the
+# p-th powers of its f_i(y), at most n^2 log2 p products (so p < 256), and
+# two per right hand side term (a place took 50-200 us at n = 2 and
+# 0.2-2 ms at n = 8, on 4-term coordinates, 2 <= p <= 13, q <= 3125,
+# 2 vCPUs).  Past _PLACE_LIMIT place tests either way, it is refused.
 _PLACE_PRODUCTS = 8
 _PLACE_LIMIT = 2 ** 18
 # exponent-pn builds W_n(F_q) and the ghost powers of f_0, priced at
 # (n e + 2) n e log2 p slot products.  The ring takes about
-# (n + 1) e log2 p + e^2 ring products, so the n^2 term is a conservative
+# (n + e) log2 p + e^2 ring products, so the n^2 term is a conservative
 # bound, kept so that the refusals do not move.
 _RING_LIMIT = 2 ** 21
 
@@ -270,7 +270,10 @@ def upper_filtration(cover):
 def _split_test(cover, E):
     """Predicate y -> whether the place x = y, for y in E, splits completely.
 
-    Witt covers: the Witt trace of the evaluated right hand side vanishes.
+    Witt covers: the ghost criterion (`field._ghost_trace_is_zero`) on the
+    constants f_i(y), whose ghost sum is sigma^(n-1) of the Witt vector
+    (f_i(y)) and has its trace: no Teichmueller lift, and a zero f_i(y)
+    costs nothing.
     Additive covers: trace duality (`additive.adjoint`) gives
     A(E) = {v : Tr(l v) = 0 for every root l of adjoint(A) in E}, split
     or not, so each root contributes one F_p row (Tr(l X^j))_j and a
@@ -280,8 +283,8 @@ def _split_test(cover, E):
     rhs = [embed_poly(f, E) for f in cover.rhs]
     if cover.kind == "witt":
         ring = witt_ring(E, cover.op)
-        return lambda y: witt_trace(
-            ring.vec([f.evaluate(y) for f in rhs])).is_zero()
+        return lambda y: _ghost_trace_is_zero(
+            E, ring, [FqPoly(E, ((0, f.evaluate(y)),)) for f in rhs])
     p = E.p
     powers = [E.elem([0] * j + [1]) for j in range(E.e)]
     rows = [[frobenius_trace(ell * x).coeffs[0] for x in powers]

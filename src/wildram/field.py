@@ -628,9 +628,9 @@ def frobenius_trace(x, d=1):
 def _check_integral(values):
     """The values read from JSON as ints; ValueError unless each is an
     integer, which int() and ctx.elem would otherwise truncate (1.5
-    passing as 1)."""
+    passing as 1), and not a boolean (true passing as 1)."""
     for v in values:
-        if int(v) != v:
+        if isinstance(v, bool) or int(v) != v:
             raise ValueError("%r is not an integer" % (v,))
     return [int(v) for v in values]
 
@@ -870,7 +870,7 @@ class FqPoly:
     def from_json(cls, ctx, obj):
         terms = []
         for exp, c in obj:
-            if int(exp) != exp or exp < 0:
+            if isinstance(exp, bool) or int(exp) != exp or exp < 0:
                 raise ValueError(
                     "exponent %r is not a nonnegative integer" % (exp,))
             terms.append((int(exp), elem_from_json(ctx, c)))

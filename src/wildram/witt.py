@@ -11,20 +11,20 @@ automorphism with sigma([b]) = [b^p], maps X^i to X^(i p).  That is the
 field's Frobenius, and _KronRing keeps it for both rings.
 
 The vector (a_0, ..., a_{n-1}) is the ring element x = sum_i p^i
-[a_i^(p^-i)], with the Teichmueller lift [b] = lift(b)^(q^(n-1)) mod p^n,
-the root of T^q = T over b.  So a WittVec holds one packed int, its e
-coefficients mod p^n in Kronecker slots as for field elements: sums are
-SWAR, a product is one Kronecker product mod (M_T, p^n), and sigma is one
-Z/p^n-linear map on the slots.
+[a_i^(p^-i)], with the Teichmueller lift [b], the root of T^q = T over b,
+taken as lift(b^(p^-k))^(p^k) mod p^(k+1): a lift changed by p^j changes
+its p-th power by p^(j+1) (Serre, Local Fields, II 4).  So a WittVec
+holds one packed int, its e coefficients mod p^n in Kronecker slots as
+for field elements: sums are SWAR, a product is one Kronecker product
+mod (M_T, p^n), and sigma is one Z/p^n-linear map on the slots.
 
 The coordinates are read back by peeling Teichmueller digits: b = x mod p
 is a_i^(p^-i), and x - [b] is exactly divisible by p because [b] reduces
-to b.  After i peels x is only known mod p^(n-i), and so is [b] when it
-is computed with the exponent q^(n-1-i): a lift changed by p^j changes
-its p-th power by p^(j+1).
+to b.  After i peels x is only known mod p^(n-i), and so is [b] with
+k = n - 1 - i.
 
-The ring's Frobenius and trace also decide whether every place of a Witt
-cover splits, through its ghost component (field._ghost_trace_is_zero).
+The ghost component decides whether a place of a Witt cover splits, or
+every place at once (field._ghost_trace_is_zero), with no lift at all.
 The module carries the closed forms used on polynomials: the carry
 polynomial psi(a, b) = (a^p + b^p - (a+b)^p)/p reduced mod p, and exact
 length-2 Witt sums of polynomial pairs built from it.
@@ -39,7 +39,7 @@ from .field import FqPoly, _KronRing, _pack, _power, _unpack
 class WittRing(_KronRing):
     """Arithmetic context for W_n(F_q) = GR(p^n, e), the ring mod
     (M_T, p^n).  Built over M~ first, for the Teichmueller point T of X
-    and the e products of (Y - T^(p^j)); about (n + 1) e log2 p + e^2
+    and the e products of (Y - T^(p^j)); about (n + e) log2 p + e^2
     products in all."""
 
     __slots__ = ("ctx", "n", "pn")
@@ -59,9 +59,10 @@ class WittRing(_KronRing):
         self._init_ring(ctx.p, m, self.pn)
 
     def _teich(self, b, i=0):
-        """[b] mod p^(n-i), packed, as lift(b)^(q^(n-1-i)) mod p^n."""
-        return _power(_pack(b.coeffs, self._red_rows[0]),
-                      self.ctx.q ** (self.n - 1 - i), self._mul)
+        """[b] mod p^(n-i), packed: lift(b^(p^-k))^(p^k), k = n - 1 - i."""
+        k = self.n - 1 - i
+        return _power(_pack(b.frobenius(-k).coeffs, self._red_rows[0]),
+                      self.p ** k, self._mul)
 
     # -- public construction -------------------------------------------------
 
@@ -185,16 +186,6 @@ class WittVec:
     def __repr__(self):
         return "WittVec(%s)" % ", ".join(repr(list(c.coeffs))
                                          for c in self.coords)
-
-
-def witt_trace(u):
-    """Sum of F^i(u) for 0 <= i < e: the trace of GR(p^n, e) down to
-    Z/p^n, so the result has W_n(F_p) coordinates."""
-    acc = cur = u
-    for _ in range(u.ring.ctx.e - 1):
-        cur = cur.frobenius()
-        acc = acc + cur
-    return acc
 
 
 # ---------------------------------------------------------------------------

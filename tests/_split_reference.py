@@ -4,16 +4,18 @@ Kept as an independent reference for `cover._split_test` and
 `cover.splits_everywhere`, which read splitting off trace rows of the
 adjoint kernel instead: here an additive place splits when one linear
 system over F_p, the matrix of A on the residue field, has a solution,
-and a full sweep compares f(y) against the whole image set A(F_q).  Witt
-places use the Witt trace, as the library does.  Costs one echelon form
-per place; keep the fields small.
+and a full sweep compares f(y) against the whole image set A(F_q).  A
+Witt place splits when the Witt trace of the vector (f_i(y)), built
+coordinate by coordinate with `WittRing.vec`, vanishes, where the library
+applies the ghost criterion.  Costs one echelon form per place; keep the
+fields small.
 """
 
 import numpy as np
 
 from wildram.additive import operator_matrix
 from wildram.field import embed_elem, extension_field, rref_mod
-from wildram.witt import witt_ring, witt_trace
+from wildram.witt import witt_ring
 
 
 def solve_mod(M, b, p):
@@ -29,6 +31,16 @@ def solve_mod(M, b, p):
     for i, pc in enumerate(pivots):
         x[pc] = R[i][n]
     return x
+
+
+def witt_trace(u):
+    """Sum of F^i(u) for 0 <= i < e: the trace of GR(p^n, e) down to
+    Z/p^n, so the result has W_n(F_p) coordinates."""
+    acc = cur = u
+    for _ in range(u.ring.ctx.e - 1):
+        cur = cur.frobenius()
+        acc = acc + cur
+    return acc
 
 
 def image_membership(A, c, N=None):

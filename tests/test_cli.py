@@ -108,6 +108,18 @@ _PROFILE = {"p": 3,
     ("cover-analyze", json.dumps({"rhs": [[[3, [1]]]],
                                   "field": {"p": 2.5, "e": 1},
                                   "operator": {"witt": 1}})),
+    # JSON booleans are not integers: true must not pass as a length-1
+    # Witt operator, a coefficient 1 or an exponent 1
+    ("cover-analyze", json.dumps({"rhs": [[[4, [1]]]],
+                                  "field": {"p": 3, "e": 2},
+                                  "operator": {"witt": True}})),
+    ("cover-analyze", json.dumps({"rhs": [[[4, [True, False]]]],
+                                  "field": {"p": 3, "e": 2},
+                                  "operator": {"witt": 1}})),
+    ("cover-analyze", json.dumps({"rhs": [[[True, [1]], [4, [1]]]],
+                                  "field": {"p": 3, "e": 2},
+                                  "operator": {"witt": 1}})),
+    ("bigaction-check", json.dumps(dict(_PROFILE, p=3, v=True))),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
@@ -116,6 +128,31 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert err.startswith("usage error: malformed input")
     assert len(err.splitlines()) == 1
+
+
+_INFINITE = {
+    "cover-analyze": '{"field": {"p": 3, "e": 2}, "operator": {"witt": 1},'
+                     ' "rhs": [[[%s, 1]]]}',
+    "basechange": '{"field": {"p": 3, "e": 2}, "operator": {"witt": %s},'
+                  ' "rhs": [[[4, 1]]]}',
+    "adjoint": '{"field": {"p": 3, "e": 2}, "poly": [[4, [%s]]]}',
+    "bigaction-check": '{"p": 3, "v": %s, "filtration": {"numbering":'
+                       ' "lower", "segments": [[1, 1, 27], [4, 1, 3]]}}',
+}
+
+
+@pytest.mark.parametrize("number", ["1e400", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", sorted(_INFINITE))
+def test_infinite_number_is_usage_error(tmp_path, capsys, command, number):
+    # json reads 1e400 and Infinity as float('inf'), which int() refuses
+    # with an OverflowError: one line and exit 2, not a traceback
+    path = tmp_path / "input.json"
+    path.write_text(_INFINITE[command] % number)
+    sub = ["--sub", "[1, 1]"] if command == "basechange" else []
+    assert cli.main([command, str(path)] + sub) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: malformed input")
+    assert "OverflowError" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["cover-analyze", "basechange",
@@ -200,7 +237,8 @@ def test_basechange(tmp_path, capsys):
     assert exps == {3, 4, 5, 6}
 
 
-@pytest.mark.parametrize("sub", ['["x"]', '[null]', '[1.5]', '[[1.5]]'])
+@pytest.mark.parametrize("sub", ['["x"]', '[null]', '[1.5]', '[[1.5]]',
+                                 '[1e400]', '[true]'])
 def test_basechange_bad_sub_is_usage_error(tmp_path, capsys, sub):
     path = _write_cover(tmp_path)
     assert cli.main(["basechange", path, "--sub", sub]) == 2

@@ -36,7 +36,7 @@ from wildram.field import (
     reduce_pth_powers,
 )
 from wildram.rayclass import ray_class_invariants
-from wildram.witt import witt2_sub
+from wildram.witt import WittRing, witt2_sub
 
 
 def _mono(ctx, pairs):
@@ -271,9 +271,11 @@ def test_splits_at_and_everywhere():
 
 
 def test_splitting_matches_reference():
-    # trace rows of the adjoint kernel against solving A(w) = f(y) (and
-    # the Witt trace) place by place, for split and non-split operators,
-    # at points of F_q and of F_(p^2e), and over sampled fields
+    # trace rows of the adjoint kernel against solving A(w) = f(y), and
+    # the ghost criterion at a point against the Witt trace of `vec`,
+    # place by place, for split and non-split operators, Witt lengths 1-6
+    # with some zero coordinates, at points of F_q and of F_(p^2e), and
+    # over sampled fields
     rng = random.Random(56)
     fields = [(2, 3), (2, 4), (3, 2), (5, 2), (7, 1), (7, 2), (3, 8),
               (2, 12)]
@@ -288,8 +290,9 @@ def test_splitting_matches_reference():
         f = FqPoly(ctx, tuple((k, rand()) for k in
                               sorted(rng.sample(range(4 * p), 3))))
         if trial % 3 == 2:
-            n = rng.randint(1, 3)
+            n = rng.randint(1, 6)
             rhs = [f] + [FqPoly(ctx, ((rng.randrange(3 * p), rand()),))
+                         if rng.randrange(3) else FqPoly.zero(ctx)
                          for _ in range(n - 1)]
             cov = CoverSpec(ctx, ("witt", n), rhs)
             kinds["witt"] += 1
@@ -317,6 +320,35 @@ def test_splitting_matches_reference():
         else:
             assert splits_everywhere(cov) == want, cov.to_json()
     assert min(kinds.values()) >= 10
+
+
+def test_witt_place_takes_no_teichmueller_lift(monkeypatch):
+    # (X^4 + X, 0, ..., 0) at length 60 over F_3^6: a place costs the 59
+    # cubings of f_0(y) and no Teichmueller lift; zero coordinates cost
+    # nothing
+    ctx = make_field(3, 6)
+    n = 60
+    cov = CoverSpec(ctx, ("witt", n), [_mono(ctx, [(4, 1), (1, 1)])]
+                    + [FqPoly.zero(ctx)] * (n - 1))
+    test = cover._split_test(cov, ctx)
+    calls, mul = [], WittRing._mul
+
+    def counted(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+
+    def refuse(*args):
+        raise AssertionError("Teichmueller lift taken")
+
+    monkeypatch.setattr(WittRing, "_mul", counted)
+    monkeypatch.setattr(WittRing, "vec", refuse)
+    monkeypatch.setattr(WittRing, "_teich", refuse)
+    counts = []
+    for y in random.Random(58).sample(list(ctx.elements()), 24):
+        del calls[:]
+        test(y)
+        counts.append(len(calls))
+    assert 0 < max(counts) <= 240
 
 
 def test_split_test_embeds_the_rhs_once(monkeypatch):
