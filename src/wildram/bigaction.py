@@ -103,12 +103,16 @@ class ActionProfile:
     def from_json(cls, obj):
         filt = Filtration.from_json(obj["filtration"])
         p, v = _check_integral([obj["p"], obj["v"]])
-        s = obj.get("s")
+        s, g2 = obj.get("s"), obj.get("g2_invariants")
         if s is not None:
             s = _check_integral([s])[0]
+        if g2 is not None:
+            if not isinstance(g2, list):
+                raise ValueError("g2_invariants %r is not a list" % (g2,))
+            g2 = _check_integral(g2)
         if not _is_prime(p):
             raise ValueError("p = %d is not a prime" % p)
-        return cls(p, filt, v, g2_invariants=obj.get("g2_invariants"), s=s)
+        return cls(p, filt, v, g2_invariants=g2, s=s)
 
 
 def profile_from_levels(p, levels, v, g2_invariants=None, s=None):

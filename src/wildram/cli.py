@@ -15,6 +15,7 @@ instead of grinding.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -79,74 +80,90 @@ def _out_args(sub, formats=("json",)):
                          help="output format")
 
 
-def _build_parser():
-    top = _Parser(prog="wr", description=__doc__.splitlines()[0])
-    subs = top.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("field", parents=[], help="print a field context")
+def _args_field(sp):
     _field_args(sp)
     _out_args(sp, ("json", "text"))
 
-    sp = subs.add_parser("cover-analyze",
-                         help="conductor, genus and splitting of one cover")
+
+def _args_cover_analyze(sp):
     sp.add_argument("cover", help="cover description (JSON file)")
     _out_args(sp)
 
-    sp = subs.add_parser("adjoint",
-                         help="palindromic adjoint and its kernel dimension")
+
+def _args_adjoint(sp):
     sp.add_argument("poly", help="field + polynomial (JSON file)")
     _out_args(sp)
 
-    sp = subs.add_parser("rayclass-orders",
-                         help="ray class group table over a conductor range")
+
+def _args_rayclass_orders(sp):
     _field_args(sp)
-    sp.add_argument("--m-max", type=int,
-                    help="sweep conductors 2..m-max")
+    sp.add_argument("--m-max", type=int, help="sweep conductors 2..m-max")
     sp.add_argument("--ms", help="comma-separated explicit conductor list")
     sp.add_argument("--order-only", action="store_true",
                     help="skip invariant factors, orders only")
     _out_args(sp, ("csv", "json"))
 
-    sp = subs.add_parser("rayclass-m2",
-                         help="least conductor with a nonelementary group")
+
+def _args_rayclass_m2(sp):
     _field_args(sp)
-    sp.add_argument("--cap", type=int,
-                    help="give up beyond this conductor")
+    sp.add_argument("--cap", type=int, help="give up beyond this conductor")
     _out_args(sp, ("text", "json"))
 
-    sp = subs.add_parser("family-build",
-                         help="construct a built-in cover family")
+
+def _args_family_build(sp):
     _field_args(sp)
     sp.add_argument("--kind", required=True, choices=FAMILY_KINDS)
     sp.add_argument("--witt-len", type=int, default=2,
                     help="vector length for kind exponent-pn")
     _out_args(sp)
 
-    sp = subs.add_parser("basechange",
-                         help="pull a cover back along an additive map")
+
+def _args_basechange(sp):
     sp.add_argument("cover", help="cover description (JSON file)")
     sp.add_argument("--sub", required=True,
                     help="additive map coefficients as a JSON array")
     sp.add_argument("--label", default=None)
     _out_args(sp)
 
-    sp = subs.add_parser("bigaction-check",
-                         help="ratio arithmetic and sieve for one profile")
+
+def _args_bigaction_check(sp):
     sp.add_argument("profile", help="action profile (JSON file)")
     sp.add_argument("--strict", action="store_true",
                     help="fail on rules missing their declarations")
     _out_args(sp)
 
-    sp = subs.add_parser("reproduce-table",
-                         help="rebuild the packaged (5,4) table and ratios")
+
+def _args_reproduce_table(sp):
     _field_args(sp)
     _out_args(sp, ("text",))
+
+
+@functools.cache
+def _top_parser():
+    """The top-level parser and its bare subparsers by command name: all
+    that `wr --help` and an invalid command read."""
+    top = _Parser(prog="wr", description=__doc__.splitlines()[0])
+    subs = top.add_subparsers(dest="command", required=True)
+    return top, {name: subs.add_parser(name, help=help_)
+                 for name, (help_, _, _) in COMMANDS.items()}
+
+
+@functools.cache
+def _parser(command):
+    """The top-level parser with command's own arguments added (None: no
+    command's); argparse runs only the chosen subparser."""
+    top, subparsers = _top_parser()
+    if command is not None:
+        COMMANDS[command][1](subparsers[command])
     return top
 
 
 def parse_plan(argv):
     """Validate argv into a Plan; raises UsageError, never computes."""
-    args = _build_parser().parse_args(argv)
+    # the top-level parser has no option but -h, so the first token not
+    # starting with "-" names the command whose subparser argparse runs
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    args = _parser(command if command in COMMANDS else None).parse_args(argv)
     params = vars(args)
     command = params.pop("command")
     out = params.pop("out", None)
@@ -453,22 +470,33 @@ def _exec_reproduce_table(plan):
     return 0 if ok else 1
 
 
-_EXECUTORS = {
-    "field": _exec_field,
-    "cover-analyze": _exec_cover_analyze,
-    "adjoint": _exec_adjoint,
-    "rayclass-orders": _exec_rayclass_orders,
-    "rayclass-m2": _exec_rayclass_m2,
-    "family-build": _exec_family_build,
-    "basechange": _exec_basechange,
-    "bigaction-check": _exec_bigaction_check,
-    "reproduce-table": _exec_reproduce_table,
+# name -> (help, add_arguments, execute), in the order `wr --help` lists
+# them: add_arguments(subparser) adds the command's own arguments, on
+# the command's first parse (_parser), and execute(plan) runs it
+COMMANDS = {
+    "field": ("print a field context", _args_field, _exec_field),
+    "cover-analyze": ("conductor, genus and splitting of one cover",
+                      _args_cover_analyze, _exec_cover_analyze),
+    "adjoint": ("palindromic adjoint and its kernel dimension",
+                _args_adjoint, _exec_adjoint),
+    "rayclass-orders": ("ray class group table over a conductor range",
+                        _args_rayclass_orders, _exec_rayclass_orders),
+    "rayclass-m2": ("least conductor with a nonelementary group",
+                    _args_rayclass_m2, _exec_rayclass_m2),
+    "family-build": ("construct a built-in cover family",
+                     _args_family_build, _exec_family_build),
+    "basechange": ("pull a cover back along an additive map",
+                   _args_basechange, _exec_basechange),
+    "bigaction-check": ("ratio arithmetic and sieve for one profile",
+                        _args_bigaction_check, _exec_bigaction_check),
+    "reproduce-table": ("rebuild the packaged (5,4) table and ratios",
+                        _args_reproduce_table, _exec_reproduce_table),
 }
 
 
 def execute_plan(plan):
     """Run a validated plan; returns the process exit code."""
-    return _EXECUTORS[plan.command](plan)
+    return COMMANDS[plan.command][2](plan)
 
 
 def main(argv=None):

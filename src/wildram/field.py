@@ -40,7 +40,8 @@ embeddings, equal-degree splitting inside the subfield that holds the
 roots; additive polynomials are additive.AdditiveOp.  Products,
 powers, substitution, differences and reduce_pth_powers run on packed
 terms (exponent, int): _mul_terms gathers the products per exponent
-with a factor 1 passed through, the p^j-th powers of g behind g^k and
+with a factor 1 passed through (_square_terms, for a square, each pair
+of terms once), the p^j-th powers of g behind g^k and
 the p-th roots apply Frobenius to the int, and FqElem objects are made
 once, when _packed_poly builds the result.
 embed_poly keeps its last result (_memo_last, as additive keeps its shift
@@ -198,11 +199,11 @@ def _reduction_rows(f, r):
     e = len(f) - 1
     bits = _fold_bound(e, r).bit_length()
     bits = next((w for w in _SLOT_FORMATS if bits <= w <= 2 * bits), bits)
-    rem, mu = [0] * (2 * e - 2) + [1], []
-    for k in range(2 * e - 2, e - 1, -1):  # X^(2e-2) by monic f, mod r
-        mu.append(rem[k] % r)
-        for i in range(e):
-            rem[k - e + i] -= mu[-1] * f[i]
+    # mu's digits, top first, are those of 1 / (X^e f(1/X)) as a power
+    # series: each is one dot product with the digits before it
+    top, mu = f[e - 1::-1], []
+    for j in range(e - 1):
+        mu.append(((j == 0) - sum(map(operator.mul, top, reversed(mu)))) % r)
     return (bits, e * bits, max(e - 2, 0) * bits, (1 << e * bits) - 1,
             _pack(mu[::-1], bits), _pack([-c % r for c in f[:e]], bits))
 
@@ -694,7 +695,8 @@ def _ghost_trace_is_zero(ctx, ring, coords):
         return [t for t in acc.items() if t[1]]
 
     def mul(a, b):
-        return fold(_mul_terms(ring, a, b, {}).items())
+        return fold((_square_terms(ring, a) if a is b
+                     else _mul_terms(ring, a, b, {})).items())
 
     sums = {}  # leader v -> [f_v, C_v]; the constant is v = 0, f = 1
     for i, f in enumerate(coords):
@@ -777,6 +779,9 @@ class FqPoly:
 
     def __mul__(self, other):
         ctx = self.ctx
+        if other is self:  # the squares of __pow__'s square-and-multiply
+            return _packed_poly(ctx, _square_terms(ctx, _packed(self),
+                                                   ctx.p == 2))
         if isinstance(other, (FqElem, int)):
             c = ctx.elem(other).v
             other = [(0, c)] if c else []
@@ -933,6 +938,25 @@ def _mul_terms(ctx, xs, ys, acc):
             z = y if x == 1 else x if y == 1 else mul(x, y)
             prev = get(i + j)
             acc[i + j] = z if prev is None else fix(prev + z)
+    return acc
+
+
+def _square_terms(ring, xs, char2=False):
+    """{exponent: packed sum} of the square of the nonzero packed terms
+    xs, as _mul_terms(ring, xs, xs, {}) gives, in n(n+1)/2 products for n
+    terms: each x_i x_j, i < j, once and doubled.  char2 (a field of
+    characteristic 2, where they vanish) drops those: n products."""
+    mul, fix, acc = _mul_fn(ring), ring._fix, {}
+    for a, (i, x) in enumerate(xs):
+        for j, y in () if char2 else xs[a + 1:]:
+            z = y if x == 1 else x if y == 1 else mul(x, y)
+            prev = acc.get(i + j)
+            acc[i + j] = z if prev is None else fix(prev + z)
+    acc = {k: fix(v + v) for k, v in acc.items()}
+    for i, x in xs:
+        z = 1 if x == 1 else mul(x, x)
+        prev = acc.get(2 * i)
+        acc[2 * i] = z if prev is None else fix(prev + z)
     return acc
 
 

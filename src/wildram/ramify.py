@@ -26,6 +26,7 @@ from .errors import (
     NonIntegralLowerBreaks,
     OddSum,
 )
+from .field import _check_integral
 
 
 class Filtration:
@@ -88,9 +89,17 @@ class Filtration:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["numbering"],
-                   [(Fraction(int(num), int(den)), int(order))
-                    for num, den, order in obj["segments"]])
+        """ValueError unless each segment is a list [num, den, order] of
+        integers with den != 0 (27.9 and true must not pass as 27 and 1)."""
+        segs = []
+        for seg in obj["segments"]:
+            if not isinstance(seg, list) or len(seg) != 3:
+                raise ValueError("segment %r is not 3 values" % (seg,))
+            num, den, order = _check_integral(seg)
+            if not den:
+                raise ValueError("segment %r has denominator 0" % (seg,))
+            segs.append((Fraction(num, den), order))
+        return cls(obj["numbering"], segs)
 
     def __eq__(self, other):
         return (isinstance(other, Filtration)

@@ -1,5 +1,7 @@
 """Command-line plans, exit codes, and artifact formats."""
 
+import argparse
+import collections
 import hashlib
 import json
 import time
@@ -120,6 +122,11 @@ _PROFILE = {"p": 3,
                                   "field": {"p": 3, "e": 2},
                                   "operator": {"witt": 1}})),
     ("bigaction-check", json.dumps(dict(_PROFILE, p=3, v=True))),
+    # declared invariants too: 3.5, "3" and true must not pass as 3, 3, 1
+    ("bigaction-check", json.dumps(dict(_PROFILE, v=2, g2_invariants=[3.5]))),
+    ("bigaction-check", json.dumps(dict(_PROFILE, v=2, g2_invariants="3"))),
+    ("bigaction-check", json.dumps(dict(_PROFILE, v=2,
+                                        g2_invariants=[True]))),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
@@ -553,9 +560,206 @@ def test_bigaction_check_reads_integral_floats_as_ints(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("segments", [
+    [[1, 1, 27.9], [4.5, True, 3]],
+    [[1, 1, 27], [4.5, 1, 3]],
+    [[1, 1, 27], [4, True, 3]],
+    [[1, 1, 27], "413"],
+    [[1, 1, 27], [4, 1, 3, 0]],
+    [[1, 0, 27], [4, 1, 3]],
+])
+def test_bad_filtration_segments_are_usage_errors(tmp_path, capsys,
+                                                  segments):
+    # bare int() read 27.9, 4.5 and true as 27, 4 and 1, and the string
+    # "413" as the segment (4, 1, 3), so each printed the bytes of the
+    # good profile and exited 0; a zero denominator ended in a traceback
+    good = dict(_PROFILE, v=2)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(good))
+    assert cli.main(["bigaction-check", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(dict(good, filtration={
+        "numbering": "lower", "segments": segments})))
+    assert cli.main(["bigaction-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: malformed input")
+    assert len(err.splitlines()) == 1
+
+
 def test_repeat_invocation_is_deterministic(tmp_path, capsys):
     path = _write_cover(tmp_path)
     argv = ["cover-analyze", path]
     _, first = _run(argv, capsys)
     _, second = _run(argv, capsys)
     assert first == second
+
+
+# sha256 of "<exit code>\n<stdout>\0<stderr>" at 80 columns, frozen
+# before each command's arguments were added only when it runs: help,
+# usage and argparse's errors for every command, misplaced flags included
+_FROZEN_USAGE = {
+    ():
+        "1669b6179d403c65ee4b90fab6505a078f5f68539dbe0d2ecced0be9a36480e5",
+    ("--help",):
+        "5d99b29422ff01b5fd3383d2afc9dc4858df3c25d103af34ac01b9a8df180f64",
+    ("-h",):
+        "5d99b29422ff01b5fd3383d2afc9dc4858df3c25d103af34ac01b9a8df180f64",
+    ("no-such-command",):
+        "34add3f76e099c4d527d4c48a794706d3c77f2742cbab2af8ce6597b32391db1",
+    ("field", "--help"):
+        "0cdb5a3ec8b9134f5e15f08a82f243474102ef58d0cbf7497de5574433ce8bf6",
+    ("cover-analyze", "--help"):
+        "9260e9fdf5e893acd7d9fd61bc3683c94a6e34402c65095007cee6f7287d8fda",
+    ("adjoint", "--help"):
+        "8a76b46eb5efc73132b94855c26ed583d463329c71692003bb4d34562b594054",
+    ("rayclass-orders", "--help"):
+        "f7f88aa91b18a8f40bb8fdff6f85702a101ff15604215d1cc67c012a35233182",
+    ("rayclass-m2", "--help"):
+        "22aeb8829aee7a9e8a7d179b5800547881c75cde0034ad8d125f76e36fda2892",
+    ("family-build", "--help"):
+        "d104da9b050a5aa3a3279333f2528b188f566f54aeedecbcfd3b2f5cbe9397c3",
+    ("basechange", "--help"):
+        "379d1af84fcc10ac1e91e054dd41e198ccc6e463d7be631fa17d8e0d7096d80b",
+    ("bigaction-check", "--help"):
+        "745e37e8e113e98d9606c4360883bc8831d36825c49051001bc16dec3822c82c",
+    ("reproduce-table", "--help"):
+        "bf2ac0e25f3281b2a05f2d59d8c85e2ecb1d34e40b017524da3fe113737af00d",
+    ("field", "--p", "3"):
+        "ff5242f0e382b24704a5f2ae1aa1aae2cebb76ca8bc77e520fd1092869d3c2a1",
+    ("field", "--p", "x", "--e", "1"):
+        "152282b022bd6411fc9dcb8da8fc165b8fc26c4e40a730912a3a792aa9ec3e75",
+    ("cover-analyze",):
+        "6b5d16728df291348bbdd642df2ea7237e1a408d35480367660b3fc297dfbbe7",
+    ("adjoint", "poly.json", "--bogus"):
+        "de2f0afae03d4c98d2a1ad8cb950b1d0c2ce2af7bb3298efecf49f9eb8b86bbd",
+    ("rayclass-orders", "--p", "2", "--e", "1", "--m-max", "x"):
+        "73a1e95cfa32cdf722e5c488d714f87caad3f2b2d2fbbe8db926dcd189c9a8f0",
+    ("rayclass-m2", "--p", "2", "--e", "1", "--format", "csv"):
+        "e822236068cf5eaf3f5b186daac75c119853b7f5a11940367c533953d1f6ab08",
+    ("family-build", "--p", "3", "--e", "2", "--kind", "nope"):
+        "47f7094f4babc2fd9baab9663c0fecb0f7b6c11ac93c7d64f3fde75fc02e1c2b",
+    ("basechange", "cover.json"):
+        "ea1b4f739b3e0214f43a35851d3cebd072641a4021e7cb978c66e692732eb487",
+    ("bigaction-check", "--strict"):
+        "dfe6d2509d0b06f362759adf0d9f768549924e8b5a722ae34efd26c470e38e59",
+    ("reproduce-table", "--p", "5", "--e", "4", "--format", "json"):
+        "3d1982267af2c7f00b9aa000b30d22cf53d7a378a39a74fe3081354bd7f7aeea",
+    ("--p", "3", "field", "--e", "1"):
+        "59e627e2cdf0ed99bc7632e38292b5451af8eed4e320798d8bce7086baf0b892",
+    ("field", "--p", "3", "--e", "1", "extra"):
+        "61c884441a551a54bed0e8cfa08814f2e3f04efa60ad74d0e1bc4ff7187a770f",
+}
+
+
+def _run_exiting(argv, capsys):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # --help exits from inside argparse
+        code = exc.code
+    cap = capsys.readouterr()
+    return "%s\n%s\0%s" % (code, cap.out, cap.err)
+
+
+def _fresh_parsers():
+    cli._parser.cache_clear()
+    cli._top_parser.cache_clear()
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_help_usage_and_errors_frozen(capsys, monkeypatch, warm):
+    # cold: a new parser for every call, with only that call's command's
+    # arguments; warm: every command's arguments added first
+    monkeypatch.setenv("COLUMNS", "80")
+    _fresh_parsers()
+    for name in cli.COMMANDS if warm else ():
+        cli._parser(name)
+    for argv, digest in _FROZEN_USAGE.items():
+        if not warm:
+            _fresh_parsers()
+        blob = _run_exiting(argv, capsys).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest, argv
+
+
+def test_each_command_adds_its_arguments_once(capsys, monkeypatch):
+    added, made = [], []
+    add, init = argparse.ArgumentParser.add_argument, \
+        argparse.ArgumentParser.__init__
+
+    def counted_add(self, *args, **kwargs):
+        added.append(self)
+        return add(self, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    _fresh_parsers()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    field_argv = ["field", "--p", "5", "--e", "1"]
+    assert _run(field_argv, capsys)[0] == 0
+    # the first call: the top level and nine bare subparsers, each with
+    # its -h, and field's own arguments
+    top, subs = cli._top_parser()
+    assert len(made) == 1 + len(cli.COMMANDS)
+    want = {sp: 1 for sp in [top, *subs.values()]}
+    want[subs["field"]] = len(subs["field"]._actions)
+    assert collections.Counter(added) == want
+    added.clear()
+    made.clear()
+    assert _run(field_argv, capsys)[0] == 0
+    assert not added and not made
+    # another command: its own arguments only, on its subparser
+    assert _run(["rayclass-orders", "--p", "2", "--e", "1", "--ms", "3"],
+                capsys)[0] == 0
+    sub = subs["rayclass-orders"]
+    assert not made and added == [sub] * (len(sub._actions) - 1)
+    # help and unknown commands add no command's arguments
+    added.clear()
+    for argv in (["--help"], ["no-such-command"], []):
+        _run_exiting(argv, capsys)
+    assert not added and not made
+
+
+# (command, params, out, fmt) of parse_plan, as at the parser that
+# built every command's arguments on every call
+_PLANS = [
+    (["rayclass-orders", "--p", "2", "--e", "1", "--ms", "7,3,3"],
+     ("rayclass-orders", {"p": 2, "e": 1, "m_max": None, "ms": [3, 7],
+                          "order_only": False}, None, "csv")),
+    (["rayclass-orders", "--p", "3", "--e", "4", "--m-max", "5",
+      "--order-only", "--format", "json"],
+     ("rayclass-orders", {"p": 3, "e": 4, "m_max": 5, "ms": range(2, 6),
+                          "order_only": True}, None, "json")),
+    (["field", "--p", "5", "--e", "4", "--format", "text", "--out", "x"],
+     ("field", {"p": 5, "e": 4}, "x", "text")),
+    (["family-build", "--p", "3", "--e", "2", "--kind", "exponent-pn"],
+     ("family-build", {"p": 3, "e": 2, "kind": "exponent-pn",
+                       "witt_len": 2}, None, "json")),
+    (["basechange", "c.json", "--sub", "[1]"],
+     ("basechange", {"cover": "c.json", "sub": "[1]", "label": None},
+      None, "json")),
+    (["bigaction-check", "prof.json", "--strict"],
+     ("bigaction-check", {"profile": "prof.json", "strict": True},
+      None, "json")),
+    (["rayclass-m2", "--p", "3", "--e", "4"],
+     ("rayclass-m2", {"p": 3, "e": 4, "cap": None}, None, "text")),
+    (["reproduce-table", "--p", "5", "--e", "4"],
+     ("reproduce-table", {"p": 5, "e": 4}, None, "json")),
+    (["cover-analyze", "c.json"],
+     ("cover-analyze", {"cover": "c.json"}, None, "json")),
+    (["adjoint", "f.json", "--out", "o.json"],
+     ("adjoint", {"poly": "f.json"}, "o.json", "json")),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_plans_do_not_depend_on_parsed_commands(warm):
+    _fresh_parsers()
+    for name in cli.COMMANDS if warm else ():
+        cli._parser(name)
+    for argv, want in _PLANS:
+        if not warm:
+            _fresh_parsers()
+        plan = cli.parse_plan(argv)
+        assert (plan.command, plan.params, plan.out, plan.fmt) == want

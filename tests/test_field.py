@@ -328,7 +328,8 @@ def _count_products(monkeypatch):
 
 def test_subfield_root_splits_inside_the_subfield(monkeypatch):
     # exponent (3^18 - 1)/2, not (3^36 - 1)/2: 91 749 products when the
-    # split ran in the big field, about 15 500 now (cold Frobenius rows in)
+    # split ran in the big field, 15 460 with every square made as a
+    # product of two polynomials, about 11 000 now (cold Frobenius rows in)
     small, big = extension_field(3, 18), extension_field(3, 36)
     monkeypatch.setattr(field, "_EMBED_ROOTS", {})
     monkeypatch.setattr(big, "_frob", {})
@@ -347,6 +348,56 @@ def test_subfield_root_refuses_non_subfields_at_once(monkeypatch):
         with pytest.raises(NotASubfieldDegree):
             subfield_root(small, big)
     assert not calls
+
+
+@pytest.mark.parametrize("p, e", [(2, 13), (3, 8), (5, 6), (7, 5),
+                                  (2, 4), (3, 2), (5, 1), (7, 1)])
+def test_squares_take_each_pair_of_terms_once(monkeypatch, p, e):
+    # a * a, and so pow(a, k, m), makes n(n + 1)/2 products for n terms
+    # (n at p = 2); b, an equal copy of a, takes the route of every
+    # ordered pair, which the squares must match
+    ctx, rng = make_field(p, e), random.Random(p * e)
+    calls = _count_products(monkeypatch)
+
+    def poly(n, top=40):
+        return FqPoly(ctx, [(rng.randrange(top), ctx.elem(
+            [rng.randrange(p) for _ in range(e)])) for _ in range(n)])
+
+    m = poly(12, 20) + FqPoly(ctx, [(20, ctx.one)])
+    for n in (1, 2, 5, 12, 30):
+        a = poly(n) + FqPoly(ctx, [(41, ctx.one)])  # a factor 1 passes
+        b, n = FqPoly(ctx, a.terms), len(a.terms)
+        assert b is not a and b == a
+        calls.clear()
+        square = a * a
+        if ctx._log_tables() is None:
+            assert len(calls) <= (n if p == 2 else n * (n + 1) // 2)
+        assert square == a * b
+        for k in (2, 3, 7, 10):
+            want = FqPoly(ctx, [(0, ctx.one)])
+            for _ in range(k):
+                want = want * b % m
+            assert pow(a, k, m) == want
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (5, 1), (7, 1),
+                                  (2, 5), (3, 3), (5, 2), (7, 4)])
+def test_reduction_rows_match_long_division(p, n):
+    # mu = X^(2e-2) div f for monic f mod r = p^n (Witt moduli at n > 1),
+    # against the long division that subtracts one multiple of f per digit
+    rng, r = random.Random(10 * p + n), p ** n
+    for e in [1, 2, 3, 4, 5, 8, 13, 17, 36]:
+        for _ in range(4):
+            f = [rng.randrange(r) for _ in range(e)] + [1]
+            rem, mu = [0] * (2 * e - 2) + [1], []
+            for k in range(2 * e - 2, e - 1, -1):
+                mu.append(rem[k] % r)
+                for i in range(e):
+                    rem[k - e + i] -= mu[-1] * f[i]
+            bits = _reduction_rows(f, r)[0]
+            assert _reduction_rows(tuple(f), r) == (
+                bits, e * bits, max(e - 2, 0) * bits, (1 << e * bits) - 1,
+                _pack(mu[::-1], bits), _pack([-c % r for c in f[:e]], bits))
 
 
 # e = 1, table fields and Kronecker fields
