@@ -25,24 +25,14 @@ from fractions import Fraction
 from . import _expected
 from .additive import AdditiveOp, linearize_kernel, palindromic_adjoint
 from .bigaction import ActionProfile, ratio_check
-from .cover import (
-    CoverSpec,
-    base_change,
-    character_levels,
-    conductor,
-    cover_degree,
-    cover_genus,
-    family_build,
-    splits_everywhere,
-    tower_compose,
-    upper_filtration,
-)
+from .cover import (FAMILY_KINDS, CoverSpec, _family_degree_floor,
+                    base_change, character_levels, family_build,
+                    splits_everywhere, tower_compose)
 from .errors import ResourceLimit, UsageError, WildramError
 from .field import FqPoly, _is_prime, field_from_json, make_field
+from .ramify import ladder_filtration, tower_genus
 from .rayclass import (MODULUS_LIMIT, find_second_jump, format_table_csv,
                        ray_class_table)
-
-FAMILY_KINDS = ("jump2-even", "jump2-odd", "table-full", "exponent-pn")
 
 # rows with invariants hold up to e (m - 1) entries each: a sweep to
 # m = 48 at (2, 8) needs 9024, one to m = 1448 at (2, 1) just fits
@@ -255,15 +245,14 @@ def _splits_text(cover):
 
 def _cover_payload(cover):
     levels = character_levels(cover)
-    filt = upper_filtration(cover)
     return {
         "label": cover.label,
-        "conductor": conductor(cover),
-        "degree": cover_degree(cover),
-        "genus": cover_genus(cover),
-        "levels": [[m, d] for m, d in levels],
+        "conductor": max(levels)[0],
+        "degree": cover.ctx.p ** len(levels),
+        "genus": tower_genus(levels),
+        "levels": list(map(list, levels)),
         "upper_breaks": [[int(b.numerator), int(b.denominator), o]
-                         for b, o in filt.segments],
+                         for b, o in ladder_filtration(levels).segments],
         "splits": _splits_text(cover),
     }
 
@@ -351,19 +340,6 @@ def _exec_rayclass_m2(plan):
     return 0
 
 
-def _family_degree_floor(p, e, kind, witt_len):
-    """A k with tower degree >= p^k for family_build(F_{p^e}, kind), known
-    before any item is built: each item multiplies the degree by at least
-    p (one level of degree p per unit of rank, or its marginal p), and
-    the one exponent-pn item, a Witt vector of length witt_len, by
-    p^witt_len.  A kind whose parity does not fit e gets 1, which leaves
-    the refusal to family_build."""
-    odd = e % 2
-    return {"jump2-even": not odd and p + 1, "jump2-odd": odd and 2 * p - 1,
-            "table-full": not odd and (p - 1) * (p + 2) // 2,
-            "exponent-pn": not odd and witt_len}.get(kind) or 1
-
-
 def _exec_family_build(plan):
     ctx = make_field(plan.params["p"], plan.params["e"])
     kind, witt_len = plan.params["kind"], plan.params["witt_len"]
@@ -384,7 +360,7 @@ def _exec_family_build(plan):
         "tower": {
             "genus": tower["genus"],
             "degree": tower["degree"],
-            "levels": [[m, d, c] for m, d, c in tower["levels"]],
+            "levels": list(map(list, tower["levels"])),
         },
         "items": [{"label": it.label, "marginal": it.marginal,
                    "cover": it.cover.to_json()} for it in fam["items"]],

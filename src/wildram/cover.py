@@ -172,12 +172,12 @@ def _poly_free_part(f):
 # ---------------------------------------------------------------------------
 # character decompositions and conductor ladders
 
-def _character_basis(cover):
-    """The roots l_1, ..., l_d of `adjoint(A)` in F_q, d = deg_F A;
-    DecompositionFailure when there are fewer (A does not split there)."""
+def _character_basis(cover, E=None):
+    """A basis of the roots of `adjoint(A)` in E; E None: l_1, ..., l_d in
+    F_q, DecompositionFailure unless d = deg_F A (A splits over F_q)."""
     ctx = cover.ctx
-    kern = linearize_kernel(adjoint(cover.op), ctx.e)
-    if kern.dim != cover.op.f_degree:
+    kern = linearize_kernel(adjoint(cover.op), (ctx if E is None else E).e)
+    if E is None and kern.dim != cover.op.f_degree:
         raise DecompositionFailure(
             "operator does not split over F_%d^%d" % (ctx.p, ctx.e))
     return kern.basis
@@ -251,7 +251,7 @@ def character_levels(cover):
 
 def conductor(cover):
     """Largest character conductor of the cover."""
-    return max(m for m, _ in character_levels(cover))
+    return max(character_levels(cover))[0]
 
 
 def cover_degree(cover):
@@ -288,7 +288,7 @@ def _split_test(cover, E):
     p = E.p
     powers = [E.elem([0] * j + [1]) for j in range(E.e)]
     rows = [[frobenius_trace(ell * x).coeffs[0] for x in powers]
-            for ell in linearize_kernel(adjoint(cover.op), E.e).basis]
+            for ell in _character_basis(cover, E)]
     f = rhs[0]
 
     def test(y):
@@ -382,8 +382,8 @@ def _splits_at_every_place(cover):
     ctx = cover.ctx
     if cover.kind == "additive":
         f = cover.rhs[0]
-        return all(_ghost_trace_is_zero(ctx, ctx, [f * ell]) for ell in
-                   linearize_kernel(adjoint(cover.op), ctx.e).basis)
+        return all(_ghost_trace_is_zero(ctx, ctx, [f * ell])
+                   for ell in _character_basis(cover, ctx))
     n, first = cover.op, _ghost_trace_is_zero(ctx, ctx, cover.rhs[:1])
     if n == 1 or not first:
         return first
@@ -422,12 +422,20 @@ def splits_everywhere(cover):
     Returns (all_split, split_count, checked).  all_split is exact for
     every cover (`_splits_at_every_place`), and when it holds the result
     is (True, q, q).  Otherwise the count runs over `_places`: the whole
-    field up to q = 2048, else a sample of 64.
+    field up to q = 2048, else a sample of 64, priced first for Witt covers
+    (2 log2 p products per p-th power of a nonzero f_i(y) at each place).
     """
     ctx = cover.ctx
     if _splits_at_every_place(cover):
         return True, ctx.q, ctx.q
     places = _places(ctx)
+    limit, powers = _PLACE_PRODUCTS * _PLACE_LIMIT, 0
+    for i, f in enumerate(cover.rhs if cover.kind == "witt" else ()):
+        powers += (cover.op - 1 - i) * bool(f)
+    if len(places) * 2 * ctx.p.bit_length() * powers > limit:
+        raise ResourceLimit("counting the split places over F_%d^%d at Witt "
+                            "length %d costs more than %d products"
+                            % (ctx.p, ctx.e, cover.op, limit))
     hits = sum(map(_split_test(cover, ctx), places))
     return False, hits, len(places)
 
@@ -449,97 +457,73 @@ def _monomials(ctx, pairs):
     return FqPoly(ctx, tuple((e, ctx.elem(c)) for e, c in pairs))
 
 
+FAMILY_KINDS = ("jump2-even", "jump2-odd", "table-full", "exponent-pn")
+
+
+def _family_degree_floor(p, e, kind, witt_len):
+    """A k with tower degree >= p^k for family_build(F_{p^e}, kind), known
+    before any item is built: each item multiplies the degree by at least
+    p (a level per unit of rank, or its marginal p), the exponent-pn
+    vector of length witt_len by p^witt_len.  A kind whose parity does not
+    fit e gets 1, which leaves the refusal to family_build."""
+    odd = e % 2
+    return {"jump2-even": not odd and p + 1, "jump2-odd": odd and 2 * p - 1,
+            "table-full": not odd and (p - 1) * (p + 2) // 2,
+            "exponent-pn": not odd and witt_len}.get(kind) or 1
+
+
 def family_build(ctx, kind, witt_len=2):
     """Built-in families of covers over F_{p^e}, returned as a dict with
     items, the second-jump conductor m2, and runtime splitting checks."""
     p, e = ctx.p, ctx.e
+    if kind not in FAMILY_KINDS:
+        raise BadParameters("unknown family kind %r" % kind)
+    if e % 2 != (kind == "jump2-odd"):
+        raise BadParameters("kind %s needs %s" % (kind, "even degree e = 2s"
+                            if e % 2 else "odd degree e = 2s - 1"))
+    s = (e + 1) // 2
+    r, t, q = p ** s, p ** (s - 1), p ** e
+    frob_op = ("additive", AdditiveOp(ctx, [-1] + [0] * (e - 1) + [1]))
+    zero = FqPoly.zero(ctx)
     items = []
-    notes = {}
+    notes = {"m2": 1 + p * (1 + r)}
+
+    def add(operator, coords, label, marginal=None):
+        items.append(FamilyItem(CoverSpec(ctx, operator, coords, label),
+                                label, marginal))
+
+    def row(a, b, label):
+        # X^(a + bq) - X^(a + b) = X^a (X^(bq) - X^b) under F^e - 1
+        add(frob_op, [_monomials(ctx, [(a + b * q, 1), (a + b, -1)])], label)
+
     if kind == "jump2-even":
-        if e % 2 or e < 2:
-            raise BadParameters("kind jump2-even needs even degree e = 2s")
-        s = e // 2
-        r = p ** s
-        q = p ** e
         a = _least_gamma(ctx, s)
-        m2 = 1 + p * (1 + r)
-        w0 = CoverSpec(ctx, ("witt", 1), [_monomials(ctx, [(1 + r, a)])],
-                       label="w0")
-        items.append(FamilyItem(w0, "w0"))
-        frob_op = AdditiveOp(ctx, [-1] + [0] * (e - 1) + [1])
+        add(("witt", 1), [_monomials(ctx, [(1 + r, a)])], "w0")
         for i in range(1, p):
-            f = _monomials(ctx, [(i * p ** (s - 1) + q, 1),
-                                 (i * p ** (s - 1) + 1, -1)])
-            cov = CoverSpec(ctx, ("additive", frob_op), [f],
-                            label="q-row %d" % i)
-            items.append(FamilyItem(cov, "q-row %d" % i))
-        pair = CoverSpec(ctx, ("witt", 2),
-                         [_monomials(ctx, [(1 + r, a)]), FqPoly.zero(ctx)],
-                         label="pair")
-        items.append(FamilyItem(pair, "pair", marginal=p))
-        notes["m2"] = m2
+            row(i * t, 1, "q-row %d" % i)
+        add(("witt", 2), [_monomials(ctx, [(1 + r, a)]), zero], "pair", p)
         notes["gamma_dim"] = s
     elif kind == "jump2-odd":
-        if e % 2 == 0:
-            raise BadParameters("kind jump2-odd needs odd degree e = 2s - 1")
-        s = (e + 1) // 2
-        q = p ** e
-        m2 = p ** (s + 1) + p + 1
-        frob_op = AdditiveOp(ctx, [-1] + [0] * (e - 1) + [1])
         for i in range(1, p):
-            f = _monomials(ctx, [(i * p ** (s - 1) + q, 1),
-                                 (i * p ** (s - 1) + 1, -1)])
-            items.append(FamilyItem(
-                CoverSpec(ctx, ("additive", frob_op), [f],
-                          label="f-row %d" % i), "f-row %d" % i))
+            row(i * t, 1, "f-row %d" % i)
         for j in range(1, p):
-            g = _monomials(ctx, [(j * p ** (s - 1) + p * q, 1),
-                                 (j * p ** (s - 1) + p, -1)])
-            items.append(FamilyItem(
-                CoverSpec(ctx, ("additive", frob_op), [g],
-                          label="g-row %d" % j), "g-row %d" % j))
-        zero = FqPoly.zero(ctx)
-        coords = witt2_sub((_monomials(ctx, [(1 + p ** s, 1)]), zero),
-                           (_monomials(ctx, [(1 + p ** (s - 1), 1)]), zero))
-        pair = CoverSpec(ctx, ("witt", 2), list(coords), label="pair")
-        items.append(FamilyItem(pair, "pair", marginal=p))
-        notes["m2"] = m2
+            row(j * t, p, "g-row %d" % j)
+        add(("witt", 2), witt2_sub((_monomials(ctx, [(1 + r, 1)]), zero),
+                                   (_monomials(ctx, [(1 + t, 1)]), zero)),
+            "pair", p)
     elif kind == "table-full":
-        if e % 2 or e < 2:
-            raise BadParameters("kind table-full needs even degree e = 2s")
-        s = e // 2
-        r = p ** s
-        q = p ** e
-        kern_gamma = _gamma_kernel(ctx, s)
-        m2 = 1 + p * (1 + r)
-        r_op = AdditiveOp(ctx, [1] + [0] * (s - 1) + [1])
-        frob_op = AdditiveOp(ctx, [-1] + [0] * (e - 1) + [1])
+        r_op = ("additive", AdditiveOp(ctx, [1] + [0] * (s - 1) + [1]))
         for u in range(1, p):
-            f = _monomials(ctx, [(u * (1 + r), 1)])
-            items.append(FamilyItem(
-                CoverSpec(ctx, ("additive", r_op), [f],
-                          label="r-row %d" % u), "r-row %d" % u))
+            add(r_op, [_monomials(ctx, [(u * (1 + r), 1)])], "r-row %d" % u)
         for u in range(2, p + 1):
             for v in range(1, u):
-                f = _monomials(ctx, [(u * r + v * q, 1), (u * r + v, -1)])
-                items.append(FamilyItem(
-                    CoverSpec(ctx, ("additive", frob_op), [f],
-                              label="q-row %d,%d" % (u, v)),
-                    "q-row %d,%d" % (u, v)))
+                row(u * r, v, "q-row %d,%d" % (u, v))
         # independent second-level pairs, one per basis vector of Gamma
-        for t, a_t in enumerate(kern_gamma.basis):
-            pair = CoverSpec(ctx, ("witt", 2),
-                             [_monomials(ctx, [(1 + r, a_t)]),
-                              FqPoly.zero(ctx)],
-                             label="pair %d" % t)
-            items.append(FamilyItem(pair, "pair %d" % t, marginal=p))
-        notes["m2"] = m2
+        for k, a_k in enumerate(_gamma_kernel(ctx, s).basis):
+            add(("witt", 2), [_monomials(ctx, [(1 + r, a_k)]), zero],
+                "pair %d" % k, p)
         notes["pair_count"] = s
-    elif kind == "exponent-pn":
-        if e % 2:
-            raise BadParameters("kind exponent-pn needs even degree e = 2s")
-        s = e // 2
-        r = p ** s
+    else:
         n = witt_len
         # W_n(F_q) and the ghost powers of f_0 (2 n log2 p ring products)
         work = (n * e + 2) * n * e * math.log2(p)
@@ -549,17 +533,13 @@ def family_build(ctx, kind, witt_len=2):
                 "powers needs about %d slot products, over the limit of %d"
                 % (n, p, e, n, work, _RING_LIMIT))
         a = _least_gamma(ctx, s)
-        rhs = [_monomials(ctx, [(1 + r, a)])] + \
-              [FqPoly.zero(ctx) for _ in range(n - 1)]
-        cov = CoverSpec(ctx, ("witt", n), rhs, label="exponent-p%d" % n)
-        items.append(FamilyItem(cov, cov.label))
-        notes["conductor"] = 1 + p ** (n - 1) * (1 + r)
-    else:
-        raise BadParameters("unknown family kind %r" % kind)
+        add(("witt", n), [_monomials(ctx, [(1 + r, a)])] + [zero] * (n - 1),
+            "exponent-p%d" % n)
+        notes = {"conductor": 1 + p ** (n - 1) * (1 + r)}
 
     # how the family sits over the rational places: split everywhere is
     # what embeds it in the small-conductor ray class tower, and it can
     # genuinely fail (p = 2), so it is decided rather than assumed
-    split_all = all(_splits_at_every_place(it.cover) for it in items)
+    split_all = all(map(_splits_at_every_place, [it.cover for it in items]))
     notes["splits_at_rational_places"] = split_all
     return {"kind": kind, "items": items, "notes": notes}

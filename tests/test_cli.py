@@ -423,6 +423,23 @@ _FROZEN_FAMILIES = {
         "579328593c3eaabefa4f76094e80fbac45e2a1c7b44ac7595ef7aba7e688121a",
     ("exponent-pn", 3, 2, 3):
         "31a1b157184ee8168c8809f1f52b01acdda29050e397f63e9973ea955f13c48e",
+    # frozen before every item went through one constructor
+    ("jump2-even", 2, 4, 2):
+        "4519e8ee5f14d2b1b6b5a4f78364b080c0ada1bd8d7558c9b1ee696e8a9fd68c",
+    ("jump2-even", 7, 2, 2):
+        "beeeeb26db535152d197b4492e1578ba29623a383c006e60636112ee99cb11c3",
+    ("jump2-odd", 2, 5, 2):
+        "224b33772f4444d6ab39e4fcca4eb4d86636b910a0fdf847c29b40089b02bbca",
+    ("jump2-odd", 5, 3, 2):
+        "94a4f05f66a28e678db370e77d47d0ca267772a2eb075f5d50997922e2f9f9ad",
+    ("table-full", 2, 6, 2):
+        "8caf0bb05ae2cdd2b376a5118d98dc085c699ceee083b289b757252dab3e83f0",
+    ("table-full", 3, 4, 2):
+        "f6c8491d2e91ebf57093615fb6a11e4d3ca5a8c1bb412a532bd915ef1acc5bf0",
+    ("exponent-pn", 2, 4, 5):
+        "02f49480fc49fd5b25947924de60343b4481ec2223c69d169d86f86a57da2181",
+    ("exponent-pn", 3, 2, 20):
+        "e3ca436b33b7f129a32f3862947a5063237beef94aa291f1d346b2a57d3b2835",
 }
 
 
@@ -509,6 +526,43 @@ def test_splitting_over_large_field_is_exact(tmp_path, capsys):
     code, out = _run(["cover-analyze", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["splits"] == "all q places"
+
+
+def test_cover_payload_reads_the_ladder_once(monkeypatch):
+    # conductor, degree, genus and filtration all come from one ladder
+    calls = []
+    real = cover.character_levels
+
+    def counting(cov):
+        calls.append(cov)
+        return real(cov)
+
+    monkeypatch.setattr(cover, "character_levels", counting)
+    monkeypatch.setattr(cli, "character_levels", counting)
+    for operator, rhs in [({"additive": [[4, 0], [0, 0], [1, 0]]},
+                           [[[26, [1, 0]]]]),
+                          ({"witt": 2}, [[[4, [1, 0]]], [[2, [0, 1]]]])]:
+        cov = cover.CoverSpec.from_json({"field": {"p": 5, "e": 2},
+                                         "operator": operator, "rhs": rhs})
+        calls.clear()
+        payload = cli._cover_payload(cov)
+        assert len(calls) == 1
+        assert payload["conductor"] == cover.conductor(cov)
+        assert payload["degree"] == cover.cover_degree(cov)
+        assert payload["genus"] == cover.cover_genus(cov)
+
+
+def test_long_witt_place_count_is_priced(tmp_path, capsys):
+    # length 60 over F_3^6 with every coordinate nonzero: the count of
+    # its places is priced over the budget and refused in one line
+    rhs = [[[4, [1]], [2, [1]], [1, [1]]]] + [[[2, [1]], [1, [1]]]] * 59
+    path = tmp_path / "dense_witt.json"
+    path.write_text(json.dumps({"field": {"p": 3, "e": 6},
+                                "operator": {"witt": 60}, "rhs": rhs}))
+    code = cli.main(["cover-analyze", str(path)])
+    cap = capsys.readouterr()
+    assert code == 1 and cap.out == "" and len(cap.err.splitlines()) == 1
+    assert "products" in cap.err
 
 
 def test_long_witt_splitting_over_large_field_is_exact(tmp_path, capsys):

@@ -607,6 +607,25 @@ def test_splitting_past_the_place_limit_is_refused():
         splits_everywhere(cov)
 
 
+def test_witt_place_count_is_priced_before_it_starts(monkeypatch):
+    # length 60 over F_729 failing at length 1: the dense cover's 729
+    # places take 1770 p-th powers each, 5.2 million products, past the
+    # budget, and no place is tested; the sparse one's take 59 and run
+    ctx = make_field(3, 6)
+    f0, g = _mono(ctx, [(4, 1), (1, 1)]), _mono(ctx, [(2, 1), (1, 1)])
+    sparse = CoverSpec(ctx, ("witt", 60), [f0] + [FqPoly.zero(ctx)] * 59)
+    dense = CoverSpec(ctx, ("witt", 60), [f0 + _mono(ctx, [(2, 1)])]
+                      + [g] * 59)
+    assert splits_everywhere(sparse) == (False, 28, 729)
+
+    def refuse(*args):
+        raise AssertionError("places tested before the count was priced")
+
+    monkeypatch.setattr(cover, "_split_test", refuse)
+    with pytest.raises(ResourceLimit):
+        splits_everywhere(dense)
+
+
 def test_witt_ring_past_the_work_budget_is_refused(monkeypatch):
     # W_250 over F_7^4 is priced at (n e + 2) n e log2 p slot products,
     # over the limit: it is refused before anything is built
@@ -682,14 +701,24 @@ def test_zero_cover_raises():
         character_levels(cov)
 
 
-def test_family_kind_validation():
-    ctx = make_field(3, 1)
-    with pytest.raises(BadParameters):
-        family_build(ctx, "jump2-even")  # needs even e
-    with pytest.raises(BadParameters):
-        family_build(make_field(3, 2), "jump2-odd")
-    with pytest.raises(BadParameters):
-        family_build(ctx, "no-such-kind")
+@pytest.mark.parametrize("kind, e, message", [
+    ("jump2-even", 3, "kind jump2-even needs even degree e = 2s"),
+    ("jump2-even", 1, "kind jump2-even needs even degree e = 2s"),
+    ("table-full", 3, "kind table-full needs even degree e = 2s"),
+    ("exponent-pn", 1, "kind exponent-pn needs even degree e = 2s"),
+    ("jump2-odd", 2, "kind jump2-odd needs odd degree e = 2s - 1"),
+    ("no-such-kind", 1, "unknown family kind 'no-such-kind'"),
+    ("no-such-kind", 2, "unknown family kind 'no-such-kind'")])
+def test_family_kind_validation(monkeypatch, kind, e, message):
+    # each refusal comes with its own message, before anything is built
+    def refuse(*args):
+        raise AssertionError("built before the parity check")
+
+    monkeypatch.setattr(cover, "_least_gamma", refuse)
+    monkeypatch.setattr(cover, "_gamma_kernel", refuse)
+    with pytest.raises(BadParameters) as err:
+        family_build(make_field(3, e), kind)
+    assert str(err.value) == message
 
 
 def test_cover_json_round_trip():
