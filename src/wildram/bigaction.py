@@ -270,13 +270,9 @@ def sieve(profile, strict=False):
 def ratio_check(profile, strict=False):
     """Genus, exact ratios, big-action flags, and sieve verdicts."""
     g = hurwitz_genus(profile.filtration)
-    order = profile.group_order
-    p = profile.p
-    if g == 0:
-        return Report(profile, 0, None, None, False,
-                      sieve(profile, strict=strict))
-    ratio1 = Fraction(order, g)
-    ratio2 = Fraction(order, g * g)
-    is_big = ratio1 > Fraction(2 * p, p - 1)
+    order, p = profile.group_order, profile.p
+    ratio1 = Fraction(order, g) if g else None
+    ratio2 = Fraction(order, g * g) if g else None
+    is_big = bool(g) and ratio1 > Fraction(2 * p, p - 1)
     return Report(profile, g, ratio1, ratio2, is_big,
                   sieve(profile, strict=strict))

@@ -15,6 +15,7 @@ instead of grinding.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -39,16 +40,8 @@ from .rayclass import (MODULUS_LIMIT, find_second_jump, format_table_csv,
 TABLE_ENTRY_LIMIT = 2 ** 20
 
 
-class Plan:
-    """A fully validated invocation: command, parameters, output target."""
-
-    __slots__ = ("command", "params", "out", "fmt")
-
-    def __init__(self, command, params, out=None, fmt="json"):
-        self.command = command
-        self.params = params
-        self.out = out
-        self.fmt = fmt
+# a fully validated invocation: command, parameters, output target
+Plan = collections.namedtuple("Plan", "command params out fmt")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,76 +49,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _field_args(sub):
-    sub.add_argument("--p", type=int, required=True,
-                     help="field characteristic (prime)")
-    sub.add_argument("--e", type=int, required=True,
-                     help="extension degree over the prime field")
+_FIELD = (("--p", dict(type=int, required=True,
+                       help="field characteristic (prime)")),
+          ("--e", dict(type=int, required=True,
+                       help="extension degree over the prime field")))
 
 
-def _out_args(sub, formats=("json",)):
-    sub.add_argument("--out", help="write the artifact here (default stdout)")
-    if len(formats) > 1:
-        sub.add_argument("--format", choices=formats, default=formats[0],
-                         help="output format")
-
-
-def _args_field(sp):
-    _field_args(sp)
-    _out_args(sp, ("json", "text"))
-
-
-def _args_cover_analyze(sp):
-    sp.add_argument("cover", help="cover description (JSON file)")
-    _out_args(sp)
-
-
-def _args_adjoint(sp):
-    sp.add_argument("poly", help="field + polynomial (JSON file)")
-    _out_args(sp)
-
-
-def _args_rayclass_orders(sp):
-    _field_args(sp)
-    sp.add_argument("--m-max", type=int, help="sweep conductors 2..m-max")
-    sp.add_argument("--ms", help="comma-separated explicit conductor list")
-    sp.add_argument("--order-only", action="store_true",
-                    help="skip invariant factors, orders only")
-    _out_args(sp, ("csv", "json"))
-
-
-def _args_rayclass_m2(sp):
-    _field_args(sp)
-    sp.add_argument("--cap", type=int, help="give up beyond this conductor")
-    _out_args(sp, ("text", "json"))
-
-
-def _args_family_build(sp):
-    _field_args(sp)
-    sp.add_argument("--kind", required=True, choices=FAMILY_KINDS)
-    sp.add_argument("--witt-len", type=int, default=2,
-                    help="vector length for kind exponent-pn")
-    _out_args(sp)
-
-
-def _args_basechange(sp):
-    sp.add_argument("cover", help="cover description (JSON file)")
-    sp.add_argument("--sub", required=True,
-                    help="additive map coefficients as a JSON array")
-    sp.add_argument("--label", default=None)
-    _out_args(sp)
-
-
-def _args_bigaction_check(sp):
-    sp.add_argument("profile", help="action profile (JSON file)")
-    sp.add_argument("--strict", action="store_true",
-                    help="fail on rules missing their declarations")
-    _out_args(sp)
-
-
-def _args_reproduce_table(sp):
-    _field_args(sp)
-    _out_args(sp, ("text",))
+def _out(*formats):
+    """--out, and --format when there is a choice (the first the default)."""
+    out = ("--out", dict(help="write the artifact here (default stdout)"))
+    if len(formats) < 2:
+        return (out,)
+    return out, ("--format", dict(choices=formats, default=formats[0],
+                                  help="output format"))
 
 
 @functools.cache
@@ -144,7 +80,8 @@ def _parser(command):
     command's); argparse runs only the chosen subparser."""
     top, subparsers = _top_parser()
     if command is not None:
-        COMMANDS[command][1](subparsers[command])
+        for flag, kwargs in COMMANDS[command][1]:
+            subparsers[command].add_argument(flag, **kwargs)
     return top
 
 
@@ -167,7 +104,7 @@ def parse_plan(argv):
         if params["e"] < 1:
             raise UsageError("--e must be positive, got %d" % params["e"])
     if command == "rayclass-orders":
-        if params.get("ms"):
+        if params["ms"] is not None:
             try:
                 ms = sorted({int(tok) for tok in params["ms"].split(",")})
             except ValueError:
@@ -175,7 +112,7 @@ def parse_plan(argv):
             if any(m < 1 for m in ms):
                 raise UsageError("--ms entries must be positive")
             params["ms"] = ms
-        elif params.get("m_max"):
+        elif params["m_max"] is not None:
             if params["m_max"] < 2:
                 raise UsageError("--m-max must be at least 2")
             params["ms"] = range(2, params["m_max"] + 1)
@@ -191,7 +128,7 @@ def parse_plan(argv):
     if command == "rayclass-m2" and params.get("cap") is not None \
             and params["cap"] < 2:
         raise UsageError("--cap must be at least 2")
-    return Plan(command, params, out=out, fmt=fmt)
+    return Plan(command, params, out, fmt)
 
 
 def _emit(text, out):
@@ -236,8 +173,7 @@ def _sig6(x):
 
 def _splits_text(cover):
     all_split, hits, checked = splits_everywhere(cover)
-    q = cover.ctx.p ** cover.ctx.e
-    if checked == q:
+    if checked == cover.ctx.q:
         return "all q places" if all_split else \
             "%d of %d places" % (hits, checked)
     return "%d of %d sampled places" % (hits, checked)
@@ -446,27 +382,52 @@ def _exec_reproduce_table(plan):
     return 0 if ok else 1
 
 
-# name -> (help, add_arguments, execute), in the order `wr --help` lists
-# them: add_arguments(subparser) adds the command's own arguments, on
-# the command's first parse (_parser), and execute(plan) runs it
+# name -> (help, arguments, execute), in the order `wr --help` lists
+# them: arguments are (flag, add_argument keywords) in the order the
+# command's help lists them, added on its first parse (_parser), and
+# execute(plan) runs it
 COMMANDS = {
-    "field": ("print a field context", _args_field, _exec_field),
+    "field": ("print a field context", (*_FIELD, *_out("json", "text")),
+              _exec_field),
     "cover-analyze": ("conductor, genus and splitting of one cover",
-                      _args_cover_analyze, _exec_cover_analyze),
+                      (("cover", dict(help="cover description (JSON file)")),
+                       *_out()), _exec_cover_analyze),
     "adjoint": ("palindromic adjoint and its kernel dimension",
-                _args_adjoint, _exec_adjoint),
-    "rayclass-orders": ("ray class group table over a conductor range",
-                        _args_rayclass_orders, _exec_rayclass_orders),
-    "rayclass-m2": ("least conductor with a nonelementary group",
-                    _args_rayclass_m2, _exec_rayclass_m2),
-    "family-build": ("construct a built-in cover family",
-                     _args_family_build, _exec_family_build),
-    "basechange": ("pull a cover back along an additive map",
-                   _args_basechange, _exec_basechange),
-    "bigaction-check": ("ratio arithmetic and sieve for one profile",
-                        _args_bigaction_check, _exec_bigaction_check),
+                (("poly", dict(help="field + polynomial (JSON file)")),
+                 *_out()), _exec_adjoint),
+    "rayclass-orders": (
+        "ray class group table over a conductor range",
+        (*_FIELD,
+         ("--m-max", dict(type=int, help="sweep conductors 2..m-max")),
+         ("--ms", dict(help="comma-separated explicit conductor list")),
+         ("--order-only", dict(action="store_true",
+                               help="skip invariant factors, orders only")),
+         *_out("csv", "json")), _exec_rayclass_orders),
+    "rayclass-m2": (
+        "least conductor with a nonelementary group",
+        (*_FIELD,
+         ("--cap", dict(type=int, help="give up beyond this conductor")),
+         *_out("text", "json")), _exec_rayclass_m2),
+    "family-build": (
+        "construct a built-in cover family",
+        (*_FIELD, ("--kind", dict(required=True, choices=FAMILY_KINDS)),
+         ("--witt-len", dict(type=int, default=2,
+                             help="vector length for kind exponent-pn")),
+         *_out()), _exec_family_build),
+    "basechange": (
+        "pull a cover back along an additive map",
+        (("cover", dict(help="cover description (JSON file)")),
+         ("--sub", dict(required=True,
+                        help="additive map coefficients as a JSON array")),
+         ("--label", dict(default=None)), *_out()), _exec_basechange),
+    "bigaction-check": (
+        "ratio arithmetic and sieve for one profile",
+        (("profile", dict(help="action profile (JSON file)")),
+         ("--strict", dict(action="store_true",
+                           help="fail on rules missing their declarations")),
+         *_out()), _exec_bigaction_check),
     "reproduce-table": ("rebuild the packaged (5,4) table and ratios",
-                        _args_reproduce_table, _exec_reproduce_table),
+                        (*_FIELD, *_out()), _exec_reproduce_table),
 }
 
 
@@ -476,22 +437,13 @@ def execute_plan(plan):
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        plan = parse_plan(argv)
+        return execute_plan(parse_plan(sys.argv[1:] if argv is None
+                                       else argv))
     except UsageError as err:
         print("usage error: %s" % err, file=sys.stderr)
         return 2
-    try:
-        return execute_plan(plan)
-    except UsageError as err:
-        print("usage error: %s" % err, file=sys.stderr)
-        return 2
-    except WildramError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (WildramError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
 

@@ -453,10 +453,6 @@ def _least_gamma(ctx, s):
     return kernel.field.elem(rows[len(pivots) - 1])
 
 
-def _monomials(ctx, pairs):
-    return FqPoly(ctx, tuple((e, ctx.elem(c)) for e, c in pairs))
-
-
 FAMILY_KINDS = ("jump2-even", "jump2-odd", "table-full", "exponent-pn")
 
 
@@ -494,33 +490,33 @@ def family_build(ctx, kind, witt_len=2):
 
     def row(a, b, label):
         # X^(a + bq) - X^(a + b) = X^a (X^(bq) - X^b) under F^e - 1
-        add(frob_op, [_monomials(ctx, [(a + b * q, 1), (a + b, -1)])], label)
+        add(frob_op, [FqPoly(ctx, [(a + b * q, 1), (a + b, -1)])], label)
 
     if kind == "jump2-even":
         a = _least_gamma(ctx, s)
-        add(("witt", 1), [_monomials(ctx, [(1 + r, a)])], "w0")
+        add(("witt", 1), [FqPoly(ctx, [(1 + r, a)])], "w0")
         for i in range(1, p):
             row(i * t, 1, "q-row %d" % i)
-        add(("witt", 2), [_monomials(ctx, [(1 + r, a)]), zero], "pair", p)
+        add(("witt", 2), [FqPoly(ctx, [(1 + r, a)]), zero], "pair", p)
         notes["gamma_dim"] = s
     elif kind == "jump2-odd":
         for i in range(1, p):
             row(i * t, 1, "f-row %d" % i)
         for j in range(1, p):
             row(j * t, p, "g-row %d" % j)
-        add(("witt", 2), witt2_sub((_monomials(ctx, [(1 + r, 1)]), zero),
-                                   (_monomials(ctx, [(1 + t, 1)]), zero)),
+        add(("witt", 2), witt2_sub((FqPoly(ctx, [(1 + r, 1)]), zero),
+                                   (FqPoly(ctx, [(1 + t, 1)]), zero)),
             "pair", p)
     elif kind == "table-full":
         r_op = ("additive", AdditiveOp(ctx, [1] + [0] * (s - 1) + [1]))
         for u in range(1, p):
-            add(r_op, [_monomials(ctx, [(u * (1 + r), 1)])], "r-row %d" % u)
+            add(r_op, [FqPoly(ctx, [(u * (1 + r), 1)])], "r-row %d" % u)
         for u in range(2, p + 1):
             for v in range(1, u):
                 row(u * r, v, "q-row %d,%d" % (u, v))
         # independent second-level pairs, one per basis vector of Gamma
         for k, a_k in enumerate(_gamma_kernel(ctx, s).basis):
-            add(("witt", 2), [_monomials(ctx, [(1 + r, a_k)]), zero],
+            add(("witt", 2), [FqPoly(ctx, [(1 + r, a_k)]), zero],
                 "pair %d" % k, p)
         notes["pair_count"] = s
     else:
@@ -533,7 +529,7 @@ def family_build(ctx, kind, witt_len=2):
                 "powers needs about %d slot products, over the limit of %d"
                 % (n, p, e, n, work, _RING_LIMIT))
         a = _least_gamma(ctx, s)
-        add(("witt", n), [_monomials(ctx, [(1 + r, a)])] + [zero] * (n - 1),
+        add(("witt", n), [FqPoly(ctx, [(1 + r, a)])] + [zero] * (n - 1),
             "exponent-p%d" % n)
         notes = {"conductor": 1 + p ** (n - 1) * (1 + r)}
 

@@ -7,6 +7,7 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wildram import cli, cover, field, rayclass
 from wildram.errors import UsageError
@@ -47,6 +48,13 @@ def test_parse_plan_validation():
         cli.parse_plan(["field", "--p", str(2 ** 64 + 13), "--e", "1"])
     with pytest.raises(UsageError):
         cli.parse_plan(["no-such-command"])
+    # a given but falsy value is checked, not taken for a missing one
+    with pytest.raises(UsageError, match="--m-max must be at least 2"):
+        cli.parse_plan(["rayclass-orders", "--p", "2", "--e", "1",
+                        "--m-max", "0"])
+    with pytest.raises(UsageError, match="comma-separated integer list"):
+        cli.parse_plan(["rayclass-orders", "--p", "2", "--e", "1",
+                        "--ms", ""])
     plan = cli.parse_plan(["rayclass-orders", "--p", "2", "--e", "1",
                            "--ms", "7,3,3"])
     assert plan.params["ms"] == [3, 7]
@@ -817,3 +825,49 @@ def test_plans_do_not_depend_on_parsed_commands(warm):
             _fresh_parsers()
         plan = cli.parse_plan(argv)
         assert (plan.command, plan.params, plan.out, plan.fmt) == want
+
+
+# values for any argument: small numbers, most of which pass the field
+# checks, and zero, negatives, 2^64 and beyond, non-numeric, empty and
+# comma lists
+_TOKENS = st.one_of(
+    st.sampled_from(["2", "3", "5", "4", "7"]),
+    st.sampled_from(["0", "-1", "-7", str(2 ** 64), str(2 ** 64 + 13), "x",
+                     "", ",", "3,x", "7,3,3", "1e3", "[1]"]),
+    st.integers(-5, 10 ** 20).map(str),
+    st.lists(st.integers(-3, 50), max_size=4).map(
+        lambda ms: ",".join(map(str, ms))))
+
+
+@st.composite
+def _argv(draw):
+    """A command name and pieces built from its declared arguments, the
+    required ones present, each other one present or not, in any order."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    pieces = []
+    for flag, kwargs in cli.COMMANDS[name][1]:
+        if kwargs.get("action") == "store_true":
+            value = []
+        elif "choices" in kwargs:
+            value = [draw(st.sampled_from([*kwargs["choices"], "nope"]))]
+        else:
+            value = [draw(_TOKENS)]
+        if not flag.startswith("-"):
+            pieces.append(value)
+        elif kwargs.get("required") or draw(st.booleans()):
+            pieces.append([flag, *value])
+    order = draw(st.permutations(pieces))
+    return name, [name, *(tok for piece in order for tok in piece)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_argv())
+def test_declared_arguments_parse_or_refuse(case):
+    # every argv built from a command's declared arguments is a plan for
+    # that command or a usage error, never another exception
+    name, argv = case
+    try:
+        plan = cli.parse_plan(argv)
+    except UsageError:
+        return
+    assert isinstance(plan, cli.Plan) and plan.command == name
