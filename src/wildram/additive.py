@@ -29,9 +29,9 @@ from .errors import (
     NotASubfieldDegree,
     NotInXSXForm,
 )
-from .field import (FqPoly, _elem, _memo_last, _mul_fn, _packed_poly,
-                    elem_from_json, embed_elem, extension_field,
-                    frobenius_trace, nullspace_mod)
+from .field import (FqPoly, _echelon, _elem, _memo_last, _mul_fn,
+                    _packed_poly, elem_from_json, embed_elem,
+                    extension_field, frobenius_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +205,37 @@ class KernelBasis:
         return "KernelBasis(dim=%d over %r)" % (self.dim, self.field)
 
 
-def operator_matrix(A, E):
-    """Matrix of A on E over F_p, acting on coordinate row vectors: row i
-    holds the coordinates of A(X^i)."""
+def _operator_rows(A, E):
+    """The packed images A(X^i), i < E.e: the rows of A on E over F_p."""
     if E.p != A.ctx.p or E.e % A.ctx.e:
         raise NotASubfieldDegree(
             "operator field F_%d^%d does not embed in degree %d"
             % (A.ctx.p, A.ctx.e, E.e))
-    rows = E._linear_rows([(c.v, j) for j, c in enumerate(A.embed(E).coeffs)
+    return E._linear_rows([(c.v, j) for j, c in enumerate(A.embed(E).coeffs)
                            if c])
-    return [list(_elem(E, row).coeffs) for row in rows]
+
+
+def operator_matrix(A, E):
+    """Matrix of A on E over F_p, acting on coordinate row vectors: row i
+    holds the coordinates of A(X^i)."""
+    return [list(_elem(E, row).coeffs) for row in _operator_rows(A, E)]
 
 
 def linearize_kernel(A, N):
     """Kernel of A inside F_{p^N} as a KernelBasis.
 
-    The operator is linearized to an N x N matrix over F_p and the kernel
-    read off its nullspace; nothing here assumes A splits, the basis just
-    spans whatever part of the kernel that field contains.
+    The rows A(X^i) are reduced in order, each tagged with X^i, and one
+    that reduces to zero leaves X^i less its combination of the rows
+    before it; nothing here assumes A splits, the basis just spans
+    whatever part of the kernel that field contains.
     """
     if A.is_zero():
         raise InseparableOperator("zero operator has no kernel basis")
     E = extension_field(A.ctx.p, N)
-    rows = nullspace_mod(list(zip(*operator_matrix(A, E))), E.p)
-    return KernelBasis(E, [E.elem(row) for row in rows])
+    bits = E._red_rows[0]
+    rows = [row | 1 << (N + i) * bits
+            for i, row in enumerate(_operator_rows(A, E))]
+    return KernelBasis(E, [_elem(E, v) for v in _echelon(rows, N, E, N)[1]])
 
 
 # ---------------------------------------------------------------------------

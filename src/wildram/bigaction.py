@@ -55,7 +55,8 @@ class ActionProfile:
         order = filtration.group_order
         if v < 0:
             raise BadParameters("translation dimension cannot be negative")
-        if order != p ** v * g2:
+        # p^v > order past its bit length: refused without building p^v
+        if v > order.bit_length() or order != p ** v * g2:
             raise InvalidProfile(
                 "group order %d is not p^%d times |G_2| = %d" % (order, v, g2))
         if g2_invariants is not None:
@@ -110,6 +111,8 @@ class ActionProfile:
             if not isinstance(g2, list):
                 raise ValueError("g2_invariants %r is not a list" % (g2,))
             g2 = _check_integral(g2)
+        if p >= 2 ** 64:
+            raise ValueError("p must be below 2^64")
         if not _is_prime(p):
             raise ValueError("p = %d is not a prime" % p)
         return cls(p, filt, v, g2_invariants=g2, s=s)
@@ -178,9 +181,10 @@ def _rule_mixed(profile):
 
 
 def _rule_first_jump(profile):
-    p = profile.p
-    i0 = 1 + p ** profile.s
-    quotient = profile.g2_order // profile.filtration.order_at(i0 + 1)
+    p, filt, s = profile.p, profile.filtration, profile.s
+    # G_(i0 + 1), i0 = 1 + p^s, is trivial once 2^s passes the last break
+    past = s > int(filt.last_break()).bit_length()  # lower breaks: ints
+    quotient = profile.g2_order // (1 if past else filt.order_at(2 + p ** s))
     if quotient == 1:
         return None, {"quotient": 1}
     bound = Fraction(4, quad_threshold(p)) * \

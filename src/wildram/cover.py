@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 from .errors import (
     BadParameters,
@@ -49,9 +48,9 @@ from .errors import (
     ResourceLimit,
     ZeroCover,
 )
-from .field import (FqPoly, _check_integral, _ghost_trace_is_zero,
-                    embed_poly, field_from_json, frobenius_trace,
-                    reduce_pth_powers, rref_mod)
+from .field import (FqPoly, _check_integral, _echelon, _elem,
+                    _ghost_trace_is_zero, embed_poly, field_from_json,
+                    reduce_pth_powers)
 from .additive import AdditiveOp, adjoint, linearize_kernel, wp_operator
 from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt2_sub
@@ -121,7 +120,10 @@ class CoverSpec:
         else:
             operator = ("additive", AdditiveOp.from_json(ctx, op_obj["additive"]))
         rhs = [FqPoly.from_json(ctx, f) for f in obj["rhs"]]
-        return cls(ctx, operator, rhs, obj.get("label", ""))
+        label = obj.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError("label %r is not a string" % (label,))
+        return cls(ctx, operator, rhs, label)
 
     def __repr__(self):
         return "CoverSpec(%s, %s, label=%r)" % (self.kind, self.op, self.label)
@@ -243,9 +245,11 @@ def character_levels(cover):
     exps = sorted({k for red in reds for k, _ in red.terms}, reverse=True)
     if not exps:
         raise ZeroCover("every character of the cover is unramified")
-    rows = [[c for k in exps for c in red.coeff(k).coeffs] for red in reds]
-    _, pivots = rref_mod(rows, p)
-    levels = [(exps[col // ctx.e] + 1, p) for col in reversed(pivots)]
+    col = {k: i * ctx.e * ctx._red_rows[0] for i, k in enumerate(exps)}
+    rows = [sum(c.v << col[k] for k, c in red.terms) for red in reds]
+    kept, _ = _echelon(rows, len(exps) * ctx.e, ctx)
+    pivots = sorted(c for c, _ in kept)
+    levels = [(exps[c // ctx.e] + 1, p) for c in reversed(pivots)]
     return levels[:1] * (len(basis) - len(pivots)) + levels
 
 
@@ -276,25 +280,23 @@ def _split_test(cover, E):
     costs nothing.
     Additive covers: trace duality (`additive.adjoint`) gives
     A(E) = {v : Tr(l v) = 0 for every root l of adjoint(A) in E}, split
-    or not, so each root contributes one F_p row (Tr(l X^j))_j and a
-    place costs one evaluation of f and d dot products.  The right hand
-    side is embedded into E once, here, not once per place.
+    or not: for a basis l_0, ..., l_(d-1) of those roots, d <= e, it is
+    the kernel of one F_p-linear map v -> sum_k Tr(l_k v) X^k, so a place
+    costs one evaluation of f and one `_apply`.  The right hand side is
+    embedded into E once, here, not once per place.
     """
     rhs = [embed_poly(f, E) for f in cover.rhs]
     if cover.kind == "witt":
         ring = witt_ring(E, cover.op)
         return lambda y: _ghost_trace_is_zero(
             E, ring, [FqPoly(E, ((0, f.evaluate(y)),)) for f in rhs])
-    p = E.p
-    powers = [E.elem([0] * j + [1]) for j in range(E.e)]
-    rows = [[frobenius_trace(ell * x).coeffs[0] for x in powers]
-            for ell in _character_basis(cover, E)]
+    bits = E._red_rows[0]
+    rows = E._linear_rows([
+        ((ell.frobenius(j) * _elem(E, 1 << k * bits)).v, j)
+        for k, ell in enumerate(_character_basis(cover, E))
+        for j in range(E.e)])
     f = rhs[0]
-
-    def test(y):
-        v = f.evaluate(y).coeffs
-        return not any(sum(map(operator.mul, row, v)) % p for row in rows)
-    return test
+    return lambda y: not E._apply(f.evaluate(y).v, rows)
 
 
 def base_change(cover, S, label=None):
@@ -447,10 +449,10 @@ def _gamma_kernel(ctx, s):
 
 def _least_gamma(ctx, s):
     """The least nonzero element of ker(F^s + 1) inside F_{p^e}: the last
-    row of its reduced echelon form; any other leads earlier or higher."""
-    kernel = _gamma_kernel(ctx, s)
-    rows, pivots = rref_mod([b.coeffs for b in kernel.basis], ctx.p)
-    return kernel.field.elem(rows[len(pivots) - 1])
+    row of its reduced echelon form, the kept row of the largest pivot;
+    any other leads earlier or higher."""
+    kept, _ = _echelon([b.v for b in _gamma_kernel(ctx, s).basis], ctx.e, ctx)
+    return _elem(ctx, max(kept)[1])
 
 
 FAMILY_KINDS = ("jump2-even", "jump2-odd", "table-full", "exponent-pn")

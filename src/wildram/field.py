@@ -25,14 +25,14 @@ fold (_kron_fold; also the Witt lift ring's product mod r = p^n): 2^b >
 e(r - 1)^2 + (e - 1)^3 (r - 1)^4 bounds every slot, so none carries, and
 _slot_reducer then takes every slot mod r.
 
-Linear algebra over F_p runs on rows of Python ints, the same vectors as
-FqElem.coeffs, so no result has a word size: rref_mod and nullspace_mod
-are plain row reductions, and every matrix of the powers of one element
-is _power_rows on the Kronecker product.  That covers Frobenius
-(frob_matrix, applied to a packed element as one row sum, _apply):
-_KronRing._frob_rows, the powers of X^(p^k), serves F_q and the Witt
-ring alike, whose X is a Teichmueller element (witt.py), and so is the
-Witt Frobenius; the modulus scan runs Rabin's test on those rows.
+Linear algebra over F_p runs on packed rows, entry i in slot i as an
+element packs c_i, so no result has a word size: _echelon is the one row
+reduction, and every matrix of the powers of one element is _power_rows
+on the Kronecker product.  That covers Frobenius (applied to a packed
+element as one row sum, _apply): _KronRing._frob_rows, the powers of
+X^(p^k), serves F_q and the Witt ring alike, whose X is a Teichmueller
+element (witt.py), and so is the Witt Frobenius; the modulus scan runs
+Rabin's test on those rows.
 
 Polynomials are the sparse FqPoly (trusted constructor _poly), whose
 division and modular powers run the root finding behind subfield
@@ -97,50 +97,39 @@ def _is_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra mod p (rows of Python ints)
+# linear algebra mod p (packed rows)
 #
 # A matrix is a list of rows and acts on row vectors, so the matrix of a
-# map on F_p[X]/(f) has the image of X^i as its row i.
+# map on F_p[X]/(f) has the image of X^i as its row i.  A row is one int
+# with entry i in its slot i, as an element packs c_i.
 
 
-def rref_mod(M, p):
-    """Row-reduced echelon form mod p of a sequence of rows; returns (R,
-    pivot column list) with R a list of int lists."""
-    R = [[int(c) % p for c in row] for row in M]
-    pivots = []
-    for c in range(len(R[0]) if R else 0):
-        r = len(pivots)
-        for i in range(r, len(R)):
-            if R[i][c]:
-                break
+def _echelon(rows, n, ctx, m=0):
+    """Row reduction mod p of rows of n + m entries packed as ctx packs,
+    pivots in the first n and m tags above that ride along.  Each row is
+    reduced by the rows kept before it and kept, scaled to pivot 1, if
+    anything is left.  Returns the kept (pivot, row) pairs, with the
+    pivots of the reduced echelon form and, at the largest, its last row,
+    and the tags of the rows that reduced to zero.  The work runs at
+    width 2 bitlen(p (p - 1)), twice what a slot holds between
+    reductions, so that _slot_reducer takes every slot at once."""
+    p, bits, top = ctx.p, ctx._red_rows[0], ctx.p * (ctx.p - 1)
+    w = 2 * top.bit_length()
+    k, slot, low = n + m, ~(-1 << w), ~(-1 << n * w)
+    reduce, kept, zeros = _slot_reducer(p, k, w, top), [], []
+    for row in rows:
+        row = _pack(_unpack(row, k, bits), w)
+        for c, r in kept:
+            a = row >> c * w & slot
+            if a:
+                row = reduce(row + (p - a) * r)
+        lead = row & low
+        if lead:
+            c = ((lead & -lead).bit_length() - 1) // w
+            kept.append((c, reduce(row * pow(row >> c * w & slot, -1, p))))
         else:
-            continue
-        R[r], R[i] = R[i], R[r]
-        inv = pow(R[r][c], -1, p)
-        top = R[r] = [a * inv % p for a in R[r]]
-        for i, row in enumerate(R):
-            a = row[c]
-            if a and i != r:
-                R[i] = [(u - a * v) % p for u, v in zip(row, top)]
-        pivots.append(c)
-        if r + 1 == len(R):
-            break
-    return R, pivots
-
-
-def nullspace_mod(M, p):
-    """Rows spanning {x : M x = 0 mod p}, as int lists."""
-    R, pivots = rref_mod(M, p)
-    basis = []
-    for fc in range(len(R[0])):
-        if fc in pivots:
-            continue
-        v = [0] * len(R[0])
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = -R[i][fc] % p
-        basis.append(v)
-    return basis
+            zeros.append(_pack(_unpack(row >> n * w, m, w), bits))
+    return [(c, _pack(_unpack(r, k, w), bits)) for c, r in kept], zeros
 
 
 def _is_irreducible(f, p):
@@ -377,14 +366,6 @@ class FieldCtx(_KronRing):
         """All q elements, least coefficient tuple first."""
         for coeffs in itertools.product(range(self.p), repeat=self.e):
             yield FqElem(self, coeffs)
-
-    def frob_matrix(self, k=1):
-        """Matrix over F_p of x -> x^(p^k) in the power basis, row i the
-        image of X^i.  k counts mod e, so frob_matrix(-k) inverts
-        frob_matrix(k)."""
-        bits = self._red_rows[0]
-        return tuple(tuple(_unpack(row, self.e, bits))
-                     for row in self._frob_rows(k % self.e))
 
     def _linear_rows(self, pairs):
         """Rows, as in _frob_rows, of x -> sum c x^(p^j) over the pairs

@@ -5,11 +5,12 @@ additive branch of `cover.character_levels`: for every projective class
 of the dual of ker A (in A's own kernel basis) it builds the subspace
 polynomial u of the class's hyperplane out of d - 1 twisted
 compositions, reads the twisted factor l with l . A = (F - 1) . u, and
-ranks the ramified classes, in conductor order, with one `rref_mod` per
-class.  It costs (p^d - 1)/(p - 1) subspace polynomials; use small d.
+ranks the ramified classes, in conductor order, with one sympy echelon
+form (`_split_reference.rref_gf`) per class.  It costs (p^d - 1)/(p - 1)
+subspace polynomials; use small d.
 """
 
-import numpy as np
+from _split_reference import rref_gf
 
 from wildram.additive import (
     AdditiveOp,
@@ -19,7 +20,7 @@ from wildram.additive import (
 )
 from wildram.cover import CoverSpec, _poly_free_part
 from wildram.errors import BadParameters, DecompositionFailure, ZeroCover
-from wildram.field import reduce_pth_powers, rref_mod
+from wildram.field import reduce_pth_powers
 
 
 def split_kernel(cover):
@@ -115,7 +116,7 @@ def character_levels(cover):
     rank = 0
     for cond, lam in chars:
         rows.append(lam)
-        _, pivots = rref_mod(np.array(rows, dtype=np.int64), p)
+        _, pivots = rref_gf(rows, p)
         if len(pivots) > rank:
             rank = len(pivots)
             levels.append((cond, p))

@@ -1,21 +1,32 @@
 """Splitting of rational places by solving A(w) = f(y) outright.
 
 Kept as an independent reference for `cover._split_test` and
-`cover.splits_everywhere`, which read splitting off trace rows of the
+`cover.splits_everywhere`, which read splitting off the trace map of the
 adjoint kernel instead: here an additive place splits when one linear
 system over F_p, the matrix of A on the residue field, has a solution,
 and a full sweep compares f(y) against the whole image set A(F_q).  A
 Witt place splits when the Witt trace of the vector (f_i(y)), built
 coordinate by coordinate with `WittRing.vec`, vanishes, where the library
-applies the ghost criterion.  Costs one echelon form per place; keep the
-fields small.
+applies the ghost criterion.  Costs one echelon form per place, by sympy
+(`rref_gf`), which shares no code with the engine; keep the fields small.
 """
 
 import numpy as np
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from wildram.additive import operator_matrix
-from wildram.field import embed_elem, extension_field, rref_mod
+from wildram.field import embed_elem, extension_field
 from wildram.witt import witt_ring
+
+
+def rref_gf(M, p):
+    """(reduced echelon form of the rows M over GF(p) as int lists mod p,
+    pivot column list), by sympy's DomainMatrix."""
+    K = GF(p)
+    rows = [[K(int(c)) for c in row] for row in M]
+    R, pivots = DomainMatrix(rows, (len(rows), len(rows[0])), K).rref()
+    return [[int(c) % p for c in row] for row in R.to_list()], list(pivots)
 
 
 def solve_mod(M, b, p):
@@ -23,7 +34,7 @@ def solve_mod(M, b, p):
     M = np.asarray(M, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     aug = np.concatenate([M, b.reshape(-1, 1)], axis=1) % p
-    R, pivots = rref_mod(aug, p)
+    R, pivots = rref_gf(aug, p)
     n = M.shape[1]
     if n in pivots:
         return None

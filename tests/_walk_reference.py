@@ -77,7 +77,9 @@ def digit_tensor(ctx, m):
     for w in range(1, m):
         v, k = _vp(w, p)
         # coordinates against b_j^(p^k): undo the Frobenius power
-        digits = (R[:, w, :] % p) @ np.array(ctx.frob_matrix(-k)) % p
+        unfrob = [ctx.elem([0] * i + [1]).frobenius(-k).coeffs
+                  for i in range(e)]
+        digits = (R[:, w, :] % p) @ np.array(unfrob, dtype=np.int64) % p
         S[:, w, :] = digits
         span = (m - 1) // w
         for j in range(e):

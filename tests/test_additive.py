@@ -29,13 +29,14 @@ from wildram.errors import InseparableOperator, NotInXSXForm
 from wildram.field import (
     FqElem,
     FqPoly,
+    _echelon,
+    _pack,
+    _unpack,
     embed_elem,
     extension_field,
     frobenius_trace,
     make_field,
-    nullspace_mod,
     reduce_pth_powers,
-    rref_mod,
 )
 
 
@@ -54,12 +55,32 @@ def _all_ints(rows):
     return all(type(c) is int for row in rows for c in row)
 
 
+def _left_kernel(M, p):
+    """A basis of {v : v M = 0} over GF(p), from sympy's nullspace of the
+    transpose, each vector scaled to last nonzero entry 1 and sorted by
+    that entry's index."""
+    K = GF(p)
+    rows, cols = len(M), len(M[0])
+    T = DomainMatrix([[K(M[i][j]) for i in range(rows)] for j in range(cols)],
+                     (cols, rows), K)
+    out = []
+    for v in T.nullspace().to_list():
+        v = [int(c) % p for c in v]
+        last = max(i for i, c in enumerate(v) if c)
+        inv = pow(v[last], -1, p)
+        out.append((last, [c * inv % p for c in v]))
+    return [v for _, v in sorted(out)]
+
+
 def test_rref_solves_small_systems():
-    # the shapes the engine runs, up to 36 columns and not square, checked
-    # against sympy's echelon form over GF(p)
+    # _echelon on the shapes the engine runs, up to 36 columns and not
+    # square, each row tagged with its own unit: the pivots and the kept
+    # row of the largest pivot against sympy's echelon form over GF(p),
+    # the tags of the rows that reduce to zero against its left kernel
     rng = random.Random(21)
     for p in (2, 3, 5, 7):
-        K = GF(p)
+        K, ctx = GF(p), make_field(p)
+        bits = ctx._red_rows[0]  # rows packed as F_p packs its elements
         for _ in range(15):
             rows, cols = rng.randrange(1, 37), rng.randrange(1, 37)
             M = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
@@ -68,24 +89,43 @@ def test_rref_solves_small_systems():
                 base = M[:rng.randrange(1, 4)]
                 M = [[sum(rng.randrange(p) * b[c] for b in base) % p
                       for c in range(cols)] for _ in range(rows)]
-            R, pivots = rref_mod(M, p)
+            kept, zeros = _echelon(
+                [_pack(row, bits) | 1 << (cols + i) * bits
+                 for i, row in enumerate(M)], cols, ctx, rows)
             want, want_pivots = DomainMatrix(
                 [[K(c) for c in row] for row in M], (rows, cols), K).rref()
-            assert pivots == list(want_pivots)
-            assert R == [[int(c) % p for c in row] for row in want.to_list()]
-            null = nullspace_mod(M, p)
-            assert len(null) == cols - len(pivots)
-            assert _all_ints(R) and _all_ints(null)
-            # every nullspace vector really annihilates M
-            for v in null:
-                for row in M:
-                    assert sum(r * x for r, x in zip(row, v)) % p == 0
+            want = [[int(c) % p for c in row] for row in want.to_list()]
+            assert sorted(c for c, _ in kept) == list(want_pivots)
+            if kept:
+                last = max(kept)[1] & ~(-1 << cols * bits)
+                assert list(_unpack(last, cols, bits)) == want[len(kept) - 1]
+            assert [list(_unpack(z, rows, bits)) for z in zeros] \
+                == _left_kernel(M, p)
             b = [rng.randrange(p) for _ in range(rows)]
             sol = solve_mod(M, b, p)
             if sol is not None:
                 for row, want_b in zip(M, b):
                     got = sum(r * x for r, x in zip(row, sol)) % p
                     assert got == want_b
+
+
+def test_linearize_kernel_basis_matches_sympy():
+    # the exact basis, not only its span: for each row A(X^i) of
+    # operator_matrix that depends on the rows before it, X^i less that
+    # combination, as sympy's nullspace of the transpose gives it; half
+    # the operators end in F^k - 1, whose kernel holds F_(p^gcd(k, N))
+    rng = random.Random(27)
+    for _ in range(300):
+        p, e = rng.choice((2, 3, 5, 7)), rng.choice((1, 2))
+        ctx = make_field(p, e)
+        N = e * rng.randrange(1, 7)
+        A = _rand_op(ctx, rng, rng.randrange(4))
+        if rng.random() < 0.5:
+            A = A.compose(frobenius_operator(ctx, rng.randrange(1, N + 1))
+                          - AdditiveOp(ctx, [1]))
+        E = extension_field(p, N)
+        got = [list(b.coeffs) for b in linearize_kernel(A, N).basis]
+        assert got == _left_kernel(operator_matrix(A, E), p)
 
 
 def test_toolkit_results_are_python_ints():
@@ -95,7 +135,7 @@ def test_toolkit_results_are_python_ints():
     for N in (2, 4, 6):
         E = extension_field(3, N)
         assert _all_ints(operator_matrix(A, E))
-        assert _all_ints(E.frob_matrix(N - 1))
+        assert _all_ints(operator_matrix(frobenius_operator(E, N - 1), E))
         assert _all_ints(b.coeffs for b in linearize_kernel(A, N).basis)
 
 

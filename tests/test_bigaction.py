@@ -1,11 +1,13 @@
 """Profile validation, exact ratio arithmetic, and the rejection sieve."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from wildram.bigaction import (
     ActionProfile,
+    _rule_first_jump,
     jump_quotient_bound,
     profile_from_levels,
     quad_threshold,
@@ -119,6 +121,40 @@ def test_first_jump_degenerate_quotient():
     v = dict((rid, (verdict, wit)) for rid, verdict, wit in sieve(prof))
     verdict, wit = v["first-jump-order-bound"]
     assert verdict == "not-applicable" and wit == {"quotient": 1}
+
+
+def test_declared_exponents_are_not_raised_to_powers():
+    # v and s come from JSON: p^v and p^s are built only where they can
+    # decide something, so 10^12 answers at once with today's message or
+    # verdicts, and every s agrees with order_at at i0 + 1 = 2 + p^s
+    filt = {"numbering": "lower", "segments": [[1, 1, 27], [4, 1, 3]]}
+    start = time.perf_counter()
+    with pytest.raises(InvalidProfile, match=r"^group order 27 is not "
+                       r"p\^1000000000000 times \|G_2\| = 3$"):
+        ActionProfile.from_json({"p": 3, "filtration": filt, "v": 10 ** 12})
+    huge = ActionProfile.from_json({"p": 3, "filtration": filt, "v": 2,
+                                    "s": 10 ** 12, "g2_invariants": [3]})
+    rows = {rid: (verdict, wit) for rid, verdict, wit in sieve(huge)}
+    assert time.perf_counter() - start < 1
+    assert rows["first-jump-order-bound"] == (
+        "pass", {"g2_order": 3, "quotient": 3, "bound": [144, 1]})
+    assert rows["translation-space-bound"] == (
+        "pass", {"v": 2, "bound": 2 * 10 ** 12})
+    for p, segs, v in [(3, [(1, 27), (4, 3)], 2), (2, [(1, 8), (7, 2)], 2),
+                       (2, [(1, 16), (15, 4), (41, 2)], 2)]:
+        f = Filtration("lower", segs)
+        for s in range(1, 12):
+            prof = ActionProfile(p, f, v=v, s=s)
+            quotient = f.order_at(2) // f.order_at(2 + p ** s)
+            assert _rule_first_jump(prof)[1]["quotient"] == quotient
+
+
+def test_profile_prime_is_fenced():
+    # as --p: no primality test on a p past 2^64, a usage error instead
+    filt = {"numbering": "lower", "segments": [[1, 1, 27], [4, 1, 3]]}
+    for p in (2 ** 64, 2 ** 89 - 1, 10 ** 1000 + 453):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            ActionProfile.from_json({"p": p, "filtration": filt, "v": 2})
 
 
 def test_strict_mode_raises():

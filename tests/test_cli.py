@@ -262,6 +262,28 @@ def test_basechange_bad_sub_is_usage_error(tmp_path, capsys, sub):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("label", [5, [1], None])
+def test_label_that_is_not_a_string_is_usage_error(tmp_path, capsys, label):
+    # basechange appends " | pullback" to the label, which ended in a
+    # TypeError traceback, and cover-analyze printed the label and exited 0
+    obj = json.loads(open(_write_cover(tmp_path)).read())
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(dict(obj, label=label)))
+    for argv in (["cover-analyze", str(path)],
+                 ["basechange", str(path), "--sub", "[1]"]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: malformed input")
+        assert "label" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+    # a missing label is the empty one
+    obj.pop("label")
+    path.write_text(json.dumps(obj))
+    assert cli.main(["basechange", str(path), "--sub", "[1]"]) == 0
+    assert json.loads(capsys.readouterr().out)["cover"]["label"] \
+        == " | pullback"
+
+
 def test_rayclass_orders_csv(tmp_path, capsys):
     out_path = tmp_path / "orders.csv"
     code, _ = _run(["rayclass-orders", "--p", "2", "--e", "1",

@@ -11,7 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.polys.domains import GF
 
 from wildram import field
-from wildram.additive import AdditiveOp, linearize_kernel
+from wildram.additive import (
+    AdditiveOp,
+    frobenius_operator,
+    linearize_kernel,
+    operator_matrix,
+)
 from wildram.errors import (
     DegreeOutOfRange,
     NonPrime,
@@ -190,10 +195,12 @@ def test_frobenius_is_pth_power():
             assert x.frobenius(e) == x
             assert x.frobenius().frobenius(-1) == x
         for k in range(e + 1):
-            prod = np.array(ctx.frob_matrix(k)) @ np.array(ctx.frob_matrix(-k))
+            prod = (np.array(operator_matrix(frobenius_operator(ctx, k), ctx))
+                    @ np.array(operator_matrix(
+                        frobenius_operator(ctx, -k % e), ctx)))
             assert (prod % p == np.eye(e, dtype=np.int64)).all()
     ctx = make_field(3, 2)
-    M = ctx.frob_matrix()
+    M = operator_matrix(frobenius_operator(ctx), ctx)
     for i in range(ctx.e):
         basis = ctx.elem([1 if j == i else 0 for j in range(ctx.e)])
         assert tuple(int(v) % 3 for v in M[i]) == (basis ** 3).coeffs
