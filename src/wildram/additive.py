@@ -129,8 +129,7 @@ class AdditiveOp:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.e,
-                     tuple(c.coeffs for c in self.coeffs)))
+        return hash((self.ctx.p, self.ctx.e, tuple(c.v for c in self.coeffs)))
 
     def __repr__(self):
         if not self.coeffs:

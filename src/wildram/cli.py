@@ -64,35 +64,35 @@ def _out(*formats):
                                   help="output format"))
 
 
-@functools.cache
-def _top_parser():
-    """The top-level parser and its bare subparsers by command name: all
-    that `wr --help` and an invalid command read."""
-    top = _Parser(prog="wr", description=__doc__.splitlines()[0])
-    subs = top.add_subparsers(dest="command", required=True)
-    return top, {name: subs.add_parser(name, help=help_)
-                 for name, (help_, _, _) in COMMANDS.items()}
+def _declare(parser, command):
+    """parser with command's arguments added, in their declared order."""
+    for flag, kwargs in COMMANDS[command][1]:
+        parser.add_argument(flag, **kwargs)
+    return parser
 
 
 @functools.cache
 def _parser(command):
-    """The top-level parser with command's own arguments added (None: no
-    command's); argparse runs only the chosen subparser."""
-    top, subparsers = _top_parser()
+    """command's own parser, as `add_parser` would make it, with only its
+    declared arguments; None: the top level with every command declared,
+    for any argv whose first token names no command."""
     if command is not None:
-        for flag, kwargs in COMMANDS[command][1]:
-            subparsers[command].add_argument(flag, **kwargs)
+        return _declare(_Parser(prog="wr " + command), command)
+    top = _Parser(prog="wr", description=__doc__.splitlines()[0])
+    subs = top.add_subparsers(dest="command", required=True)
+    for name, (help_, _, _) in COMMANDS.items():
+        _declare(subs.add_parser(name, help=help_), name)
     return top
 
 
 def parse_plan(argv):
     """Validate argv into a Plan; raises UsageError, never computes."""
-    # the top-level parser has no option but -h, so the first token not
-    # starting with "-" names the command whose subparser argparse runs
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    args = _parser(command if command in COMMANDS else None).parse_args(argv)
+    # a leading command name parses with that command's own parser, any
+    # other argv with the top level
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _parser(command).parse_args(argv[1:] if command else argv)
     params = vars(args)
-    command = params.pop("command")
+    command = params.pop("command", command)
     out = params.pop("out", None)
     fmt = params.pop("format", "json")
 
@@ -384,8 +384,7 @@ def _exec_reproduce_table(plan):
 
 # name -> (help, arguments, execute), in the order `wr --help` lists
 # them: arguments are (flag, add_argument keywords) in the order the
-# command's help lists them, added on its first parse (_parser), and
-# execute(plan) runs it
+# command's help lists them (_declare), and execute(plan) runs it
 COMMANDS = {
     "field": ("print a field context", (*_FIELD, *_out("json", "text")),
               _exec_field),

@@ -56,11 +56,12 @@ from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt2_sub
 
 # The ghost criterion and the sweep of F_q, priced in coefficient products
-# (`_ghost_products`): a place of a length-n vector costs 8 n^2 for the
-# p-th powers of its f_i(y), at most n^2 log2 p products (so p < 256), and
-# two per right hand side term (a place took 50-200 us at n = 2 and
-# 0.2-2 ms at n = 8, on 4-term coordinates, 2 <= p <= 13, q <= 3125,
-# 2 vCPUs).  Past _PLACE_LIMIT place tests either way, it is refused.
+# (`_ghost_products`): a place of a length-n vector costs n^2 max(8,
+# bitlen p) for the p-th powers of its f_i(y), at most n^2 log2 p
+# products, and two per right hand side term (a place took 50-200 us at
+# n = 2 and 0.2-2 ms at n = 8, on 4-term coordinates, 2 <= p <= 13,
+# q <= 3125, 2 vCPUs).  Past _PLACE_LIMIT place tests either way, it is
+# refused.
 _PLACE_PRODUCTS = 8
 _PLACE_LIMIT = 2 ** 18
 # exponent-pn builds W_n(F_q) and the ghost powers of f_0, priced at
@@ -174,11 +175,19 @@ def _poly_free_part(f):
 # ---------------------------------------------------------------------------
 # character decompositions and conductor ladders
 
+_KERNEL_CACHE = {}
+
+
 def _character_basis(cover, E=None):
     """A basis of the roots of `adjoint(A)` in E; E None: l_1, ..., l_d in
-    F_q, DecompositionFailure unless d = deg_F A (A splits over F_q)."""
+    F_q, DecompositionFailure unless d = deg_F A (A splits over F_q).  The
+    kernel is made once per (A, [E : F_p])."""
     ctx = cover.ctx
-    kern = linearize_kernel(adjoint(cover.op), (ctx if E is None else E).e)
+    key = (cover.op, (ctx if E is None else E).e)
+    kern = _KERNEL_CACHE.get(key)
+    if kern is None:
+        kern = linearize_kernel(adjoint(cover.op), key[1])
+        _KERNEL_CACHE[key] = kern
     if E is None and kern.dim != cover.op.f_degree:
         raise DecompositionFailure(
             "operator does not split over F_%d^%d" % (ctx.p, ctx.e))
@@ -389,7 +398,8 @@ def _splits_at_every_place(cover):
     n, first = cover.op, _ghost_trace_is_zero(ctx, ctx, cover.rhs[:1])
     if n == 1 or not first:
         return first
-    place = _PLACE_PRODUCTS * n * n + 2 * sum(len(f.terms) for f in cover.rhs)
+    place = (n * n * max(_PLACE_PRODUCTS, ctx.p.bit_length())
+             + 2 * sum(len(f.terms) for f in cover.rhs))
     ghost = _ghost_products([len(f.terms) for f in cover.rhs], ctx.p, ctx.q)
     if min(ghost, place * ctx.q) > place * _PLACE_LIMIT:
         raise ResourceLimit("splitting over F_%d^%d at Witt length %d costs "

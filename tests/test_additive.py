@@ -524,3 +524,16 @@ def test_operator_json_round_trip():
     ctx = make_field(5, 2)
     A = AdditiveOp(ctx, [ctx.elem([1, 2]), ctx.zero, ctx.elem([0, 3])])
     assert AdditiveOp.from_json(ctx, A.to_json()) == A
+
+
+def test_equal_operators_built_apart_hash_equal():
+    # the same operator from coefficient lists, from elements with a
+    # trailing zero and as a composite: equal, one hash, one dict key
+    ctx = make_field(5, 2)
+    A = AdditiveOp(ctx, [[1, 2], [0, 0], [0, 3]])
+    B = AdditiveOp(ctx, [ctx.elem([1, 2]), ctx.zero, ctx.gen * 3, ctx.zero])
+    C = AdditiveOp(ctx, [1]).compose(A)
+    assert A == B == C and A is not B
+    assert hash(A) == hash(B) == hash(C)
+    assert {A: 1}[B] == 1 and len({A, B, C}) == 1
+    assert hash(A) != hash(AdditiveOp(ctx, [[1, 2], [0, 0], [0, 4]]))

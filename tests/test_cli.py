@@ -746,13 +746,12 @@ def _run_exiting(argv, capsys):
 
 def _fresh_parsers():
     cli._parser.cache_clear()
-    cli._top_parser.cache_clear()
 
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_help_usage_and_errors_frozen(capsys, monkeypatch, warm):
-    # cold: a new parser for every call, with only that call's command's
-    # arguments; warm: every command's arguments added first
+    # cold: new parsers for every call, only the invoked command's or
+    # the top level; warm: every command's own parser built first
     monkeypatch.setenv("COLUMNS", "80")
     _fresh_parsers()
     for name in cli.COMMANDS if warm else ():
@@ -777,32 +776,40 @@ def test_each_command_adds_its_arguments_once(capsys, monkeypatch):
         made.append(self)
         init(self, *args, **kwargs)
 
+    def arguments(name):  # its -h and its declared arguments
+        return 1 + len(cli.COMMANDS[name][1])
+
     _fresh_parsers()
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     field_argv = ["field", "--p", "5", "--e", "1"]
+    # the first call: one parser, field's own, with its arguments once
     assert _run(field_argv, capsys)[0] == 0
-    # the first call: the top level and nine bare subparsers, each with
-    # its -h, and field's own arguments
-    top, subs = cli._top_parser()
-    assert len(made) == 1 + len(cli.COMMANDS)
-    want = {sp: 1 for sp in [top, *subs.values()]}
-    want[subs["field"]] = len(subs["field"]._actions)
-    assert collections.Counter(added) == want
+    field_parser = cli._parser("field")
+    assert made == [field_parser]
+    assert added == [field_parser] * arguments("field")
     added.clear()
     made.clear()
     assert _run(field_argv, capsys)[0] == 0
     assert not added and not made
-    # another command: its own arguments only, on its subparser
+    # another command: one more parser, its own
     assert _run(["rayclass-orders", "--p", "2", "--e", "1", "--ms", "3"],
                 capsys)[0] == 0
-    sub = subs["rayclass-orders"]
-    assert not made and added == [sub] * (len(sub._actions) - 1)
-    # help and unknown commands add no command's arguments
+    orders = cli._parser("rayclass-orders")
+    assert made == [orders]
+    assert added == [orders] * arguments("rayclass-orders")
+    # every other argv: the top level, with a subparser per command that
+    # has that command's arguments, built once for all of them
     added.clear()
-    for argv in (["--help"], ["no-such-command"], []):
+    made.clear()
+    for argv in (["--help"], ["no-such-command"], [],
+                 ["--p", "3", "field", "--e", "1"]):
         _run_exiting(argv, capsys)
-    assert not added and not made
+    top = cli._parser(None)
+    assert made[0] is top
+    assert [sub.prog for sub in made[1:]] == ["wr " + n for n in cli.COMMANDS]
+    want = {sub: arguments(name) for sub, name in zip(made[1:], cli.COMMANDS)}
+    assert collections.Counter(added) == {top: 1, **want}
 
 
 # (command, params, out, fmt) of parse_plan, as at the parser that

@@ -1,6 +1,7 @@
 """Cover invariants, base change, and the built-in families."""
 
 import functools
+import hashlib
 import math
 import random
 
@@ -8,7 +9,7 @@ import _character_reference as reference
 import _split_reference
 import pytest
 
-from wildram import _expected, cover, field
+from wildram import _expected, cli, cover, field
 from wildram.additive import (AdditiveOp, KernelBasis, adjoint,
                               linearize_kernel)
 from wildram.cover import (
@@ -641,6 +642,33 @@ def test_witt_ring_past_the_work_budget_is_refused(monkeypatch):
         family_build(ctx, "exponent-pn", witt_len=250)
 
 
+def test_witt_place_is_priced_at_log2_p_products(monkeypatch):
+    # at p = 65537 the p-th powers of a place take up to 17 n^2 products,
+    # not 8 n^2.  One two-term coordinate a p-th power from the top has
+    # ghost powers priced at 34 k^2 products, k = min(p + 1, q): per place
+    # of the sweep (F_65537, n = 400) or of the budget (F_65537^2,
+    # n = 200) that is past 8 n^2 + 4, which swept or refused, but within
+    # 17 n^2 + 4, so the ghost test decides
+    routes = []
+    monkeypatch.setattr(cover, "witt_ring", lambda ctx, n: n)
+    monkeypatch.setattr(cover, "_ghost_trace_is_zero",
+                        lambda ctx, ring, coords: routes.append(ring) or True)
+    monkeypatch.setattr(cover, "_split_test",
+                        lambda cov, E: lambda y: routes.append("sweep"))
+    for e, n in ((1, 400), (2, 200)):
+        ctx = make_field(65537, e)
+        rhs = [FqPoly.zero(ctx)] * n
+        rhs[n - 2] = _mono(ctx, [(2, 1), (1, 1)])
+        ghost = cover._ghost_products([len(f.terms) for f in rhs], ctx.p,
+                                      ctx.q)
+        per_place = ghost / min(ctx.q, cover._PLACE_LIMIT)
+        assert 8 * n * n + 4 < per_place <= 17 * n * n + 4
+        routes.clear()
+        assert cover._splits_at_every_place(
+            CoverSpec(ctx, ("witt", n), rhs))
+        assert routes == [ctx, n]
+
+
 _NO_PLACE_FAMILIES = [
     (5, 4, "table-full", 2), (5, 4, "jump2-even", 2),
     (5, 4, "exponent-pn", 2), (3, 3, "jump2-odd", 2),
@@ -835,3 +863,39 @@ def test_characters_match_reference():
             continue
         assert _rhs_classes(additive_characters(cov)) == _rhs_classes(want)
     assert refused >= 10
+
+
+def _counting_kernels(monkeypatch):
+    """Empty the kernel cache and record each operator whose kernel
+    cover asks linearize_kernel for."""
+    made = []
+    real = cover.linearize_kernel
+    monkeypatch.setattr(cover, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(cover, "linearize_kernel",
+                        lambda A, N: made.append(A) or real(A, N))
+    return made
+
+
+def test_reproduce_table_makes_one_kernel_per_operator(monkeypatch, capsys):
+    # the family rows share their operators: 38 kernels were made where
+    # 4 do; the bytes are perfbench's golden table54.out
+    made = _counting_kernels(monkeypatch)
+    assert cli.main(["reproduce-table", "--p", "5", "--e", "4"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+        "3933ffba2306f92f50a6b8897f939369291dc38b88d22a4e42834569c5845ed1"
+    assert len(made) <= 5
+
+
+def test_cached_kernel_still_refuses_a_non_split_operator(monkeypatch):
+    # F^2 + F + 1 over F_2 has no root but 0 there: its kernel is made
+    # once and refused on every call
+    ctx = make_field(2, 1)
+    A = AdditiveOp(ctx, [1, 1, 1])
+    cov = CoverSpec(ctx, ("additive", A), [_mono(ctx, [(3, 1)])])
+    made = _counting_kernels(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(DecompositionFailure,
+                           match="^operator does not split over F_2"):
+            additive_characters(cov)
+    assert made == [adjoint(A)]
