@@ -317,6 +317,18 @@ def _exec_basechange(plan):
         S = AdditiveOp.from_json(cover.ctx, coeffs)
     except (TypeError, ValueError, OverflowError) as err:
         raise UsageError("--sub: %s: %s" % (type(err).__name__, err))
+    # X^k pulls back to the product, over the base-p digits k_j of k, of
+    # (S^(p^j))^(k_j), at most C(k_j + t - 1, t - 1) terms for S of t >= 1
+    t, terms = sum(1 for c in S.coeffs if c) or 1, 0
+    for k, _ in (term for f in cover.rhs for term in f.terms):
+        n = 1
+        while k:
+            k, d = divmod(k, cover.ctx.p)
+            n *= math.comb(d + t - 1, t - 1)
+        terms += n
+    if terms > TABLE_ENTRY_LIMIT:
+        raise ResourceLimit("the pullback may have %d terms, over the limit "
+                            "of %d" % (terms, TABLE_ENTRY_LIMIT))
     pulled = base_change(cover, S, label=plan.params["label"])
     _emit_json({
         "sub_degree": cover.ctx.p ** S.f_degree,

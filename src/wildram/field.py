@@ -34,16 +34,15 @@ X^(p^k), serves F_q and the Witt ring alike, whose X is a Teichmueller
 element (witt.py), and so is the Witt Frobenius; the modulus scan runs
 Rabin's test on those rows.
 
-Polynomials are the sparse FqPoly (trusted constructor _poly), whose
-division and modular powers run the root finding behind subfield
-embeddings, equal-degree splitting inside the subfield that holds the
-roots; additive polynomials are additive.AdditiveOp.  Products,
-powers, substitution, differences and reduce_pth_powers run on packed
-terms (exponent, int): _mul_terms gathers the products per exponent
-with a factor 1 passed through (_square_terms, for a square, each pair
-of terms once), the p^j-th powers of g behind g^k and
-the p-th roots apply Frobenius to the int, and FqElem objects are made
-once, when _packed_poly builds the result.
+Polynomials are the sparse FqPoly, whose division and modular powers
+run the root finding behind subfield embeddings, equal-degree splitting
+inside the subfield that holds the roots; additive polynomials are
+additive.AdditiveOp.  Every FqPoly result is built from packed terms
+(exponent, int) by _packed_poly, which alone makes FqElem objects:
+sums gather per exponent (_sum_terms), products too with a factor 1
+passed through (_mul_terms; _square_terms takes each pair of terms of a
+square once), division reduces such a dict, and Frobenius (p-th powers
+and roots, the p^j-th powers of g behind g^k) applies to the int.
 embed_poly keeps its last result (_memo_last, as additive keeps its shift
 plans), so evaluating one f at many points of one field embeds f once.
 """
@@ -596,14 +595,18 @@ def _elem(ctx, v):
 
 def frobenius_trace(x, d=1):
     """Trace of x from F_{p^e} down to the subfield F_{p^d}, d | e."""
-    e = x.ctx.e
-    if d < 1 or e % d:
+    if d < 1 or x.ctx.e % d:
         raise NotASubfieldDegree("trace target degree %d does not divide %d"
-                                 % (d, e))
-    acc = cur = x
-    for _ in range(e // d - 1):
-        cur = cur.frobenius(d)
-        acc = acc + cur
+                                 % (d, x.ctx.e))
+    return _elem(x.ctx, _trace(x.ctx, x.v, d))
+
+
+def _trace(ring, c, d):
+    """Tr of the packed c down to degree d | e: sum of sigma^(d i)(c)."""
+    rows, acc = ring._frob_rows(d % ring.e), c
+    for _ in range(ring.e // d - 1):
+        c = ring._apply(c, rows)
+        acc = ring._fix(acc + c)
     return acc
 
 
@@ -666,13 +669,11 @@ def _ghost_trace_is_zero(ctx, ring, coords):
     splits, by the ghost component over ring (ctx at n = 1, else
     witt.witt_ring(ctx, n)).  The p-th powers are _power on term lists,
     folded after every product so none outgrows q terms."""
-    p, e, n, bits = ctx.p, ctx.e, ctx.q - 1, ring._red_rows[0]
+    p, n, bits = ctx.p, ctx.q - 1, ring._red_rows[0]
 
     def fold(pairs):
-        acc = {}
-        for k, c in pairs:
-            k = (k - 1) % n + 1 if k else 0
-            acc[k] = ring._fix(acc.get(k, 0) + c)
+        acc = _sum_terms(ring, [((k - 1) % n + 1 if k else 0, c)
+                                for k, c in pairs])
         return [t for t in acc.items() if t[1]]
 
     def mul(a, b):
@@ -693,14 +694,7 @@ def _ghost_trace_is_zero(ctx, ring, coords):
                 c = ring._apply(c, ring._frob_rows(s))
             part = sums.setdefault(k, [size, 0])
             part[1] = ring._fix(part[1] + c)
-    for size, c in sums.values():
-        rows, acc = ring._frob_rows(size % e), c
-        for _ in range(e // size - 1):
-            c = ring._apply(c, rows)
-            acc = ring._fix(acc + c)
-        if acc:
-            return False
-    return True
+    return not any(_trace(ring, c, size) for size, c in sums.values())
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +706,8 @@ class FqPoly:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms=()):
-        self.ctx = ctx
-        self.terms = _poly(ctx, [(k, ctx.elem(c)) for k, c in terms]).terms
+        self.ctx, self.terms = ctx, _packed_poly(ctx, _sum_terms(
+            ctx, [(k, ctx.elem(c).v) for k, c in terms])).terms
 
     @classmethod
     def zero(cls, ctx):
@@ -740,27 +734,24 @@ class FqPoly:
         if other.ctx is not self.ctx:
             raise ContextMismatch("polynomials over different contexts")
 
-    def __add__(self, other):
+    def __add__(self, other, neg=False):
+        """self + other, or self - other: -c is p - c in every slot."""
         if not isinstance(other, FqPoly):
             return NotImplemented
         self._check(other)
-        return _poly(self.ctx, self.terms + other.terms)
-
-    def __neg__(self):
-        return _poly(self.ctx, [(k, -c) for k, c in self.terms])
+        pr = self.ctx._pr
+        return _packed_poly(self.ctx, _sum_terms(self.ctx, _packed(self) + [
+            (k, pr - c.v if neg else c.v) for k, c in other.terms]))
 
     def __sub__(self, other):
-        if not isinstance(other, FqPoly):
-            return NotImplemented
-        self._check(other)
-        ctx, acc = self.ctx, dict(_packed(self))
-        for k, c in other.terms:
-            acc[k] = ctx._fix(acc.get(k, 0) + ctx._pr - c.v)
-        return _packed_poly(ctx, acc)
+        return self.__add__(other, True)
+
+    def __neg__(self):
+        return self.zero(self.ctx) - self
 
     def __mul__(self, other):
         ctx = self.ctx
-        if other is self:  # the squares of __pow__'s square-and-multiply
+        if other is self:  # a square takes each pair of terms once
             return _packed_poly(ctx, _square_terms(ctx, _packed(self),
                                                    ctx.p == 2))
         if isinstance(other, (FqElem, int)):
@@ -777,50 +768,35 @@ class FqPoly:
 
     def pth_power(self, k=1):
         """Freshman power: coefficients to the p^k, exponents times p^k."""
-        step = self.ctx.p ** k
-        return _poly(self.ctx, [(exp * step, c.frobenius(k))
-                                for exp, c in self.terms])
+        ctx, step = self.ctx, self.ctx.p ** k
+        rows = ctx._frob_rows(k % ctx.e)
+        return _packed_poly(ctx, {exp * step: ctx._apply(v, rows)
+                                  for exp, v in _packed(self)})
 
     def __pow__(self, k, modulo=None):
         """self**k, or pow(self, k, modulo) reduced after every product."""
         if not isinstance(k, int) or k < 0:
             return NotImplemented
+        ctx = self.ctx
         if modulo is None:
-            return _packed_poly(self.ctx,
-                                dict(_pow_terms(self.ctx, k, [_packed(self)])))
+            return _packed_poly(ctx, dict(_pow_terms(ctx, k, [_packed(self)])))
+        divide, one = _divider(self, modulo), [(0, 1)]
+
+        def mulmod(a, b):
+            acc = (_square_terms(ctx, a, ctx.p == 2) if a is b
+                   else _mul_terms(ctx, a, b, {}))
+            divide(acc)
+            return [t for t in acc.items() if t[1]]
         # square-and-multiply: base-p digits would cost d(p - 1)/2
         # products at the splitting exponent (p^d - 1)/2 of _one_root
-        power = _power(self % modulo, k, lambda a, b: a * b % modulo)
-        return power if k else FqPoly(self.ctx, ((0, 1),)) % modulo
+        x = mulmod(one, _packed(self) if k else one)
+        return _packed_poly(ctx, dict(_power(x, k, mulmod) if k else x))
 
     def __divmod__(self, other):
         """(quotient, remainder) with deg remainder < deg other."""
-        if not isinstance(other, FqPoly):
-            return NotImplemented
-        self._check(other)
-        if not other.terms:
-            raise ZeroDivisionError("polynomial division by zero")
-        db, lead = other.terms[-1]
-        # a monic divisor needs no inverse, which costs a (q - 2)-th
-        # power in Kronecker fields
-        inv = None if lead == self.ctx.one else lead.inverse()
-        rem = dict(self.terms)
-        quot = []
-        for shift in range(self.degree() - db, -1, -1):
-            c = rem.pop(shift + db, None)
-            if c is None:
-                continue
-            if inv is not None:
-                c = c * inv
-            quot.append((shift, c))
-            for exp, b in other.terms[:-1]:
-                k = shift + exp
-                cur = rem.get(k, self.ctx.zero) - c * b
-                if cur:
-                    rem[k] = cur
-                else:
-                    del rem[k]
-        return _poly(self.ctx, quot), _poly(self.ctx, rem.items())
+        rem = dict(_packed(self))
+        quot = _divider(self, other)(rem)
+        return _packed_poly(self.ctx, quot), _packed_poly(self.ctx, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -834,10 +810,7 @@ class FqPoly:
                     "cannot evaluate over an unrelated context")
             return embed_poly(self, x.ctx).evaluate(x)
         x = self.ctx.elem(x)
-        acc = self.ctx.zero
-        for exp, c in self.terms:
-            acc = acc + c * x ** exp
-        return acc
+        return sum((c * x ** exp for exp, c in self.terms), self.ctx.zero)
 
     def compose(self, g):
         """Substitution self(g(X))."""
@@ -868,30 +841,16 @@ class FqPoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.e,
-                     tuple((k, c.coeffs) for k, c in self.terms)))
+        return hash((self.ctx.p, self.ctx.e, tuple(_packed(self))))
 
     def __repr__(self):
         bits = ["%r*X^%d" % (list(c.coeffs), k) for k, c in self.terms[::-1]]
         return "FqPoly(%s)" % (" + ".join(bits) or "0")
 
 
-def _poly(ctx, terms):
-    """The trusted FqPoly constructor, which the public one ends in: terms
-    are (exponent, element of ctx) pairs, already coerced.  Coefficients
-    of one exponent add up, and zeros drop out."""
-    acc = {}
-    for k, c in terms:
-        prev = acc.get(k)
-        acc[k] = c if prev is None else prev + c
-    f = _new(FqPoly)
-    f.ctx, f.terms = ctx, tuple(sorted([(k, c) for k, c in acc.items() if c]))
-    return f
-
-
 def _packed_poly(ctx, acc):
     """The FqPoly of a dict {exponent: packed element}, zeros dropped: the
-    one place where packed results become FqElem objects."""
+    one constructor of results, and the one maker of their FqElems."""
     f = _new(FqPoly)
     f.ctx, f.terms = ctx, tuple([(k, _elem(ctx, v))
                                  for k, v in sorted(acc.items()) if v])
@@ -900,6 +859,39 @@ def _packed_poly(ctx, acc):
 
 def _packed(f):
     return [(k, c.v) for k, c in f.terms]
+
+
+def _sum_terms(ring, pairs):
+    """{exponent: packed sum} of the packed (exponent, int) pairs, whose
+    slots, at most r (r - c for -c), keep every sum in reach of _fix."""
+    acc, fix = {}, ring._fix
+    for k, v in pairs:
+        acc[k] = fix(acc.get(k, 0) + v)
+    return acc
+
+
+def _divider(f, g):
+    """rem -> quotient, long division of a packed {exponent: int} rem by
+    g, which leaves rem in place below deg g (zeros may stay).  The lead's
+    inverse, a (q - 2)-th power in Kronecker fields, is taken once, here,
+    and not for a monic g."""
+    if not isinstance(g, FqPoly):
+        raise TypeError("polynomial division by %s" % type(g).__name__)
+    f._check(g)
+    if not g.terms:
+        raise ZeroDivisionError("polynomial division by zero")
+    ctx, mul, (*low, (db, lead)) = f.ctx, _mul_fn(f.ctx), _packed(g)
+    inv = 1 if lead == 1 else g.terms[-1][1].inverse().v
+
+    def divide(rem):
+        quot = {}
+        for shift in range(max(rem, default=0) - db, -1, -1):
+            c = rem.pop(shift + db, 0)
+            if c:
+                c = quot[shift] = c if inv == 1 else mul(c, inv)
+                _mul_terms(ctx, [(shift, ctx._fix(ctx._pr - c))], low, rem)
+        return quot
+    return divide
 
 
 def _mul_fn(ctx):
@@ -927,17 +919,12 @@ def _square_terms(ring, xs, char2=False):
     xs, as _mul_terms(ring, xs, xs, {}) gives, in n(n+1)/2 products for n
     terms: each x_i x_j, i < j, once and doubled.  char2 (a field of
     characteristic 2, where they vanish) drops those: n products."""
-    mul, fix, acc = _mul_fn(ring), ring._fix, {}
-    for a, (i, x) in enumerate(xs):
-        for j, y in () if char2 else xs[a + 1:]:
-            z = y if x == 1 else x if y == 1 else mul(x, y)
-            prev = acc.get(i + j)
-            acc[i + j] = z if prev is None else fix(prev + z)
-    acc = {k: fix(v + v) for k, v in acc.items()}
-    for i, x in xs:
-        z = 1 if x == 1 else mul(x, x)
-        prev = acc.get(2 * i)
-        acc[2 * i] = z if prev is None else fix(prev + z)
+    acc = {}
+    for a, t in enumerate(() if char2 else xs):
+        _mul_terms(ring, [t], xs[a + 1:], acc)
+    acc = {k: ring._fix(v + v) for k, v in acc.items()}
+    for t in xs:
+        _mul_terms(ring, [t], [t], acc)
     return acc
 
 
@@ -970,12 +957,9 @@ def reduce_pth_powers(f):
     terms so callers can audit the identity.  The rule is linear, so each
     term runs it on its own.
     """
-    ctx, terms = f.ctx, _packed(f)
-    constant = ctx.zero
-    if terms and terms[0][0] == 0:
-        constant, terms = f.terms[0][1], terms[1:]
+    ctx, constant = f.ctx, f.coeff(0)
     rows, reduced, witness = ctx._frob_rows(ctx.e - 1), {}, {}
-    for exp, v in terms:
+    for exp, v in _packed(f)[bool(constant):]:
         while exp % ctx.p == 0:
             exp, v = exp // ctx.p, ctx._apply(v, rows)
             witness[exp] = ctx._fix(witness.get(exp, 0) + v)
@@ -1041,18 +1025,20 @@ def subfield_root(small, big):
     return root
 
 
-def embed_elem(x, big):
-    """Image of x under the canonical embedding into big: sum c_i rho^i
+def _embed(v, small, big):
+    """The packed image in big of the packed v of small: sum c_i rho^i
     over the cached packed rows rho^i, reduced once."""
-    small = x.ctx
-    if small is big:
-        return x
     key = (small.p, small.e, big.e)
     if key not in _EMBED_ROWS:
         rho = subfield_root(small, big).v
         _EMBED_ROWS[key] = _power_rows(rho, small.e, big._mul)
-    z = sum(map(operator.mul, x.coeffs, _EMBED_ROWS[key]))
-    return _elem(big, big._reduce(z))
+    c = _unpack(v, small.e, small._red_rows[0])
+    return big._reduce(sum(map(operator.mul, c, _EMBED_ROWS[key])))
+
+
+def embed_elem(x, big):
+    """Image of x under the canonical embedding into big."""
+    return x if x.ctx is big else _elem(big, _embed(x.v, x.ctx, big))
 
 
 def _memo_last(build):
@@ -1072,5 +1058,5 @@ def _memo_last(build):
 @_memo_last
 def embed_poly(f, big):
     """Coefficient-wise canonical embedding of a polynomial."""
-    return f if f.ctx is big else _poly(big, [(exp, embed_elem(c, big))
-                                              for exp, c in f.terms])
+    return f if f.ctx is big else _packed_poly(
+        big, {exp: _embed(v, f.ctx, big) for exp, v in _packed(f)})

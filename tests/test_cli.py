@@ -262,6 +262,33 @@ def test_basechange_bad_sub_is_usage_error(tmp_path, capsys, sub):
     assert len(err.splitlines()) == 1
 
 
+def test_basechange_refuses_an_oversize_pullback(tmp_path, capsys,
+                                                 monkeypatch):
+    # x -> x + x^2 pulls X^K back to (X + X^2)^K, 2^(ones in K) terms
+    path = tmp_path / "cover.json"
+
+    def argv(k, sub="[1,1]"):
+        path.write_text(json.dumps({"field": {"p": 2, "e": 1},
+                                    "operator": {"witt": 1},
+                                    "rhs": [[[k, 1]]]}))
+        return ["basechange", str(path), "--sub", sub]
+    # the 4096 of K = 2^12 - 1, as many as the bound counts, are built
+    code, out = _run(argv(2 ** 12 - 1), capsys)
+    assert code == 0 and len(json.loads(out)["cover"]["rhs"][0]) == 4096
+
+    # the 2^30 of K = 2^30 - 1 are refused before any substitution
+    def compose(f, g):
+        raise AssertionError("the pullback was built")
+    monkeypatch.setattr(field.FqPoly, "compose", compose)
+    assert cli.main(argv(2 ** 30 - 1)) == 1
+    assert capsys.readouterr().err == (
+        "error: the pullback may have 1073741824 terms, over the limit of "
+        "%d\n" % cli.TABLE_ENTRY_LIMIT)
+    # S = 0, no term to count, is left to base_change, which refuses it
+    assert cli.main(argv(2 ** 30 - 1, "[0]")) == 1
+    assert "separable" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("label", [5, [1], None])
 def test_label_that_is_not_a_string_is_usage_error(tmp_path, capsys, label):
     # basechange appends " | pullback" to the label, which ended in a

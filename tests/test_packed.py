@@ -6,16 +6,19 @@ reach each slot-reduction path (one AND at p = 2, folds and one division
 at p = 3, 5, 7, 11 and 65537, slot by slot for products at p = 19), each
 product path (e = 1, log tables, Kronecker substitution) and the tightest
 SWAR slot, b = 2 at (2, 2).
-FqPoly products, powers and substitutions, which run on packed terms,
-are checked against polynomials of coefficient tuples, {exponent: tuple},
-multiplied term by term with the same reference.
+Every FqPoly operation runs on packed terms; sums, products, powers,
+substitutions, division and embeddings are checked against polynomials
+of coefficient tuples, {exponent: tuple}, handled term by term with the
+same reference.
 """
 
 import random
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from wildram import field
 from wildram.field import (
     FqPoly,
     _kron_fold,
@@ -208,6 +211,26 @@ def _ref_compose(A, G, f, p):
     return {k: c for k, c in out.items() if any(c)}
 
 
+def _ref_add(A, B, p, sign=1):
+    out = dict(A)
+    for k, b in B.items():
+        prev = out.get(k, (0,) * len(b))
+        out[k] = tuple((u + sign * v) % p for u, v in zip(prev, b))
+    return {k: c for k, c in out.items() if any(c)}
+
+
+def _ref_divmod(A, B, f, p):
+    """Long division by B != 0, one multiple of B per quotient term."""
+    db, e = max(B), len(f) - 1
+    inv, quot, rem = _ref_pow(B[db], p ** e - 2, f, p), {}, dict(A)
+    for shift in range(max(A, default=-1) - db, -1, -1):
+        c = _ref_mul(rem.get(shift + db, (0,) * e), inv, f, p)
+        if any(c):
+            quot[shift] = c
+            rem = _ref_add(rem, _ref_poly_mul({shift: c}, B, f, p), p, -1)
+    return quot, rem
+
+
 def _as_dict(poly):
     return {k: c.coeffs for k, c in poly.terms}
 
@@ -248,6 +271,38 @@ def test_packed_poly_products_match_tuples(data):
     j = data.draw(st.integers(0, 2 * e))
     assert _as_dict(poly(B).pth_power(j)) == {
         k * p ** j: _ref_pow(c, p ** j, f, p) for k, c in B.items()}
+    assert _as_dict(poly(A) + poly(B)) == _ref_add(A, B, p)
+    assert _as_dict(poly(A) - poly(B)) == _ref_add(A, B, p, -1)
+    assert _as_dict(-poly(A)) == _ref_add({}, A, p, -1)
+    # repeated exponents add up, and the cancelled ones drop out
+    pairs = [(i % 5, c) for i, c in A.items()] + list(B.items())
+    pairs += [(i, tuple(-u % p for u in c)) for i, c in B.items()]
+    want = {}
+    for i, c in pairs:
+        want = _ref_add(want, {i: c}, p)
+    assert _as_dict(FqPoly(ctx, [(i, ctx.elem(c)) for i, c in pairs])) \
+        == want
+    if B:
+        quot, rem = divmod(poly(A), poly(B))
+        assert (_as_dict(quot), _as_dict(rem)) == _ref_divmod(A, B, f, p)
+        assert poly(A) % poly(B) == rem
+        want = _ref_divmod({0: (1,) + (0,) * (e - 1)}, B, f, p)[1]
+        for _ in range(k):
+            want = _ref_divmod(_ref_poly_mul(want, G, f, p), B, f, p)[1]
+        assert _as_dict(pow(poly(G), k, poly(B))) == want
+    else:
+        with pytest.raises(ZeroDivisionError):
+            divmod(poly(A), poly(B))
+    if e <= 6:  # embed into F_(p^2e)
+        big = extension_field(p, 2 * e)
+        rho = subfield_root(ctx, big).coeffs
+        want = {}
+        for i, c in A.items():
+            want[i] = (0,) * 2 * e
+            for ci in reversed(c):
+                want[i] = _ref_mul(want[i], rho, big.modulus, p)
+                want[i] = (want[i][0] + ci) % p, *want[i][1:]
+        assert _as_dict(embed_poly(poly(A), big)) == want
 
 
 def test_packed_poly_edge_cases():
@@ -267,6 +322,31 @@ def test_packed_poly_edge_cases():
         assert zero.compose(f) == zero
         assert zero ** 3 == zero.pth_power() == zero
         assert f.compose(zero) == f.coeff(0) * one
+
+
+@pytest.mark.parametrize("p, e", [(3, 8), (19, 3), (5, 3), (2, 1)])
+def test_division_makes_one_element_per_result_term(monkeypatch, p, e):
+    # divmod and pow(., k, m) reduce packed terms; the only elements they
+    # make besides those of their results are the inverse of a non-monic
+    # divisor's leading coefficient, at most one per call
+    ctx, rng = make_field(p, e), random.Random(p + e)
+    ctx._log_tables()  # built once per field, q - 1 elements
+
+    def poly(n, top):
+        return FqPoly(ctx, [(rng.randrange(top), ctx.elem(
+            [rng.randrange(p) for _ in range(e)])) for _ in range(n)])
+    made, elem = [], field._elem
+    monkeypatch.setattr(field, "_elem", lambda c, v: made.append(v)
+                        or elem(c, v))
+    for lead in (ctx.one, ctx.gen + ctx.one):  # X + 1, or 1 at e = 1
+        a, m = poly(30, 90), poly(6, 12) + FqPoly(ctx, [(12, lead)])
+        del made[:]
+        quot, rem = divmod(a, m)
+        assert len(made) <= len(quot.terms) + len(rem.terms) + 1
+        assert a == quot * m + rem and rem.degree() < 12
+        del made[:]
+        power = pow(a, 41, m)
+        assert len(made) <= len(power.terms) + 1
 
 
 def test_embed_poly_memo_follows_its_arguments():
