@@ -1,11 +1,14 @@
 """Command line surface.
 
 Every invocation is parsed and validated into a Plan before anything is
-computed, so a bad flag can never leave a half-written artifact.  Exit
-codes: 0 success, 1 computational failure (the library error is printed
-on stderr), 2 usage.  Identical invocations produce byte-identical
-output: JSON is emitted with sorted keys, CSV with LF endings, and all
-parameter choices (moduli, sample points) are deterministic.
+computed, so a bad flag can never leave a half-written artifact.  The
+executors return their artifact, text or a value emitted as JSON, and
+execute_plan alone writes it; one holding an integer too long to print
+is refused before --out is opened.  Exit codes: 0 success, 1
+computational failure (the library error is printed on stderr), 2 usage.
+Identical invocations produce byte-identical output: JSON is emitted
+with sorted keys, CSV with LF endings, and all parameter choices
+(moduli, sample points) are deterministic.
 
 The environment variable WR_RESOURCE_CAP, when set, bounds the ray
 class computations by m*e; requests beyond it fail with a clear message
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import functools
 import json
 import math
@@ -39,6 +43,9 @@ from .rayclass import (MODULUS_LIMIT, find_second_jump, format_table_csv,
 # m = 48 at (2, 8) needs 9024, one to m = 1448 at (2, 1) just fits
 TABLE_ENTRY_LIMIT = 2 ** 20
 
+
+# the interpreter's limit on the digits of a printed int (0: no limit)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # a fully validated invocation: command, parameters, output target
 Plan = collections.namedtuple("Plan", "command params out fmt")
@@ -131,18 +138,6 @@ def parse_plan(argv):
     return Plan(command, params, out, fmt)
 
 
-def _emit(text, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-
-
-def _emit_json(payload, out):
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
-
-
 def _load(path, build):
     """build(parsed JSON of the file at path); malformed content (1e400
     overflows int()) is a usage error, an unreadable file an OSError."""
@@ -204,16 +199,12 @@ def _exec_field(plan):
         mod = " + ".join(term(i, c)
                          for i, c in sorted(enumerate(ctx.modulus),
                                             reverse=True) if c)
-        _emit("F_%d^%d with modulus %s\n" % (ctx.p, ctx.e, mod), plan.out)
-    else:
-        _emit_json(ctx.to_json(), plan.out)
-    return 0
+        return "F_%d^%d with modulus %s\n" % (ctx.p, ctx.e, mod), 0
+    return ctx.to_json(), 0
 
 
 def _exec_cover_analyze(plan):
-    cover = _load(plan.params["cover"], CoverSpec.from_json)
-    _emit_json(_cover_payload(cover), plan.out)
-    return 0
+    return _cover_payload(_load(plan.params["cover"], CoverSpec.from_json)), 0
 
 
 def _exec_adjoint(plan):
@@ -221,14 +212,12 @@ def _exec_adjoint(plan):
         return FqPoly.from_json(field_from_json(obj["field"]), obj["poly"])
 
     f = _load(plan.params["poly"], build)
-    ctx = f.ctx
     adj = palindromic_adjoint(f)
-    kern = linearize_kernel(adj, ctx.e)
+    kern = linearize_kernel(adj, f.ctx.e)
     # separable with unit constant coefficient, so the geometric kernel
     # has full F-degree; only part of it is rational over the base
-    _emit_json({"adjoint": adj.to_json(), "kernel_dim": adj.f_degree,
-                "kernel_dim_rational": kern.dim}, plan.out)
-    return 0
+    return {"adjoint": adj.to_json(), "kernel_dim": adj.f_degree,
+            "kernel_dim_rational": kern.dim}, 0
 
 
 def _check_table_size(ctx, ms, order_only):
@@ -244,7 +233,7 @@ def _check_table_size(ctx, ms, order_only):
         raise ResourceLimit("the invariants need up to %d entries, over the "
                             "limit of %d" % (entries, TABLE_ENTRY_LIMIT))
     digits = 1 + int(e * top * math.log10(p) + math.log10(2))
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and digits > limit:
         raise ResourceLimit("N_%d may have %d digits, over the limit of %d "
                             "on printed integers" % (top, digits, limit))
@@ -255,11 +244,7 @@ def _exec_rayclass_orders(plan):
     _check_table_size(ctx, plan.params["ms"], plan.params["order_only"])
     rows = ray_class_table(ctx, plan.params["ms"], resource_cap=_resource_cap(),
                            order_only=plan.params["order_only"])
-    if plan.fmt == "csv":
-        _emit(format_table_csv(rows), plan.out)
-    else:
-        _emit_json(rows, plan.out)
-    return 0
+    return format_table_csv(rows) if plan.fmt == "csv" else rows, 0
 
 
 def _exec_rayclass_m2(plan):
@@ -269,17 +254,14 @@ def _exec_rayclass_m2(plan):
     if cap is None and res is not None:
         cap = max(2, res // ctx.e)
     m2 = find_second_jump(ctx, cap=cap)
-    if plan.fmt == "json":
-        _emit_json({"p": ctx.p, "e": ctx.e, "m2": m2}, plan.out)
-    else:
-        _emit("%d\n" % m2, plan.out)
-    return 0
+    return ({"p": ctx.p, "e": ctx.e, "m2": m2} if plan.fmt == "json"
+            else "%d\n" % m2), 0
 
 
 def _exec_family_build(plan):
     ctx = make_field(plan.params["p"], plan.params["e"])
     kind, witt_len = plan.params["kind"], plan.params["witt_len"]
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     # p^k >= 10^int(k log10 p), so this refuses only unprintable degrees
     k = _family_degree_floor(ctx.p, ctx.e, kind, witt_len)
     if limit and int(k * math.log10(ctx.p)) >= limit:
@@ -287,10 +269,7 @@ def _exec_family_build(plan):
                             "on printed integers" % limit)
     fam = family_build(ctx, kind, witt_len=witt_len)
     tower = tower_compose(fam["items"])
-    if limit and max(tower["degree"], tower["genus"]) >= 10 ** limit:
-        raise ResourceLimit("the tower degree or genus has over %d digits, "
-                            "the limit on printed integers" % limit)
-    payload = {
+    return {
         "kind": fam["kind"],
         "notes": fam["notes"],
         "tower": {
@@ -300,9 +279,7 @@ def _exec_family_build(plan):
         },
         "items": [{"label": it.label, "marginal": it.marginal,
                    "cover": it.cover.to_json()} for it in fam["items"]],
-    }
-    _emit_json(payload, plan.out)
-    return 0
+    }, 0
 
 
 def _exec_basechange(plan):
@@ -330,20 +307,17 @@ def _exec_basechange(plan):
         raise ResourceLimit("the pullback may have %d terms, over the limit "
                             "of %d" % (terms, TABLE_ENTRY_LIMIT))
     pulled = base_change(cover, S, label=plan.params["label"])
-    _emit_json({
+    return {
         "sub_degree": cover.ctx.p ** S.f_degree,
         "before": _cover_payload(cover),
         "after": _cover_payload(pulled),
         "cover": pulled.to_json(),
-    }, plan.out)
-    return 0
+    }, 0
 
 
 def _exec_bigaction_check(plan):
     profile = _load(plan.params["profile"], ActionProfile.from_json)
-    report = ratio_check(profile, strict=plan.params["strict"])
-    _emit_json(report.to_json(), plan.out)
-    return 0
+    return ratio_check(profile, strict=plan.params["strict"]).to_json(), 0
 
 
 def _exec_reproduce_table(plan):
@@ -390,13 +364,12 @@ def _exec_reproduce_table(plan):
     detail = " ".join("%s=%s" % (name, "ok" if flag else "MISMATCH")
                       for name, flag in checks)
     lines.append(("PASS " if ok else "FAIL ") + detail)
-    _emit("\n".join(lines) + "\n", plan.out)
-    return 0 if ok else 1
+    return "\n".join(lines) + "\n", 0 if ok else 1
 
 
 # name -> (help, arguments, execute), in the order `wr --help` lists
 # them: arguments are (flag, add_argument keywords) in the order the
-# command's help lists them (_declare), and execute(plan) runs it
+# command's help lists them (_declare); execute(plan) -> (artifact, code)
 COMMANDS = {
     "field": ("print a field context", (*_FIELD, *_out("json", "text")),
               _exec_field),
@@ -443,8 +416,19 @@ COMMANDS = {
 
 
 def execute_plan(plan):
-    """Run a validated plan; returns the process exit code."""
-    return COMMANDS[plan.command][2](plan)
+    """Run a validated plan and write its artifact, a str as it is and
+    anything else as JSON, to stdout or --out; returns the exit code."""
+    artifact, code = COMMANDS[plan.command][2](plan)
+    try:
+        text = artifact if isinstance(artifact, str) else \
+            json.dumps(artifact, sort_keys=True, indent=2) + "\n"
+    except ValueError:  # an int past the interpreter's printing limit
+        raise ResourceLimit("the output has an integer over %d digits, the "
+                            "limit on printed integers" % _digit_limit())
+    with (contextlib.nullcontext(sys.stdout) if plan.out is None
+          else open(plan.out, "w", newline="")) as fh:
+        fh.write(text)
+    return code
 
 
 def main(argv=None):

@@ -242,11 +242,11 @@ def character_levels(cover):
             frees.pop(0)
         if not frees:
             raise ZeroCover("all coordinates reduce to constants")
-        levels = []
-        for j in range(1, len(frees) + 1):
-            m = 1 + max(p ** (j - 1 - i) * g.degree()
-                        for i, g in enumerate(frees[:j]) if not g.is_zero())
-            levels.append((m, p))
+        # the max is kept running: a zero coordinate (degree -1) never wins
+        levels, top = [], -1
+        for g in frees:
+            top = max(p * top, g.degree())
+            levels.append((1 + top, p))
         return levels
     basis = _character_basis(cover)
     # reduced forms carry no constant term, so every exponent is >= 1

@@ -2,7 +2,9 @@
 
 import argparse
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import time
 
@@ -394,6 +396,33 @@ def test_family_build_refuses_unprintable_towers(capsys, monkeypatch):
                          "--kind", kind, "--witt-len", str(n)])
         err = capsys.readouterr().err
         assert code == 1 and len(err.splitlines()) == 1, err
+
+
+# 4300 digits, as many as an int may have and still print by default:
+# the conductors and ratios built from it have more
+_BIG = 10 ** 4299 + 1
+
+
+@pytest.mark.parametrize("command, obj", [
+    (["cover-analyze"], {"field": {"p": 3, "e": 1}, "operator": {"witt": 2},
+                         "rhs": [[[_BIG, 1]], []]}),
+    (["basechange", "--sub", "[1]"],
+     {"field": {"p": 3, "e": 1}, "operator": {"witt": 2},
+      "rhs": [[[_BIG, 1]], []]}),
+    (["bigaction-check"],
+     {"p": 2, "v": 1, "filtration": {"numbering": "lower",
+                                     "segments": [[1, 1, 8], [_BIG, 1, 4]]}}),
+])
+def test_unprintable_outputs_are_refused(tmp_path, capsys, command, obj):
+    # every command's output passes one emitter, which refuses an integer
+    # the interpreter will not print before --out is opened
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(obj))
+    argv = command[:1] + [str(path)] + command[1:] + ["--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "4300" in err, err
+    assert not out.exists()
 
 
 def test_family_build_refuses_long_witt_sweeps(capsys, monkeypatch):
@@ -927,3 +956,63 @@ def test_declared_arguments_parse_or_refuse(case):
     except UsageError:
         return
     assert isinstance(plan, cli.Plan) and plan.command == name
+
+
+# an exponent or break: small, or of 4300 digits, so that what is built
+# from it passes the default limit on printed integers.  10^4299 itself is
+# left out: as x^(10^4299) in f_0 of a length-2 Witt cover at p = 2 or 5
+# its p-th power part has 4299 terms, which the Witt carry raises to the
+# p-th power, an unpriced expansion that runs out of memory
+_EXPONENT = st.one_of(st.integers(0, 99),
+                      st.integers(1, 99).map(lambda k: 10 ** 4299 + k))
+
+
+@st.composite
+def _json_input(draw):
+    """argv for a command that reads a JSON file, and the file's content:
+    p <= 5, e <= 3, Witt length <= 3 and at most 3 terms or segments."""
+    command = draw(st.sampled_from(["cover-analyze", "basechange",
+                                    "adjoint", "bigaction-check"]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    if command == "bigaction-check":
+        segment = st.tuples(_EXPONENT, st.integers(1, 3),
+                            st.integers(1, 27)).map(list)
+        return [command], {
+            "p": p, "v": draw(st.integers(0, 3)),
+            "filtration": {"numbering": draw(st.sampled_from(["lower",
+                                                              "upper"])),
+                           "segments": draw(st.lists(segment, min_size=1,
+                                                     max_size=3))}}
+    e = draw(st.integers(1, 3))
+    elem = st.lists(st.integers(0, p - 1), min_size=e, max_size=e)
+    poly = st.lists(st.tuples(_EXPONENT, elem).map(list), max_size=3)
+    field = {"p": p, "e": e}
+    if command == "adjoint":
+        return [command], {"field": field, "poly": draw(poly)}
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        operator = {"witt": n}
+    else:
+        n, operator = 1, {"additive": draw(st.lists(elem, min_size=1,
+                                                    max_size=3))}
+    argv = [command]
+    if command == "basechange":
+        sub = draw(st.lists(elem, min_size=1, max_size=3))
+        argv += ["--sub", json.dumps(sub)]
+    return argv, {"field": field, "operator": operator,
+                  "rhs": [draw(poly) for _ in range(n)]}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_json_input())
+def test_json_inputs_end_in_an_exit_code(tmp_path_factory, case):
+    # whatever the file holds, cli.main returns 0, 1 or 2 and a failure
+    # is one stderr line
+    argv, obj = case
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv[:1] + [str(path)] + argv[1:])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) == (code != 0), err.getvalue()

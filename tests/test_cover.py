@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import random
+import time
 
 import _character_reference as reference
 import _split_reference
@@ -177,6 +178,49 @@ def test_witt_pair_conductor():
                     [_mono(ctx, [(3, 1)]), FqPoly.zero(ctx)])
     assert character_levels(cov) == [(4, 2), (7, 2)]
     assert conductor(cov) == 7
+
+
+def test_witt_ladder_matches_the_closed_form():
+    # level j is 1 + max_{i<j} p^(j-1-i) M_i over the degrees M_i of the
+    # nonzero coordinates, once the leading zero ones are dropped;
+    # coordinates with exponents prime to p are already reduced, and a
+    # constant term does not ramify
+    rng = random.Random(63)
+    seen_zero = 0
+    for _ in range(80):
+        p, n = rng.choice([2, 3, 5]), rng.randint(1, 6)
+        ctx = make_field(p, rng.randint(1, 2))
+        exps = [k for k in range(1, 30) if k % p]
+        rhs = [_mono(ctx, [(k, [rng.randrange(1, p)] * ctx.e)
+                           for k in [0] + rng.sample(exps, rng.randint(1, 3))])
+               if rng.randrange(3) else FqPoly.zero(ctx) for _ in range(n)]
+        degs = [max((k for k, _ in f.terms if k), default=None) for f in rhs]
+        seen_zero += None in degs
+        while degs and degs[0] is None:
+            degs.pop(0)
+        cov = CoverSpec(ctx, ("witt", n), rhs)
+        if not degs:
+            with pytest.raises(ZeroCover):
+                character_levels(cov)
+            continue
+        want = [(1 + max(p ** (j - 1 - i) * m
+                         for i, m in enumerate(degs[:j]) if m is not None), p)
+                for j in range(1, len(degs) + 1)]
+        assert character_levels(cov) == want
+    assert seen_zero > 20
+
+
+def test_long_witt_ladder_is_linear():
+    # the length-10000 Witt cover of (x, 0, ..., 0) over F_3: level j has
+    # conductor 1 + 3^(j-1), and a ladder that recomputes every power of
+    # p at every level takes seconds
+    ctx = make_field(3, 1)
+    x = _mono(ctx, [(1, 1)])
+    cov = CoverSpec(ctx, ("witt", 10000), [x] + [FqPoly.zero(ctx)] * 9999)
+    start = time.perf_counter()
+    levels = character_levels(cov)
+    assert time.perf_counter() - start < 1
+    assert levels[-1] == (1 + 3 ** 9999, 3) and len(levels) == 10000
 
 
 def test_family_jump2_even_small():
