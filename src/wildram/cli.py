@@ -262,9 +262,9 @@ def _exec_family_build(plan):
     ctx = make_field(plan.params["p"], plan.params["e"])
     kind, witt_len = plan.params["kind"], plan.params["witt_len"]
     limit = _digit_limit()
-    # p^k >= 10^int(k log10 p), so this refuses only unprintable degrees
+    # p^k has over limit digits once k log10 p >= limit; k is never a float
     k = _family_degree_floor(ctx.p, ctx.e, kind, witt_len)
-    if limit and int(k * math.log10(ctx.p)) >= limit:
+    if limit and k >= limit / math.log10(ctx.p):
         raise ResourceLimit("the tower degree has over %d digits, the limit "
                             "on printed integers" % limit)
     fam = family_build(ctx, kind, witt_len=witt_len)
@@ -304,8 +304,9 @@ def _exec_basechange(plan):
             n *= math.comb(d + t - 1, t - 1)
         terms += n
     if terms > TABLE_ENTRY_LIMIT:
-        raise ResourceLimit("the pullback may have %d terms, over the limit "
-                            "of %d" % (terms, TABLE_ENTRY_LIMIT))
+        raise ResourceLimit("the pullback may have up to 2^%d terms, over "
+                            "the limit of %d" % ((terms - 1).bit_length(),
+                                                 TABLE_ENTRY_LIMIT))
     pulled = base_change(cover, S, label=plan.params["label"])
     return {
         "sub_degree": cover.ctx.p ** S.f_degree,

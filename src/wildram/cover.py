@@ -55,20 +55,19 @@ from .additive import AdditiveOp, adjoint, linearize_kernel, wp_operator
 from .ramify import ladder_filtration, tower_genus
 from .witt import witt_ring, witt2_sub
 
-# The ghost criterion and the sweep of F_q, priced in coefficient products
-# (`_ghost_products`): a place of a length-n vector costs n^2 max(8,
-# bitlen p) for the p-th powers of its f_i(y), at most n^2 log2 p
-# products, and two per right hand side term (a place took 50-200 us at
-# n = 2 and 0.2-2 ms at n = 8, on 4-term coordinates, 2 <= p <= 13,
-# q <= 3125, 2 vCPUs).  Past _PLACE_LIMIT place tests either way, it is
-# refused.
-_PLACE_PRODUCTS = 8
-_PLACE_LIMIT = 2 ** 18
-# exponent-pn builds W_n(F_q) and the ghost powers of f_0, priced at
-# (n e + 2) n e log2 p slot products.  The ring takes about
-# (n + e) log2 p + e^2 ring products, so the n^2 term is a conservative
-# bound, kept so that the refusals do not move.
-_RING_LIMIT = 2 ** 21
+# Work that can outgrow its input is priced first in coefficient products
+# (`field._mul_terms`), refused past _BUDGET by _charge.  2^21 took 0.6 s
+# in the normalization at p = 5, 3.9 s in place tests of F_65537 (2 vCPUs),
+# and more on long Witt vectors, whose ring slots are wider.
+_BUDGET = 2 ** 21
+
+
+def _charge(price, what):
+    """ResourceLimit past _BUDGET products, the price printed as 2^k."""
+    if price > _BUDGET:
+        raise ResourceLimit("%s needs about 2^%d products, over the budget of "
+                            "2^%d" % (what, (price - 1).bit_length(),
+                                      _BUDGET.bit_length() - 1))
 
 
 class CoverSpec:
@@ -149,8 +148,14 @@ def normalized_witt_rhs(cover):
         f0, f1 = cover.rhs
         red0, c0, wit = reduce_pth_powers(f0)
         if not wit.is_zero():
-            zero = FqPoly.zero(ctx)
-            wp_pair = witt2_sub((wit.pth_power(), zero), (wit, zero))
+            zero, wp = FqPoly.zero(ctx), wit.pth_power()
+            # the carries psi(W, -W) and psi(W^p, -W) of the witness, then
+            # psi(A, -A) and psi(f_0, -A) for A = W^p - W
+            k, a, p = len(wit.terms), len((wp - wit).terms), ctx.p
+            _charge(2 * _carry_price(k, k, p) + _carry_price(a, a, p)
+                    + _carry_price(len(f0.terms), a, p),
+                    "normalizing the first of two Witt coordinates")
+            wp_pair = witt2_sub((wp, zero), (wit, zero))
             f0, f1 = witt2_sub((f0, f1), wp_pair)
             assert f0 == red0 + FqPoly(ctx, ((0, c0),))
         red1, c1, _ = reduce_pth_powers(f1)
@@ -165,6 +170,15 @@ def normalized_witt_rhs(cover):
     red, const, _ = reduce_pth_powers(cover.rhs[-1])
     out.append(red + FqPoly(ctx, ((0, const),)))
     return out
+
+
+def _carry_price(s, t, p):
+    """Products of `witt.psi_carry` on polynomials of s and t terms: a^i of
+    at most comb(s + i - 1, i) terms, so the powers a^2, ..., a^(p-1) cost
+    at most s comb(s + p - 2, p - 2), those of b likewise, and the products
+    a^i b^(p-i) and their units at most 2 comb(s + t + p - 1, p)."""
+    return (s * math.comb(s + p - 2, p - 2) + t * math.comb(t + p - 2, p - 2)
+            + 2 * math.comb(s + t + p - 1, p))
 
 
 def _poly_free_part(f):
@@ -368,17 +382,27 @@ def tower_compose(items):
             "filtration": ladder_filtration(levels)}
 
 
-def _ghost_products(counts, p, q):
-    """Bound on the products of the ghost powers: coordinate i, of
-    counts[i] terms, takes n - 1 - i p-th powers.  Each is at most 2 log2 p
+def _ghost_products(rhs, p, q):
+    """Bound on the products of the ghost powers: coordinate i, of k terms
+    and degree d, takes n - 1 - i p-th powers.  Each is at most 2 log2 p
     products of powers of g, none with more terms than g^p: at most
-    comb(k + p - 1, p) for a k-term g, and at most q once folded."""
-    total, n = 0, len(counts)
-    for i, k in enumerate(counts):
+    comb(k + p - 1, p) for a k-term g, p d + 1, and q once folded."""
+    total, n = 0, len(rhs)
+    for i, f in enumerate(rhs):
+        k, d = len(f.terms), f.degree()
         for _ in range(n - 1 - i if k else 0):
-            k = min(math.comb(k + p - 1, p), q) if k < q else q
+            d = min(d * p, q)
+            k = min(math.comb(k + p - 1, p), q, d + 1) if k < q else q
             total += 2 * p.bit_length() * k * k
     return total
+
+
+def _place_price(cover):
+    """Products to test a place of a Witt cover (`_split_test`): 2 bitlen p
+    per p-th power of a nonzero f_i(y), and 2 per right hand side term."""
+    bits, n = 2 * cover.ctx.p.bit_length(), cover.op
+    return sum(bits * (n - 1 - i) * bool(f) + 2 * len(f.terms)
+               for i, f in enumerate(cover.rhs))
 
 
 def _splits_at_every_place(cover):
@@ -389,7 +413,7 @@ def _splits_at_every_place(cover):
     linear in l, so n = 1 on l_i f for a basis of the roots decides it.
     Where the ghost powers would cost more than testing every place of
     F_q, the places are tested instead; ResourceLimit when the cheaper of
-    the two exceeds _PLACE_LIMIT place tests."""
+    the two is over the budget."""
     ctx = cover.ctx
     if cover.kind == "additive":
         f = cover.rhs[0]
@@ -398,14 +422,11 @@ def _splits_at_every_place(cover):
     n, first = cover.op, _ghost_trace_is_zero(ctx, ctx, cover.rhs[:1])
     if n == 1 or not first:
         return first
-    place = (n * n * max(_PLACE_PRODUCTS, ctx.p.bit_length())
-             + 2 * sum(len(f.terms) for f in cover.rhs))
-    ghost = _ghost_products([len(f.terms) for f in cover.rhs], ctx.p, ctx.q)
-    if min(ghost, place * ctx.q) > place * _PLACE_LIMIT:
-        raise ResourceLimit("splitting over F_%d^%d at Witt length %d costs "
-                            "more than %d place tests"
-                            % (ctx.p, ctx.e, n, _PLACE_LIMIT))
-    if ghost > place * ctx.q:
+    sweep = _place_price(cover) * ctx.q
+    ghost = _ghost_products(cover.rhs, ctx.p, ctx.q)
+    _charge(min(ghost, sweep), "splitting over F_%d^%d at Witt length %d"
+            % (ctx.p, ctx.e, n))
+    if ghost > sweep:
         return all(map(_split_test(cover, ctx), ctx.elements()))
     return _ghost_trace_is_zero(ctx, witt_ring(ctx, n), cover.rhs)
 
@@ -433,21 +454,16 @@ def splits_everywhere(cover):
 
     Returns (all_split, split_count, checked).  all_split is exact for
     every cover (`_splits_at_every_place`), and when it holds the result
-    is (True, q, q).  Otherwise the count runs over `_places`: the whole
-    field up to q = 2048, else a sample of 64, priced first for Witt covers
-    (2 log2 p products per p-th power of a nonzero f_i(y) at each place).
+    is (True, q, q).  Otherwise the count runs over `_places`, the whole
+    field up to q = 2048, else 64 of them (Witt places: `_place_price`).
     """
     ctx = cover.ctx
     if _splits_at_every_place(cover):
         return True, ctx.q, ctx.q
     places = _places(ctx)
-    limit, powers = _PLACE_PRODUCTS * _PLACE_LIMIT, 0
-    for i, f in enumerate(cover.rhs if cover.kind == "witt" else ()):
-        powers += (cover.op - 1 - i) * bool(f)
-    if len(places) * 2 * ctx.p.bit_length() * powers > limit:
-        raise ResourceLimit("counting the split places over F_%d^%d at Witt "
-                            "length %d costs more than %d products"
-                            % (ctx.p, ctx.e, cover.op, limit))
+    if cover.kind == "witt":
+        _charge(len(places) * _place_price(cover), "counting the split places"
+                " over F_%d^%d at Witt length %d" % (ctx.p, ctx.e, cover.op))
     hits = sum(map(_split_test(cover, ctx), places))
     return False, hits, len(places)
 
@@ -533,13 +549,10 @@ def family_build(ctx, kind, witt_len=2):
         notes["pair_count"] = s
     else:
         n = witt_len
-        # W_n(F_q) and the ghost powers of f_0 (2 n log2 p ring products)
-        work = (n * e + 2) * n * e * math.log2(p)
-        if work > _RING_LIMIT:
-            raise ResourceLimit(
-                "Witt length %d over F_%d^%d: building W_%d and its ghost "
-                "powers needs about %d slot products, over the limit of %d"
-                % (n, p, e, n, work, _RING_LIMIT))
+        # W_n(F_q) and the ghost powers of f_0, (n e + 2) n e log2 p slot
+        # products; log2 p <= (p^16).bit_length() / 16, so n is never a float
+        _charge((n * e + 2) * n * e * (p ** 16).bit_length() >> 4,
+                "building W_n over F_%d^%d and its ghost powers" % (p, e))
         a = _least_gamma(ctx, s)
         add(("witt", n), [FqPoly(ctx, [(1 + r, a)])] + [zero] * (n - 1),
             "exponent-p%d" % n)

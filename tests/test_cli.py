@@ -269,8 +269,8 @@ def test_basechange_refuses_an_oversize_pullback(tmp_path, capsys,
     # x -> x + x^2 pulls X^K back to (X + X^2)^K, 2^(ones in K) terms
     path = tmp_path / "cover.json"
 
-    def argv(k, sub="[1,1]"):
-        path.write_text(json.dumps({"field": {"p": 2, "e": 1},
+    def argv(k, sub="[1,1]", p=2):
+        path.write_text(json.dumps({"field": {"p": p, "e": 1},
                                     "operator": {"witt": 1},
                                     "rhs": [[[k, 1]]]}))
         return ["basechange", str(path), "--sub", sub]
@@ -284,8 +284,13 @@ def test_basechange_refuses_an_oversize_pullback(tmp_path, capsys,
     monkeypatch.setattr(field.FqPoly, "compose", compose)
     assert cli.main(argv(2 ** 30 - 1)) == 1
     assert capsys.readouterr().err == (
-        "error: the pullback may have 1073741824 terms, over the limit of "
+        "error: the pullback may have up to 2^30 terms, over the limit of "
         "%d\n" % cli.TABLE_ENTRY_LIMIT)
+    # x -> x + x^5 + 4 x^25 pulls X^(5^6000 - 1) back to at most 15^6000
+    # terms, a count past the limit on printed integers: still one line
+    assert cli.main(argv(5 ** 6000 - 1, "[[1], [1], [4]]", p=5)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "2^23442 terms" in err, err
     # S = 0, no term to count, is left to base_change, which refuses it
     assert cli.main(argv(2 ** 30 - 1, "[0]")) == 1
     assert "separable" in capsys.readouterr().err
@@ -378,7 +383,8 @@ def test_family_build_refuses_unprintable_towers(capsys, monkeypatch):
     # F_1031^2: the 1032 items are built and the degree, about 6000
     # digits, is refused before printing; at p = 65537 the 65538 items,
     # and a Witt vector of length 10000 at p = 3, are refused by the
-    # floor p^k before any item is built
+    # floor p^k before any item is built, as is a length of 310 digits,
+    # which is never converted to a float
     code = cli.main(["family-build", "--p", "1031", "--e", "2",
                      "--kind", "jump2-even"])
     err = capsys.readouterr().err
@@ -391,7 +397,8 @@ def test_family_build_refuses_unprintable_towers(capsys, monkeypatch):
     for p, e, kind, n in ((65537, 2, "jump2-even", 2),
                           (65537, 1, "jump2-odd", 2),
                           (1031, 2, "table-full", 2),
-                          (3, 2, "exponent-pn", 10000)):
+                          (3, 2, "exponent-pn", 10000),
+                          (3, 2, "exponent-pn", 10 ** 309)):
         code = cli.main(["family-build", "--p", str(p), "--e", str(e),
                          "--kind", kind, "--witt-len", str(n)])
         err = capsys.readouterr().err
@@ -959,12 +966,9 @@ def test_declared_arguments_parse_or_refuse(case):
 
 
 # an exponent or break: small, or of 4300 digits, so that what is built
-# from it passes the default limit on printed integers.  10^4299 itself is
-# left out: as x^(10^4299) in f_0 of a length-2 Witt cover at p = 2 or 5
-# its p-th power part has 4299 terms, which the Witt carry raises to the
-# p-th power, an unpriced expansion that runs out of memory
+# from it passes the default limit on printed integers
 _EXPONENT = st.one_of(st.integers(0, 99),
-                      st.integers(1, 99).map(lambda k: 10 ** 4299 + k))
+                      st.integers(0, 99).map(lambda k: 10 ** 4299 + k))
 
 
 @st.composite

@@ -9,6 +9,7 @@ import time
 import _character_reference as reference
 import _split_reference
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wildram import _expected, cli, cover, field
 from wildram.additive import (AdditiveOp, KernelBasis, adjoint,
@@ -676,9 +677,9 @@ def test_witt_place_count_is_priced_before_it_starts(monkeypatch):
 
 def test_witt_ring_past_the_work_budget_is_refused(monkeypatch):
     # W_250 over F_7^4 is priced at (n e + 2) n e log2 p slot products,
-    # over the limit: it is refused before anything is built
+    # over the budget: it is refused before anything is built
     ctx = make_field(7, 4)
-    assert (250 * 4 + 2) * 250 * 4 * math.log2(7) > cover._RING_LIMIT
+    assert (250 * 4 + 2) * 250 * 4 * math.log2(7) > cover._BUDGET
 
     def refuse(*args):
         raise AssertionError("built before the work estimate")
@@ -687,33 +688,91 @@ def test_witt_ring_past_the_work_budget_is_refused(monkeypatch):
     monkeypatch.setattr(cover, "_least_gamma", refuse)
     with pytest.raises(ResourceLimit):
         family_build(ctx, "exponent-pn", witt_len=250)
+    # a length of 400 digits is priced without ever becoming a float
+    with pytest.raises(ResourceLimit, match="over the budget"):
+        family_build(ctx, "exponent-pn", witt_len=10 ** 400)
 
 
 def test_witt_place_is_priced_at_log2_p_products(monkeypatch):
-    # at p = 65537 the p-th powers of a place take up to 17 n^2 products,
-    # not 8 n^2.  One two-term coordinate a p-th power from the top has
-    # ghost powers priced at 34 k^2 products, k = min(p + 1, q): per place
-    # of the sweep (F_65537, n = 400) or of the budget (F_65537^2,
-    # n = 200) that is past 8 n^2 + 4, which swept or refused, but within
-    # 17 n^2 + 4, so the ghost test decides
-    routes = []
-    monkeypatch.setattr(cover, "witt_ring", lambda ctx, n: n)
-    monkeypatch.setattr(cover, "_ghost_trace_is_zero",
-                        lambda ctx, ring, coords: routes.append(ring) or True)
-    monkeypatch.setattr(cover, "_split_test",
-                        lambda cov, E: lambda y: routes.append("sweep"))
+    # at p = 65537 a p-th power of a place costs 2 bitlen p = 34 products.
+    # One two-term coordinate a p-th power from the top has ghost powers
+    # priced at 34 k^2 products, k = min(p + 1, q), about 2^37, and the
+    # sweep of F_65537 (n = 400) or F_65537^2 (n = 200) at 38 q, 2^22 or
+    # 2^38: both are past the budget, and neither route is started
+    def refuse(*args):
+        raise AssertionError("ghost powers or places computed")
+
+    monkeypatch.setattr(cover, "witt_ring", refuse)
+    monkeypatch.setattr(cover, "_split_test", refuse)
+    real = cover._ghost_trace_is_zero
+    monkeypatch.setattr(cover, "_ghost_trace_is_zero", lambda ctx, ring, c:
+                        real(ctx, ring, c) if ring is ctx else refuse())
     for e, n in ((1, 400), (2, 200)):
         ctx = make_field(65537, e)
         rhs = [FqPoly.zero(ctx)] * n
         rhs[n - 2] = _mono(ctx, [(2, 1), (1, 1)])
-        ghost = cover._ghost_products([len(f.terms) for f in rhs], ctx.p,
-                                      ctx.q)
-        per_place = ghost / min(ctx.q, cover._PLACE_LIMIT)
-        assert 8 * n * n + 4 < per_place <= 17 * n * n + 4
-        routes.clear()
-        assert cover._splits_at_every_place(
-            CoverSpec(ctx, ("witt", n), rhs))
-        assert routes == [ctx, n]
+        cov = CoverSpec(ctx, ("witt", n), rhs)
+        assert cover._place_price(cov) == 34 + 2 * 2
+        with pytest.raises(ResourceLimit, match="2\\^(22|38) products"):
+            cover._splits_at_every_place(cov)
+
+
+_COVER_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1),
+                 (5, 2), (7, 1), (7, 2)]
+
+
+@st.composite
+def _witt_cover(draw):
+    """A Witt cover over F_(p^e), p <= 7, e <= 3, of length n <= 5, with
+    at most 3 terms a coordinate and exponents below p^3."""
+    p, e = draw(st.sampled_from(_COVER_FIELDS))
+    ctx, n = make_field(p, e), draw(st.integers(1, 5))
+    coeff = st.lists(st.integers(0, p - 1), min_size=e, max_size=e)
+    term = st.tuples(st.integers(0, p ** 3 - 1), coeff)
+    rhs = [FqPoly(ctx, draw(st.lists(term, max_size=3,
+                                     unique_by=lambda t: t[0])))
+           for _ in range(n)]
+    return CoverSpec(ctx, ("witt", n), rhs), ctx.elem(
+        draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_witt_cover())
+def test_prices_bound_the_products(case):
+    # the non-unit coefficient products of the ghost powers on the ring, of
+    # one place and of the length-2 normalization stay within their prices
+    cov, y = case
+    ctx, n = cov.ctx, cov.op
+    mul_terms, charge, counted, charged = field._mul_terms, cover._charge, \
+        [0], []
+
+    def counting(ring, xs, ys, acc):
+        xs = list(xs)
+        counted[0] += (sum(x != 1 for _, x in xs)
+                       * sum(v != 1 for _, v in ys))
+        return mul_terms(ring, xs, ys, acc)
+
+    def products(fn, *args):
+        counted[0], field._mul_terms = 0, counting
+        try:
+            fn(*args)
+        finally:
+            field._mul_terms = mul_terms
+        return counted[0]
+
+    ghost = cover._ghost_products(cov.rhs, ctx.p, ctx.q)
+    if ghost <= cover._BUDGET:
+        ring = cover.witt_ring(ctx, n)
+        assert products(field._ghost_trace_is_zero, ctx, ring,
+                        cov.rhs) <= ghost
+    assert products(cover._split_test(cov, ctx), y) <= \
+        cover._place_price(cov)
+    if n == 2:
+        cover._charge = lambda price, what: charged.append(price)
+        try:
+            assert products(normalized_witt_rhs, cov) <= sum(charged)
+        finally:
+            cover._charge = charge
 
 
 _NO_PLACE_FAMILIES = [
