@@ -386,14 +386,21 @@ def _ghost_products(rhs, p, q):
     """Bound on the products of the ghost powers: coordinate i, of k terms
     and degree d, takes n - 1 - i p-th powers.  Each is at most 2 log2 p
     products of powers of g, none with more terms than g^p: at most
-    comb(k + p - 1, p) for a k-term g, p d + 1, and q once folded."""
+    comb(k + p - 1, p) for a k-term g, p d + 1, and q once folded.  Once
+    (d, k) stop changing, each power left costs the same."""
     total, n = 0, len(rhs)
     for i, f in enumerate(rhs):
         k, d = len(f.terms), f.degree()
-        for _ in range(n - 1 - i if k else 0):
+        left = n - 1 - i if k else 0
+        while left:
+            last, left = (k, d), left - 1
             d = min(d * p, q)
             k = min(math.comb(k + p - 1, p), q, d + 1) if k < q else q
-            total += 2 * p.bit_length() * k * k
+            price = 2 * p.bit_length() * k * k
+            total += price
+            if (k, d) == last:
+                total += left * price
+                break
     return total
 
 

@@ -39,7 +39,9 @@ divisible by p^k and the second the levels w = v p^i, i < k, of leaders:
 and every prefix of a profile pivots_k serves every smaller conductor.
 
 A brute oracle closes H in a bitmap over U for small cases, never
-enumerating U itself, and reads the invariants off the counts
+enumerating U itself: one generator at a time, coset by coset, so each
+element of H is made once, by one product.  It reads the invariants off
+the counts
 #{u : u^(p^k) in H} = |H n im phi_k| * q^((m-1) - floor((m-1)/p^k)),
 phi_k being u -> u^(p^k), whose kernel has that size and whose image is
 the units supported on exponents divisible by p^k.  The brute cap
@@ -203,11 +205,22 @@ def format_table_csv(rows):
 # ---------------------------------------------------------------------------
 # brute oracle, no shared code with the engine past the field itself
 
+def _times_unit(rows, y, mul, sub, one):
+    """The units in rows, as digit rows, times 1 - yZ: digit i becomes
+    a_i - y a_(i-1), with a_0 = 1."""
+    prev = np.hstack([np.full((len(rows), 1), one), rows[:, :-1]])
+    return sub[rows, mul[y][prev]]
+
+
 def brute_ray_class(ctx, m, cap=2 ** 20):
     """Ray class invariants by closing H inside U, never enumerating U.
 
     H is closed under the generators 1 - yZ in a bitmap with one byte per
-    unit of U, using q x q product and difference tables.  cap bounds the
+    unit of U, using q x q product and difference tables.  U is abelian,
+    so with H' the group closed so far and g = 1 - yZ, the cosets H' g^i
+    are disjoint until the least r with g^r in H'; each new coset is the
+    last one times g, and its first row, g^i, is tested before the rest
+    is built.  That is |H| + q - 2 unit products in all.  cap bounds the
     bitmap's bytes and, for m >= 2, the tables' q^2 entries; a larger U
     or field raises TooLarge before either is built.  With phi_k the map
     u -> u^(p^k), whose image is the units supported on exponents
@@ -238,21 +251,20 @@ def brute_ray_class(ctx, m, cap=2 ** 20):
     weights = q ** np.arange(m - 1, dtype=np.int64)
     seen = np.zeros(size_u, dtype=bool)
     seen[0] = True
-    frontier = np.zeros((1, m - 1), dtype=np.int64)
-    while len(frontier):
-        # times 1 - yZ, digit i becomes a_i - y a_(i-1), with a_0 = 1
-        prev = np.hstack([np.full((len(frontier), 1), one),
-                          frontier[:, :-1]])
-        batches = []
-        for y in range(1, q):
-            rows = sub[frontier, mul[y][prev]]
-            codes = rows @ weights
-            fresh = ~seen[codes]
-            codes, first = np.unique(codes[fresh], return_index=True)
-            seen[codes] = True
-            batches.append(rows[fresh][first])
-        frontier = np.concatenate(batches)
-    h_size = int(np.count_nonzero(seen))
+    # H' closed so far, identity first
+    group = np.zeros((1, m - 1), dtype=np.int64)
+    for y in range(1, q):
+        cosets = [group]
+        while True:
+            lead = _times_unit(cosets[-1][:1], y, mul, sub, one)
+            if seen[lead @ weights][0]:
+                break
+            coset = np.vstack([lead, _times_unit(cosets[-1][1:], y, mul, sub,
+                                                 one)])
+            seen[coset @ weights] = True
+            cosets.append(coset)
+        group = np.concatenate(cosets)
+    h_size = len(group)
 
     kmax = 0
     while p ** kmax < m:

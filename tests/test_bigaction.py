@@ -1,9 +1,11 @@
 """Profile validation, exact ratio arithmetic, and the rejection sieve."""
 
+import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wildram.bigaction import (
     ActionProfile,
@@ -209,3 +211,40 @@ def test_json_round_trip():
     assert obj["is_big"] is True
     assert {row["rule"] for row in obj["sieve"]} \
         == {rid for rid, _, _ in rep.sieve_verdicts}
+
+
+@st.composite
+def _profile(draw):
+    """A candidate action over p <= 7: G_1 of order p^v |G_2| with its
+    break at 1, up to three further jumps of strictly falling orders,
+    and optionally G_2's invariants, in any order, and s.  At p = 2 the
+    last break is odd, so the ramification sum is even."""
+    p, v = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3))
+    exps = sorted(draw(st.lists(st.integers(1, 5), max_size=3, unique=True)),
+                  reverse=True)
+    gaps = draw(st.lists(st.integers(1, 200), min_size=len(exps),
+                         max_size=len(exps)))
+    lasts = [1 + sum(gaps[:i + 1]) for i in range(len(gaps))]
+    if p == 2 and lasts and lasts[-1] % 2 == 0:
+        lasts[-1] += 1
+    top = exps[0] if exps else 0
+    filt = Filtration("lower", [(1, p ** (v + top))]
+                      + [(last, p ** a) for last, a in zip(lasts, exps)])
+    g2 = None
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, top - 1))) if top > 1
+                      else ())
+        bounds = [0] + cuts + [top]
+        g2 = draw(st.permutations([p ** (b - a) for a, b
+                                   in zip(bounds, bounds[1:]) if b > a]))
+    s = draw(st.none() | st.integers(1, 12))
+    return ActionProfile(p, filt, v=v, g2_invariants=g2, s=s)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_profile())
+def test_profile_json_round_trip(prof):
+    # a profile read back from its JSON text reports the same bytes
+    back = ActionProfile.from_json(json.loads(json.dumps(prof.to_json())))
+    assert back.to_json() == prof.to_json()
+    assert ratio_check(back).to_json() == ratio_check(prof).to_json()

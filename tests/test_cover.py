@@ -775,6 +775,54 @@ def test_prices_bound_the_products(case):
             cover._charge = charge
 
 
+def _ghost_products_by_power(rhs, p, q):
+    """The ghost price with one step for every p-th power: the reference
+    for `cover._ghost_products`, which stops at the fixed point."""
+    total, n = 0, len(rhs)
+    for i, f in enumerate(rhs):
+        k, d = len(f.terms), f.degree()
+        for _ in range(n - 1 - i if k else 0):
+            d = min(d * p, q)
+            k = min(math.comb(k + p - 1, p), q, d + 1) if k < q else q
+            total += 2 * p.bit_length() * k * k
+    return total
+
+
+@st.composite
+def _ghost_rhs(draw):
+    """Coordinates over F_(p^e), p <= 13, e <= 3, of a Witt length n <= 24,
+    each of at most 4 terms with exponents below p^(e + 2)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    ctx = make_field(p, draw(st.integers(1, 3)))
+    term = st.tuples(st.integers(0, p ** (ctx.e + 2) - 1),
+                     st.integers(1, p - 1))
+    return ctx, [_mono(ctx, draw(st.lists(term, max_size=4,
+                                          unique_by=lambda t: t[0])))
+                 for _ in range(draw(st.integers(1, 24)))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_ghost_rhs())
+def test_ghost_price_stops_at_its_fixed_point(case):
+    # the same price, to the product, as one step per p-th power
+    ctx, rhs = case
+    assert cover._ghost_products(rhs, ctx.p, ctx.q) == \
+        _ghost_products_by_power(rhs, ctx.p, ctx.q)
+
+
+def test_long_ghost_price_is_linear():
+    # (0, x, ..., x) over F_9 at length 10^5: from the second power on,
+    # each x^(3^j) is priced at one term, 2 bitlen 3 = 4 products, and a
+    # price that steps through all n - 1 - i powers of coordinate i
+    # takes O(n^2) steps
+    ctx, n = make_field(3, 2), 10 ** 5
+    rhs = [FqPoly.zero(ctx)] + [_mono(ctx, [(1, 1)])] * (n - 1)
+    start = time.perf_counter()
+    price = cover._ghost_products(rhs, ctx.p, ctx.q)
+    assert time.perf_counter() - start < 1
+    assert price == 4 * (n - 1) * (n - 2) // 2
+
+
 _NO_PLACE_FAMILIES = [
     (5, 4, "table-full", 2), (5, 4, "jump2-even", 2),
     (5, 4, "exponent-pn", 2), (3, 3, "jump2-odd", 2),

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wildram.errors import (
     BadParameters,
@@ -48,6 +49,30 @@ def test_herbrand_round_trip_random():
         back = herbrand_convert(herbrand_convert(filt))
         assert back.segments == filt.segments
         assert back.numbering == "lower"
+
+
+@st.composite
+def _lower_filtration(draw):
+    """A lower filtration of a p-group, p <= 7: up to four jumps with
+    strictly falling orders p^a, a <= 6, and breaks below 10^6."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    exps = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4,
+                         unique=True))
+    gaps = draw(st.lists(st.integers(1, 10 ** 5), min_size=len(exps),
+                         max_size=len(exps)))
+    lasts = [sum(gaps[:i + 1]) for i in range(len(gaps))]
+    orders = [p ** a for a in sorted(exps, reverse=True)]
+    return Filtration("lower", list(zip(lasts, orders)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_lower_filtration())
+def test_herbrand_round_trip_property(filt):
+    up = herbrand_convert(filt)
+    assert up.numbering == "upper"
+    back = herbrand_convert(up)
+    assert back.numbering == "lower"
+    assert back.segments == filt.segments
 
 
 def test_hurwitz_genus_known_values():

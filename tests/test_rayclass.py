@@ -44,6 +44,31 @@ def test_brute_matches_reference():
     assert instances == 37
 
 
+def test_brute_closure_makes_each_unit_of_h_once(monkeypatch):
+    # the coset closure multiplies at most |H| + 2q rows by 1 - yZ, on the
+    # universe of test_brute_matches_reference; a search that multiplies
+    # all of H by every generator makes about |H| (q - 1)
+    times_unit, rows = rayclass._times_unit, [0]
+
+    def counting(block, *args):
+        rows[0] += len(block)
+        return times_unit(block, *args)
+
+    monkeypatch.setattr(rayclass, "_times_unit", counting)
+    instances = 0
+    for p, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
+        ctx, q = make_field(p, e), p ** e
+        m = 2
+        while q ** (m - 1) <= 2 ** 12:
+            rows[0] = 0
+            result = brute_ray_class(ctx, m)
+            h_size = q ** (m - 1) // p ** result["order_exp"]
+            assert 0 < rows[0] <= h_size + 2 * q, (p, e, m)
+            instances += 1
+            m += 1
+    assert instances == 37
+
+
 def test_modulus_below_one_refused(monkeypatch):
     # the oracle refuses what the engine refuses, before touching F_q
     def no_work(*args):
