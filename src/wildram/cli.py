@@ -92,13 +92,56 @@ def _parser(command):
     return top
 
 
+def _read_declared(command, args):
+    """The params argparse would give command's args, read from its
+    declaration when each token is a declared flag in full with a value
+    not starting with "-" (of its type, in its choices), a store_true
+    flag or the positional, once each, and none required is missing;
+    else None (help, abbreviations, --flag=value, bad values)."""
+    declared = dict(COMMANDS[command][1])
+    positional = next((f for f in declared if f[:1] != "-"), None)
+    given, tokens = {}, iter(args)
+    for tok in tokens:
+        flag, value = (tok, None) if tok[:1] == "-" else (positional, tok)
+        kwargs = declared.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        if value is None:
+            value = next(tokens, "-")  # none left: argparse's error
+            if value[:1] == "-":
+                return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    params = {}
+    for flag, kwargs in declared.items():
+        if flag not in given and (kwargs.get("required")
+                                  or flag == positional):
+            return None
+        store_true = kwargs.get("action") == "store_true"
+        params[flag.lstrip("-").replace("-", "_")] = given.get(
+            flag, kwargs.get("default", False if store_true else None))
+    return params
+
+
 def parse_plan(argv):
     """Validate argv into a Plan; raises UsageError, never computes."""
-    # a leading command name parses with that command's own parser, any
-    # other argv with the top level
+    # a leading command name is read from that command's declaration,
+    # which builds no parser (argparse's first imports locale, most of a
+    # small call's time), or else by its own parser; any other argv by
+    # the top level, so argparse words every help, usage and error
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = _parser(command).parse_args(argv[1:] if command else argv)
-    params = vars(args)
+    params = _read_declared(command, argv[1:]) if command else None
+    if params is None:
+        params = vars(_parser(command).parse_args(argv[1:] if command
+                                                  else argv))
     command = params.pop("command", command)
     out = params.pop("out", None)
     fmt = params.pop("format", "json")
@@ -176,6 +219,9 @@ def _splits_text(cover):
 
 def _cover_payload(cover):
     levels = character_levels(cover)
+    # the splitting is priced first: a refusal then costs no genus or
+    # breaks, both quadratic in the Witt length
+    splits = _splits_text(cover)
     return {
         "label": cover.label,
         "conductor": max(levels)[0],
@@ -184,7 +230,7 @@ def _cover_payload(cover):
         "levels": list(map(list, levels)),
         "upper_breaks": [[int(b.numerator), int(b.denominator), o]
                          for b, o in ladder_filtration(levels).segments],
-        "splits": _splits_text(cover),
+        "splits": splits,
     }
 
 

@@ -6,6 +6,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -645,9 +648,16 @@ def test_cover_payload_reads_the_ladder_once(monkeypatch):
         assert payload["genus"] == cover.cover_genus(cov)
 
 
-def test_long_witt_place_count_is_priced(tmp_path, capsys):
+def test_long_witt_place_count_is_priced(tmp_path, capsys, monkeypatch):
     # length 60 over F_3^6 with every coordinate nonzero: the count of
-    # its places is priced over the budget and refused in one line
+    # its places is priced over the budget and refused in one line,
+    # before the genus and breaks of the ladder are built
+    calls = []
+    for name in ("tower_genus", "ladder_filtration"):
+        def counting(levels, real=getattr(cli, name), name=name):
+            calls.append(name)
+            return real(levels)
+        monkeypatch.setattr(cli, name, counting)
     rhs = [[[4, [1]], [2, [1]], [1, [1]]]] + [[[2, [1]], [1, [1]]]] * 59
     path = tmp_path / "dense_witt.json"
     path.write_text(json.dumps({"field": {"p": 3, "e": 6},
@@ -656,6 +666,7 @@ def test_long_witt_place_count_is_priced(tmp_path, capsys):
     cap = capsys.readouterr()
     assert code == 1 and cap.out == "" and len(cap.err.splitlines()) == 1
     assert "products" in cap.err
+    assert calls == []
 
 
 def test_long_witt_splitting_over_large_field_is_exact(tmp_path, capsys):
@@ -845,22 +856,24 @@ def test_each_command_adds_its_arguments_once(capsys, monkeypatch):
     _fresh_parsers()
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-    field_argv = ["field", "--p", "5", "--e", "1"]
-    # the first call: one parser, field's own, with its arguments once
-    assert _run(field_argv, capsys)[0] == 0
-    field_parser = cli._parser("field")
-    assert made == [field_parser]
-    assert added == [field_parser] * arguments("field")
-    added.clear()
-    made.clear()
-    assert _run(field_argv, capsys)[0] == 0
-    assert not added and not made
-    # another command: one more parser, its own
-    assert _run(["rayclass-orders", "--p", "2", "--e", "1", "--ms", "3"],
-                capsys)[0] == 0
-    orders = cli._parser("rayclass-orders")
-    assert made == [orders]
-    assert added == [orders] * arguments("rayclass-orders")
+    # a valid argv is read from its command's declaration: no parser
+    for argv in (["field", "--p", "5", "--e", "1"],
+                 ["rayclass-orders", "--p", "2", "--e", "1", "--ms", "3"]):
+        assert _run(argv, capsys)[0] == 0
+    assert not made and not added
+    # help, a usage error and an abbreviation: that command's own parser,
+    # with its arguments once, made on the first call only
+    fallbacks = (["field", "-h"], ["rayclass-m2", "--p", "x", "--e", "1"],
+                 ["rayclass-orders", "--p", "2", "--e", "1", "--m-m", "3"])
+    for argv in fallbacks:
+        _run_exiting(argv, capsys)
+        assert len(made) == 1 and made[0].prog == "wr " + argv[0]
+        assert added == made * arguments(argv[0])
+        assert made[0] is cli._parser(argv[0])
+        added.clear()
+        made.clear()
+        _run_exiting(argv, capsys)
+        assert not made and not added
     # every other argv: the top level, with a subparser per command that
     # has that command's arguments, built once for all of them
     added.clear()
@@ -917,6 +930,8 @@ def test_plans_do_not_depend_on_parsed_commands(warm):
             _fresh_parsers()
         plan = cli.parse_plan(argv)
         assert (plan.command, plan.params, plan.out, plan.fmt) == want
+        # each is read from its declaration, not by argparse
+        assert cli._read_declared(argv[0], argv[1:]) is not None, argv
 
 
 # values for any argument: small numbers, most of which pass the field
@@ -963,6 +978,69 @@ def test_declared_arguments_parse_or_refuse(case):
     except UsageError:
         return
     assert isinstance(plan, cli.Plan) and plan.command == name
+
+
+# tokens argparse alone reads: empty, dashes, help, negative numbers
+_RARE = st.sampled_from(["", "-", "--", "-h", "--help", "-3", "nope"])
+
+
+@st.composite
+def _rare_argv(draw):
+    """A command name and tokens from its declared arguments, each given
+    0-2 times, mostly as a flag and a value that fits it, sometimes as
+    --flag=value, abbreviated, without its value, with another value,
+    or beside an unknown token; in any order."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    pieces = []
+    for flag, kwargs in cli.COMMANDS[name][1]:
+        fits = st.sampled_from(kwargs["choices"]) if "choices" in kwargs \
+            else st.integers(1, 9).map(str)
+        for _ in range(draw(st.sampled_from([0] + [1] * 8 + [2]))):
+            value = draw(st.one_of(fits, fits, fits, _TOKENS, _RARE))
+            shape = draw(st.sampled_from(["plain"] * 15
+                                         + ["join", "abbrev", "bare"]))
+            bare = shape == "bare" or kwargs.get("action") == "store_true"
+            if not flag.startswith("-"):
+                pieces.append([value])
+            elif shape == "join":
+                pieces.append([flag + "=" + value])
+            else:
+                spelled = flag if shape != "abbrev" else \
+                    flag[:draw(st.integers(3, len(flag)))]
+                pieces.append([spelled] + [value] * (not bare))
+    if draw(st.integers(0, 7)) == 0:
+        pieces.append([draw(st.sampled_from(["--bogus", "zz", "-x"]))])
+    order = draw(st.permutations(pieces))
+    return name, [tok for piece in order for tok in piece]
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(_rare_argv())
+def test_declared_reading_agrees_with_argparse(case):
+    # whatever the direct reading accepts, argparse reads the same
+    name, args = case
+    params = cli._read_declared(name, args)
+    if params is not None:
+        assert params == vars(cli._parser(name).parse_args(args))
+
+
+@pytest.mark.parametrize("argv, code, imports_locale",
+                         [(["field", "--p", "5", "--e", "1"], 0, False),
+                          (["field", "--p", "x", "--e", "1"], 2, True)])
+def test_valid_call_does_not_import_locale(argv, code, imports_locale):
+    # in a fresh process: argparse's first parser imports locale, and a
+    # valid argv builds none
+    script = ("import sys\n"
+              "from wildram.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, 'locale' in sys.modules, file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "%d %s" % (code, imports_locale)
 
 
 # an exponent or break: small, or of 4300 digits, so that what is built
