@@ -37,6 +37,7 @@ f_i(y) so is whether x = y splits (`field._ghost_trace_is_zero`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -189,19 +190,17 @@ def _poly_free_part(f):
 # ---------------------------------------------------------------------------
 # character decompositions and conductor ladders
 
-_KERNEL_CACHE = {}
+@functools.cache
+def _adjoint_kernel(A, N):
+    """ker adjoint(A) inside F_(p^N), made once per (A, N)."""
+    return linearize_kernel(adjoint(A), N)
 
 
 def _character_basis(cover, E=None):
     """A basis of the roots of `adjoint(A)` in E; E None: l_1, ..., l_d in
-    F_q, DecompositionFailure unless d = deg_F A (A splits over F_q).  The
-    kernel is made once per (A, [E : F_p])."""
+    F_q, DecompositionFailure unless d = deg_F A (A splits over F_q)."""
     ctx = cover.ctx
-    key = (cover.op, (ctx if E is None else E).e)
-    kern = _KERNEL_CACHE.get(key)
-    if kern is None:
-        kern = linearize_kernel(adjoint(cover.op), key[1])
-        _KERNEL_CACHE[key] = kern
+    kern = _adjoint_kernel(cover.op, (ctx if E is None else E).e)
     if E is None and kern.dim != cover.op.f_degree:
         raise DecompositionFailure(
             "operator does not split over F_%d^%d" % (ctx.p, ctx.e))
@@ -476,8 +475,8 @@ def splits_everywhere(cover):
 
 
 def _gamma_kernel(ctx, s):
-    """ker(F^s + 1) inside F_{p^e}."""
-    return linearize_kernel(AdditiveOp(ctx, [1] + [0] * (s - 1) + [1]), ctx.e)
+    """ker(F^s + 1) inside F_{p^e}; F^s + 1 is its own adjoint."""
+    return _adjoint_kernel(AdditiveOp(ctx, [1] + [0] * (s - 1) + [1]), ctx.e)
 
 
 def _least_gamma(ctx, s):

@@ -329,14 +329,12 @@ class _KronRing:
 # ---------------------------------------------------------------------------
 # contexts
 
-_CTX_CACHE = {}
-
-
 class FieldCtx(_KronRing):
     """Arithmetic context for F_{p^e} = F_p[X] / (modulus).
 
-    Build instances through make_field or extension_field; both cache by
-    (p, e), so element operations may compare contexts by identity.
+    Build instances through make_field or extension_field: both return the
+    one context _canonical_field builds per (p, e), so contexts compare
+    by identity, and element operations rely on it.
     """
 
     __slots__ = ("q", "modulus", "zero", "one", "gen", "_tables")
@@ -396,14 +394,6 @@ class FieldCtx(_KronRing):
     def to_json(self):
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
-    def __eq__(self, other):
-        return (isinstance(other, FieldCtx)
-                and (self.p, self.e, self.modulus)
-                == (other.p, other.e, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
-
     def __repr__(self):
         return "FieldCtx(p=%d, e=%d)" % (self.p, self.e)
 
@@ -423,12 +413,12 @@ def _field(p, e):
             "p inside the proven range of the primality test" % (p, e))
     if not _is_prime(p):
         raise NonPrime("p must be a prime integer, got %r" % (p,))
-    key = (p, e)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        ctx = FieldCtx(p, e, _least_irreducible(p, e))
-        _CTX_CACHE[key] = ctx
-    return ctx
+    return _canonical_field(p, e)
+
+
+@functools.cache  # behind _field's checks: 5.0 never meets the entry of 5
+def _canonical_field(p, e):
+    return FieldCtx(p, e, _least_irreducible(p, e))
 
 
 def make_field(p, e=1):
@@ -970,9 +960,6 @@ def reduce_pth_powers(f):
 # ---------------------------------------------------------------------------
 # subfield embeddings
 
-_EMBED_ROOTS = {}
-_EMBED_ROWS = {}
-
 
 def _one_root(g, d, rng):
     """A root of monic g, whose distinct roots lie in the degree-d subfield
@@ -1008,32 +995,32 @@ def subfield_root(small, big):
     if small.p != big.p or big.e % small.e:
         raise NotASubfieldDegree(
             "no embedding of degree %d into degree %d" % (small.e, big.e))
-    key = (small.p, small.e, big.e)
-    root = _EMBED_ROOTS.get(key)
-    if root is None:
-        if small.e == 1:
-            root = big.zero  # modulus X, root 0; constants embed directly
-        else:
-            # the seed only affects how fast the split lands, never the
-            # answer: we always return the least root
-            roots = [_one_root(FqPoly(big, enumerate(small.modulus)),
-                               small.e, random.Random(11))]
-            for _ in range(small.e - 1):
-                roots.append(roots[-1].frobenius())
-            root = min(roots, key=lambda r: r.coeffs)
-        _EMBED_ROOTS[key] = root
-    return root
+    return _least_root(small, big)
+
+
+@functools.cache
+def _least_root(small, big):
+    if small.e == 1:
+        return big.zero  # modulus X, root 0; constants embed directly
+    # the seed only affects how fast the split lands, never the answer:
+    # we always return the least root
+    roots = [_one_root(FqPoly(big, enumerate(small.modulus)), small.e,
+                       random.Random(11))]
+    for _ in range(small.e - 1):
+        roots.append(roots[-1].frobenius())
+    return min(roots, key=lambda r: r.coeffs)
+
+
+@functools.cache
+def _embed_rows(small, big):
+    """The packed powers rho^i, i < [small : F_p], of rho = subfield_root."""
+    return _power_rows(subfield_root(small, big).v, small.e, big._mul)
 
 
 def _embed(v, small, big):
-    """The packed image in big of the packed v of small: sum c_i rho^i
-    over the cached packed rows rho^i, reduced once."""
-    key = (small.p, small.e, big.e)
-    if key not in _EMBED_ROWS:
-        rho = subfield_root(small, big).v
-        _EMBED_ROWS[key] = _power_rows(rho, small.e, big._mul)
+    """The packed image in big of the packed v of small: sum c_i rho^i."""
     c = _unpack(v, small.e, small._red_rows[0])
-    return big._reduce(sum(map(operator.mul, c, _EMBED_ROWS[key])))
+    return big._reduce(sum(map(operator.mul, c, _embed_rows(small, big))))
 
 
 def embed_elem(x, big):

@@ -32,6 +32,8 @@ length-2 Witt sums of polynomial pairs built from it.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import BadParameters, ContextMismatch, LengthMismatch
 from .field import FqPoly, _KronRing, _pack, _power, _unpack
 
@@ -89,27 +91,16 @@ class WittRing(_KronRing):
     def from_json(self, obj):
         return self.vec(obj)
 
-    def __eq__(self, other):
-        return (isinstance(other, WittRing)
-                and self.ctx is other.ctx and self.n == other.n)
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.ctx.e, self.n))
-
     def __repr__(self):
         return "WittRing(W_%d over F_%d^%d)" % (self.n, self.ctx.p, self.ctx.e)
 
 
-_RING_CACHE = {}
+_ring = functools.cache(WittRing)
 
 
 def witt_ring(ctx, n):
-    key = (ctx.p, ctx.e, n)
-    ring = _RING_CACHE.get(key)
-    if ring is None:
-        ring = WittRing(ctx, n)
-        _RING_CACHE[key] = ring
-    return ring
+    """The one W_n(F_q) over ctx, so rings compare by identity."""
+    return _ring(ctx, n)
 
 
 class WittVec:
@@ -175,7 +166,7 @@ class WittVec:
 
     def __eq__(self, other):
         return (isinstance(other, WittVec)
-                and self.ring == other.ring and self.x == other.x)
+                and self.ring is other.ring and self.x == other.x)
 
     def __hash__(self):
         return hash((self.ring.ctx.p, self.ring.ctx.e, self.ring.n, self.x))

@@ -10,12 +10,17 @@ import os
 import subprocess
 import sys
 import time
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wildram import cli, cover, field, rayclass
-from wildram.errors import UsageError
+from wildram.additive import AdditiveOp
+from wildram.bigaction import ActionProfile
+from wildram.cover import CoverSpec
+from wildram.errors import UsageError, WildramError
+from wildram.ramify import Filtration
 
 
 def _run(argv, capsys):
@@ -1085,7 +1090,8 @@ def _json_input(draw):
                   "rhs": [draw(poly) for _ in range(n)]}
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100, derandomize=True,
+          deadline=timedelta(seconds=5))
 @given(_json_input())
 def test_json_inputs_end_in_an_exit_code(tmp_path_factory, case):
     # whatever the file holds, cli.main returns 0, 1 or 2 and a failure
@@ -1098,3 +1104,84 @@ def test_json_inputs_end_in_an_exit_code(tmp_path_factory, case):
         code = cli.main(argv[:1] + [str(path)] + argv[1:])
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) == (code != 0), err.getvalue()
+
+
+# any JSON value, as deep as the loaders read, in objects keyed by their
+# field names; ints up to 400 digits, every float, true, null, strings
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.sampled_from(["lower", "upper"]), st.integers(-2, 9), st.integers(),
+    st.sampled_from([2 ** 64 + 13, -(10 ** 400), 10 ** 400]))
+_JSON_ANY = st.recursive(_JSON_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.sampled_from([
+        "p", "e", "modulus", "field", "operator", "witt", "additive", "rhs",
+        "label", "numbering", "segments", "filtration", "v", "s",
+        "g2_invariants"]), inner, max_size=5)), max_leaves=16)
+
+
+def _or_any(shape):
+    """Mostly the loader's shape, about 1 in 16 any JSON value in its
+    place (k == 1: hypothesis draws the bound 0 far more often)."""
+    return st.integers(0, 15).flatmap(
+        lambda k: _JSON_ANY if k == 1 else shape)
+
+
+def _object(optional=None, **required):
+    """A JSON object with the required keys and any of the optional."""
+    return st.fixed_dictionaries(
+        {k: _or_any(v) for k, v in required.items()},
+        optional={k: _or_any(v) for k, v in (optional or {}).items()})
+
+
+def _segments(pairs):
+    """Distinct ends up from 1, distinct orders down: a filtration's
+    segments, with G_0 = G_1 as a profile needs."""
+    ends, orders = sorted(a for a, _ in pairs), sorted(b for _, b in pairs)
+    return [[a + 1 - ends[0], 1, b] for a, b in zip(ends, orders[::-1])]
+
+
+_SMALL = st.integers(0, 4)
+_ELEM = _or_any(st.one_of(_SMALL, st.lists(_SMALL, max_size=1)))
+_POLY = st.lists(st.tuples(st.integers(0, 30), _ELEM).map(list), max_size=2)
+_FIELD = _object({"modulus": st.sampled_from([[0, 1], [1, 1], []])},
+                 p=st.sampled_from([2, 3, 5]), e=st.integers(1, 3))
+_FILTRATION = _object(
+    numbering=st.sampled_from(["lower", "upper"]),
+    segments=st.lists(st.tuples(st.integers(1, 4),
+                                st.sampled_from([2, 4, 8, 16])),
+                      min_size=1, max_size=3,
+                      unique_by=(lambda t: t[0], lambda t: t[1])
+                      ).map(_segments))
+_LOADERS = {
+    field.field_from_json: _FIELD,
+    lambda obj: field.FqPoly.from_json(field.make_field(3, 2), obj): _POLY,
+    lambda obj: AdditiveOp.from_json(field.make_field(3, 2), obj):
+        st.lists(_ELEM, max_size=3),
+    CoverSpec.from_json: _object(
+        {"label": st.text(max_size=3)}, field=_FIELD,
+        operator=st.one_of(_object(witt=st.integers(1, 2)),
+                           _object(additive=st.lists(_ELEM, min_size=1,
+                                                     max_size=3))),
+        rhs=st.lists(_POLY, min_size=1, max_size=2)),
+    Filtration.from_json: _FILTRATION,
+    ActionProfile.from_json: _object(
+        {"s": st.integers(1, 3), "g2_invariants": st.lists(_SMALL)},
+        p=st.sampled_from([2, 3]), v=st.integers(0, 3),
+        filtration=_FILTRATION),
+}
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.one_of(_JSON_ANY, *_LOADERS.values()))
+def test_loaders_return_or_refuse_for_exit_2(obj):
+    # every loader takes every object: it returns, or raises what
+    # cli._load turns into exit 2 or a WildramError; what loads comes
+    # back the same from its to_json
+    for load in _LOADERS:
+        try:
+            got = load(obj)
+        except (KeyError, TypeError, ValueError, OverflowError,
+                WildramError):
+            continue
+        assert load(got.to_json()).to_json() == got.to_json()

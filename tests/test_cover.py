@@ -1024,21 +1024,24 @@ def _counting_kernels(monkeypatch):
     cover asks linearize_kernel for."""
     made = []
     real = cover.linearize_kernel
-    monkeypatch.setattr(cover, "_KERNEL_CACHE", {})
+    cover._adjoint_kernel.cache_clear()
     monkeypatch.setattr(cover, "linearize_kernel",
                         lambda A, N: made.append(A) or real(A, N))
     return made
 
 
 def test_reproduce_table_makes_one_kernel_per_operator(monkeypatch, capsys):
-    # the family rows share their operators: 38 kernels were made where
-    # 4 do; the bytes are perfbench's golden table54.out
+    # the family rows share their operators: 38 kernels were made where 2
+    # do, F^2 + 1 (its own adjoint, the Gamma of the pairs too) and the
+    # adjoint 1 - F^4 of F^4 - 1; the bytes are perfbench's golden table54.out
     made = _counting_kernels(monkeypatch)
     assert cli.main(["reproduce-table", "--p", "5", "--e", "4"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == \
         "3933ffba2306f92f50a6b8897f939369291dc38b88d22a4e42834569c5845ed1"
-    assert len(made) <= 5
+    ctx = make_field(5, 4)
+    assert made == [AdditiveOp(ctx, [1, 0, 1]),
+                    AdditiveOp(ctx, [1, 0, 0, 0, 4])]
 
 
 def test_cached_kernel_still_refuses_a_non_split_operator(monkeypatch):

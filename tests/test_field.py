@@ -18,6 +18,7 @@ from wildram.additive import (
     operator_matrix,
 )
 from wildram.errors import (
+    BadParameters,
     DegreeOutOfRange,
     NonPrime,
     NotASubfieldDegree,
@@ -41,6 +42,7 @@ from wildram.field import (
     reduce_pth_powers,
     subfield_root,
 )
+from wildram.witt import witt_ring
 
 CONFIGS = [(2, 1), (2, 3), (3, 2), (5, 4), (7, 2)]
 # across the table limit: (2, 12) is the largest table field; (2, 13),
@@ -338,7 +340,8 @@ def test_subfield_root_splits_inside_the_subfield(monkeypatch):
     # split ran in the big field, 15 460 with every square made as a
     # product of two polynomials, about 11 000 now (cold Frobenius rows in)
     small, big = extension_field(3, 18), extension_field(3, 36)
-    monkeypatch.setattr(field, "_EMBED_ROOTS", {})
+    field._least_root.cache_clear()
+    field._embed_rows.cache_clear()
     monkeypatch.setattr(big, "_frob", {})
     calls = _count_products(monkeypatch)
     root = subfield_root(small, big)
@@ -462,6 +465,27 @@ def test_bad_parameters():
     assert time.perf_counter() - start < 1
     # just under the bound the scan runs, in bounded memory
     assert extension_field(2 ** 31 - 1, 2).modulus == (1, 0, 1)
+
+
+def test_one_object_per_key_and_refusals_past_the_caches():
+    # contexts, Witt rings and roots are made once per key and compared
+    # by identity; a hit on (5, 4) must not let 5.0 or 4.0 through
+    ctx = make_field(5, 4)
+    assert ctx is extension_field(5, 4) is field_from_json(ctx.to_json())
+    assert witt_ring(ctx, 3) is witt_ring(ctx, 3)
+    small = make_field(5, 2)
+    assert subfield_root(small, ctx) is subfield_root(small, ctx)
+    refusals = [(NonPrime, make_field, (5.0, 4)),
+                (DegreeOutOfRange, make_field, (5, 4.0)),
+                (NonPrime, make_field, (4, 1)),
+                (DegreeOutOfRange, extension_field, (5, 0)),
+                (BadParameters, witt_ring, (ctx, 0)),
+                (NotASubfieldDegree, subfield_root,
+                 (make_field(3, 3), extension_field(3, 4)))]
+    for _ in range(2):
+        for error, build, args in refusals:
+            with pytest.raises(error):
+                build(*args)
 
 
 def test_is_prime_matches_sympy():
