@@ -17,11 +17,13 @@ machines, which the reproduction commands rely on.
 
 Sums are SWAR: all slots at once, then p comes off each slot that reached
 it (_fix).  Products take one of two integer paths.  Fields with
-e >= 2 and q <= TABLE_LIMIT (2^12, so no table outgrows about 1 MB) keep
-log/antilog tables keyed by the packed int, built on first use, and
-multiply, power, invert and apply Frobenius by index arithmetic mod
-q - 1.  Every other product is one Kronecker substitution and a Barrett
-fold (_kron_fold; also the Witt lift ring's product mod r = p^n): 2^b >
+e >= 2 and q <= TABLE_LIMIT (2^12, so no table outgrows about 1 MB) may
+keep log/antilog tables keyed by the packed int, and then multiply,
+power, invert and apply Frobenius by index arithmetic mod q - 1.  The
+tables cost q - 1 products, so a field builds them once its callers
+have asked for that many (FieldCtx._log_tables, rent or buy).  Every
+other product is one Kronecker substitution and a Barrett fold
+(_kron_fold; also the Witt lift ring's product mod r = p^n): 2^b >
 e(r - 1)^2 + (e - 1)^3 (r - 1)^4 bounds every slot, so none carries, and
 _slot_reducer then takes every slot mod r.
 
@@ -95,6 +97,19 @@ def _is_prime(n):
     return True
 
 
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1, least first, by trial
+    division up to sqrt n."""
+    ells, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            ells.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return ells + [n] if n > 1 else ells
+
+
 # ---------------------------------------------------------------------------
 # linear algebra mod p (packed rows)
 #
@@ -149,7 +164,7 @@ def _is_irreducible(f, p):
         return False
     h = functools.reduce(ring._mul, [
         ring._fix(powers[e // ell] + ring._pr - powers[0])
-        for ell in range(2, e + 1) if e % ell == 0 and _is_prime(ell)])
+        for ell in _prime_factors(e)])
     return _power(h, ring.q - 1, ring._mul) == 1
 
 
@@ -322,7 +337,7 @@ class _KronRing:
         c = _unpack(v, len(rows), self._red_rows[0])
         return self._reduce(sum(map(operator.mul, c, rows)))
 
-    def _log_tables(self):  # none: products go through _mul
+    def _log_tables(self, n=1):  # none: products go through _mul
         return None
 
 
@@ -337,10 +352,11 @@ class FieldCtx(_KronRing):
     by identity, and element operations rely on it.
     """
 
-    __slots__ = ("q", "modulus", "zero", "one", "gen", "_tables")
+    __slots__ = ("q", "modulus", "zero", "one", "gen", "_tables", "_rent")
 
     def __init__(self, p, e, modulus):
         self.q, self.modulus, self._tables = p ** e, tuple(modulus), None
+        self._rent = 0
         self._init_ring(p, self.modulus, p)
         self.zero, self.one = _elem(self, 0), _elem(self, 1)
         self.gen = _elem(self, (e >= 2) << self._red_rows[0])  # X; 0 at e = 1
@@ -367,26 +383,34 @@ class FieldCtx(_KronRing):
     def _linear_rows(self, pairs):
         """Rows, as in _frob_rows, of x -> sum c x^(p^j) over the pairs
         (packed c != 0, j), each reduced so that one _apply evaluates it."""
-        mul, rows = _mul_fn(self), [0] * self.e
+        mul, rows = _mul_fn(self, len(pairs) * self.e), [0] * self.e
         for c, j in pairs:
             for i, r in enumerate(self._frob_rows(j % self.e)):
                 rows[i] = self._fix(rows[i] + mul(c, r))
         return rows
 
-    def _log_tables(self):
+    def _log_tables(self, n=1):
         """(log dict keyed by the packed int, antilog list of length
         2(q - 1)) of the least primitive element, found from the prime
-        factors of q - 1; None for fields that keep no tables."""
+        factors of q - 1, or None: always for e = 1 and q > TABLE_LIMIT,
+        else until the tables have paid.  Each caller passes the n
+        products it is about to make, and the tables cost q - 1, so they
+        are built once the callers' products (_rent) reach that: rent or
+        buy (Karlin, Manasse, Rudolph and Sleator, "Competitive snoopy
+        caching", 1988), never much more than twice the cheaper of no
+        tables and tables at once."""
         if self.e == 1 or self.q > TABLE_LIMIT:
             return None
         if self._tables is None:
-            n = self.q - 1
-            ells = [ell for ell in range(2, n + 1)
-                    if n % ell == 0 and _is_prime(ell)]
+            self._rent += n
+            if self._rent < self.q - 1:
+                return None
+            order = self.q - 1
+            ells = _prime_factors(order)
             g = next(g for g in self.elements() if g and all(
-                _power(g.v, n // ell, self._mul) != 1 for ell in ells))
+                _power(g.v, order // ell, self._mul) != 1 for ell in ells))
             exp = [self.one]
-            for _ in range(n - 1):
+            for _ in range(order - 1):
                 exp.append(_elem(self, self._mul(exp[-1].v, g.v)))
             self._tables = ({x.v: i for i, x in enumerate(exp)}, exp + exp)
         return self._tables
@@ -504,7 +528,7 @@ class FqElem:
         if other is None:
             return NotImplemented
         ctx = self.ctx
-        tables = ctx._log_tables()
+        tables = ctx._log_tables(1)
         if tables is None:
             return _elem(ctx, ctx._mul(self.v, other.v))
         i, j = tables[0].get(self.v), tables[0].get(other.v)
@@ -518,13 +542,16 @@ class FqElem:
         if not isinstance(k, int):
             return NotImplemented
         ctx = self.ctx
-        tables = ctx._log_tables()
-        i = tables and tables[0].get(self.v)
-        if i is not None:
-            return tables[1][i * k % (ctx.q - 1)]
-        if k < 0:
-            return self.inverse() ** (-k)
-        return _elem(ctx, _power(self.v, k, ctx._mul))
+        if not self.v:
+            if k < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return ctx.one if k == 0 else ctx.zero
+        k %= ctx.q - 1  # x^(q - 1) = 1 for x != 0
+        # _power makes bitlen(k) - 1 squares and at most as many products
+        tables = ctx._log_tables(2 * k.bit_length())
+        if tables is None:
+            return _elem(ctx, _power(self.v, k, ctx._mul))
+        return tables[1][tables[0][self.v] * k % (ctx.q - 1)]
 
     def inverse(self):
         if not self:
@@ -546,7 +573,7 @@ class FqElem:
         k %= ctx.e
         if k == 0:
             return self
-        tables = ctx._log_tables()
+        tables = ctx._log_tables(1)
         i = tables and tables[0].get(self.v)
         if i is not None:
             return tables[1][i * pow(ctx.p, k, ctx.q - 1) % (ctx.q - 1)]
@@ -884,9 +911,10 @@ def _divider(f, g):
     return divide
 
 
-def _mul_fn(ctx):
-    """The product of nonzero packed elements, by log tables if any."""
-    tables = ctx._log_tables()
+def _mul_fn(ctx, n=1):
+    """The product of nonzero packed elements, for a caller about to make
+    n of them: by log tables if ctx has them (_log_tables)."""
+    tables = ctx._log_tables(n)
     return ctx._mul if tables is None else (
         lambda x, y, log=tables[0], exp=tables[1]: exp[log[x] + log[y]].v)
 
@@ -895,7 +923,7 @@ def _mul_terms(ctx, xs, ys, acc):
     """Add the products of the nonzero packed terms xs and ys into acc,
     {exponent: packed sum}, and return it.  A factor 1 passes the other
     through."""
-    mul, fix, get = _mul_fn(ctx), ctx._fix, acc.get
+    mul, fix, get = _mul_fn(ctx, len(xs) * len(ys)), ctx._fix, acc.get
     for i, x in xs:
         for j, y in ys:
             z = y if x == 1 else x if y == 1 else mul(x, y)

@@ -171,7 +171,7 @@ def _evaluate_by_powers(A, x):
 
 
 def test_operator_matrix_matches_evaluation():
-    # F_9 -> F_81 keeps log tables; F_5 and F_7 -> F_343 have e = 1;
+    # F_9 -> F_81 can keep log tables; F_5 and F_7 -> F_343 have e = 1;
     # F_27 -> F_3^9 and F_2 -> F_2^13 are past TABLE_LIMIT; F-degrees at
     # and past E make the Frobenius indices wrap mod E
     rng = random.Random(23)

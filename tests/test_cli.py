@@ -544,6 +544,11 @@ _FROZEN_FAMILIES = {
 }
 
 
+# sha256 of the stdout bytes of reproduce-table --p 5 --e 4
+_FROZEN_TABLE54 = \
+    "3933ffba2306f92f50a6b8897f939369291dc38b88d22a4e42834569c5845ed1"
+
+
 @pytest.mark.parametrize("kind, p, e, witt_len", sorted(_FROZEN_FAMILIES))
 def test_family_build_bytes_frozen(capsys, kind, p, e, witt_len):
     code, out = _run(["family-build", "--p", str(p), "--e", str(e),
@@ -551,6 +556,28 @@ def test_family_build_bytes_frozen(capsys, kind, p, e, witt_len):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == _FROZEN_FAMILIES[kind, p, e, witt_len]
+
+
+@pytest.mark.parametrize("tables", ["off", "at once"])
+def test_same_bytes_with_or_without_log_tables(capsys, monkeypatch, tables):
+    # the frozen outputs were made with the log tables built on a field's
+    # first product; without them, or bought at once, the bytes are equal
+    if tables == "off":
+        monkeypatch.setattr(field, "TABLE_LIMIT", 0)
+    else:
+        log_tables = field.FieldCtx._log_tables
+        monkeypatch.setattr(field.FieldCtx, "_log_tables",
+                            lambda ctx, n=1: log_tables(ctx, ctx.q))
+    code, out = _run(["reproduce-table", "--p", "5", "--e", "4"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _FROZEN_TABLE54
+    for kind, p, e, witt_len in [("table-full", 3, 4, 2),
+                                 ("jump2-even", 7, 2, 2)]:
+        code, out = _run(["family-build", "--p", str(p), "--e", str(e),
+                          "--kind", kind, "--witt-len", str(witt_len)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == _FROZEN_FAMILIES[kind, p, e, witt_len]
 
 
 def test_adjoint_bytes_frozen(tmp_path, capsys):
@@ -1029,6 +1056,18 @@ def test_declared_reading_agrees_with_argparse(case):
         assert params == vars(cli._parser(name).parse_args(args))
 
 
+def _fresh_process(script, argv):
+    """Run script on argv in a new interpreter that imports this
+    checkout's wildram; the completed process, stdout as bytes."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 @pytest.mark.parametrize("argv, code, imports_locale",
                          [(["field", "--p", "5", "--e", "1"], 0, False),
                           (["field", "--p", "x", "--e", "1"], 2, True)])
@@ -1039,13 +1078,22 @@ def test_valid_call_does_not_import_locale(argv, code, imports_locale):
               "from wildram.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "print(code, 'locale' in sys.modules, file=sys.stderr)\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines()[-1] == "%d %s" % (code, imports_locale)
+    done = _fresh_process(script, argv)
+    assert done.stderr.decode().splitlines()[-1] \
+        == "%d %s" % (code, imports_locale)
+
+
+def test_cold_table_run_does_not_buy_the_f625_tables():
+    # a cold reproduce-table --p 5 --e 4 makes about 260 products in
+    # F_625, fewer than its 624-product tables would cost
+    script = ("import sys\n"
+              "from wildram import cli, field\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "ctx = field.make_field(5, 4)\n"
+              "print(code, ctx._tables is None, file=sys.stderr)\n")
+    done = _fresh_process(script, ["reproduce-table", "--p", "5", "--e", "4"])
+    assert done.stderr.decode().splitlines()[-1] == "0 True"
+    assert hashlib.sha256(done.stdout).hexdigest() == _FROZEN_TABLE54
 
 
 # an exponent or break: small, or of 4300 digits, so that what is built

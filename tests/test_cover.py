@@ -642,6 +642,7 @@ def test_sweep_above_sampled_fields_is_exact(monkeypatch):
     split = CoverSpec(ctx, ("witt", 2), [f0, f1])
     assert splits_everywhere(split) == (True, ctx.q, ctx.q)
     assert len(visited) == ctx.q
+    assert ctx._tables is not None  # its products paid for them
     inert = CoverSpec(ctx, ("witt", 2), [f0, f1 + FqPoly(ctx, ((0, d),))])
     assert splits_everywhere(inert) == (False, 0, 64)
 

@@ -360,12 +360,34 @@ def test_subfield_root_refuses_non_subfields_at_once(monkeypatch):
     assert not calls
 
 
+def test_tables_are_bought_once_products_would_pay_for_them(monkeypatch):
+    # rent or buy: a fresh F_729 multiplies by Kronecker substitution until
+    # its callers have asked for q - 1 = 728 products, what its tables
+    # cost, then builds them once and makes no product after
+    ctx = field.FieldCtx(3, 6, make_field(3, 6).modulus)
+    f = FqPoly(ctx, [(k, ctx.gen + k) for k in (1, 2, 5, 40, 100, 727, 1000)])
+    calls, bought = _count_products(monkeypatch), []
+    for x in ctx.elements():
+        before = len(calls)
+        f.evaluate(x)
+        if ctx._tables is None:
+            assert len(calls) <= ctx.q - 1
+        elif bought:
+            assert ctx._tables is bought[0] and len(calls) == before
+        else:
+            bought.append(ctx._tables)
+    assert bought
+
+
 @pytest.mark.parametrize("p, e", [(2, 13), (3, 8), (5, 6), (7, 5),
                                   (2, 4), (3, 2), (5, 1), (7, 1)])
 def test_squares_take_each_pair_of_terms_once(monkeypatch, p, e):
     # a * a, and so pow(a, k, m), makes n(n + 1)/2 products for n terms
     # (n at p = 2); b, an equal copy of a, takes the route of every
     # ordered pair, which the squares must match
+    # every product by Kronecker substitution, table fields too, so that
+    # each one is counted
+    monkeypatch.setattr(field, "TABLE_LIMIT", 0)
     ctx, rng = make_field(p, e), random.Random(p * e)
     calls = _count_products(monkeypatch)
 
@@ -380,8 +402,7 @@ def test_squares_take_each_pair_of_terms_once(monkeypatch, p, e):
         assert b is not a and b == a
         calls.clear()
         square = a * a
-        if ctx._log_tables() is None:
-            assert len(calls) <= (n if p == 2 else n * (n + 1) // 2)
+        assert len(calls) <= (n if p == 2 else n * (n + 1) // 2)
         assert square == a * b
         for k in (2, 3, 7, 10):
             want = FqPoly(ctx, [(0, ctx.one)])

@@ -12,6 +12,7 @@ of coefficient tuples, {exponent: tuple}, handled term by term with the
 same reference.
 """
 
+import functools
 import random
 import sys
 
@@ -91,6 +92,42 @@ def test_packed_arithmetic_matches_tuples(data):
     z = (x + y) - y
     assert (x == y) == (a == b) and z == x and hash(z) == hash(x)
     assert bool(x) == any(a)
+
+
+class _NoTables(field.FieldCtx):
+    """F_q as FieldCtx makes it, but never with log tables."""
+
+    __slots__ = ()
+
+    def _log_tables(self, n=1):
+        return None
+
+
+@functools.cache
+def _paid_and_twin(p, e):
+    """A fresh F_(p^e) that has paid for its tables, and its twin that
+    makes every product by Kronecker substitution."""
+    paid = field.FieldCtx(p, e, make_field(p, e).modulus)
+    paid._log_tables(paid.q)
+    return paid, _NoTables(p, e, paid.modulus)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_table_and_kronecker_paths_agree(data):
+    p, e = data.draw(st.sampled_from(
+        [(p, e) for p, e in SHAPES if e > 1 and p ** e <= field.TABLE_LIMIT]))
+    paid, twin = _paid_and_twin(p, e)
+    assert paid._tables is not None
+    a, b = data.draw(_coeffs(p, e)), data.draw(_coeffs(p, e))
+    x, y, u, w = paid.elem(a), paid.elem(b), twin.elem(a), twin.elem(b)
+    assert (x * y).v == (u * w).v
+    k = data.draw(st.integers(-3 * paid.q if x else 0, 3 * paid.q))
+    assert (x ** k).v == (u ** k).v
+    j = data.draw(st.integers(-2 * e, 2 * e))
+    assert x.frobenius(j).v == u.frobenius(j).v
+    if x:
+        assert x.inverse().v == u.inverse().v
 
 
 # r = 9, 4, 25 and 27 are Witt moduli p^n; 31, 73 and 127 fold as 3, 5, 7
@@ -330,7 +367,9 @@ def test_division_makes_one_element_per_result_term(monkeypatch, p, e):
     # make besides those of their results are the inverse of a non-monic
     # divisor's leading coefficient, at most one per call
     ctx, rng = make_field(p, e), random.Random(p + e)
-    ctx._log_tables()  # built once per field, q - 1 elements
+    # a table field buys its tables here, not while elements are counted:
+    # they make q - 1 of them
+    ctx._log_tables(ctx.q)
 
     def poly(n, top):
         return FqPoly(ctx, [(rng.randrange(top), ctx.elem(
